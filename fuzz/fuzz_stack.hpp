@@ -1,10 +1,11 @@
 #pragma once
 // net::Stack test double for fuzzing the middleware above the link layer
-// without a World or sockets. Outbound frames are counted and discarded
-// (the fuzzer plays the whole network); inbound frames are injected
-// straight into the registered handler, which is exactly what a hostile
-// datagram does on the UDP backend. Timers run on a manually advanced
-// clock with a hard fire budget so no input can make a target spin.
+// without a World or sockets. Outbound frames are counted and discarded,
+// except the last one, which is kept for inspection (the fuzzer plays the
+// whole network); inbound frames are injected straight into the registered
+// handler, which is exactly what a hostile datagram does on the UDP
+// backend. Timers run on a manually advanced clock with a hard fire budget
+// so no input can make a target spin. Tests use it as a Stack double too.
 
 #include <cstdint>
 #include <functional>
@@ -29,9 +30,12 @@ class FuzzStack final : public net::Stack {
   [[nodiscard]] std::optional<Vec2> position_of(NodeId) const override { return Vec2{}; }
   [[nodiscard]] bool peer_online(NodeId) const override { return true; }
 
-  Status send_frame(NodeId, net::Proto, Bytes payload) override {
+  Status send_frame(NodeId dst, net::Proto, Bytes payload) override {
+    if (dst == refused_) return Status{ErrorCode::kUnreachable, "link refused"};
     frames_out_++;
     bytes_out_ += payload.size();
+    last_dst_ = dst;
+    last_frame_ = std::move(payload);
     return Status::ok();
   }
   Status broadcast_frame(net::Proto proto, Bytes payload) override {
@@ -66,16 +70,26 @@ class FuzzStack final : public net::Stack {
   // Deliver raw bytes as an inbound link frame, exactly as a hostile
   // datagram that passed the UDP wire-header check would arrive.
   void inject(net::Proto proto, NodeId src, NodeId dst, Bytes payload) {
-    const auto it = handlers_.find(proto);
-    if (it == handlers_.end()) return;
+    deliver(link_frame(proto, src, dst, std::move(payload)));
+  }
+  static net::LinkFrame link_frame(net::Proto proto, NodeId src, NodeId dst, Bytes payload) {
     net::LinkFrame frame;
     frame.src = src;
     frame.dst = dst;
     frame.medium = MediumId::invalid();
     frame.proto = proto;
     frame.payload_buf = std::make_shared<const Bytes>(std::move(payload));
-    it->second(frame);
+    return frame;
   }
+  // Hands an already built frame to its protocol's handler.
+  void deliver(const net::LinkFrame& frame) {
+    const auto it = handlers_.find(frame.proto);
+    if (it != handlers_.end()) it->second(frame);
+  }
+
+  // Make every unicast to `dst` fail, as a link layer does for a peer it
+  // knows is down.
+  void refuse_frames_to(NodeId dst) { refused_ = dst; }
 
   // Advance the clock to `until`, firing due timers in deadline order.
   // The fire budget bounds re-arming loops (retransmit backoff chains).
@@ -89,6 +103,10 @@ class FuzzStack final : public net::Stack {
   }
 
   [[nodiscard]] std::uint64_t frames_out() const { return frames_out_; }
+  // The most recent outbound frame and its link destination (kBroadcast
+  // for broadcasts).
+  [[nodiscard]] const Bytes& last_frame() const { return last_frame_; }
+  [[nodiscard]] NodeId last_dst() const { return last_dst_; }
 
   static constexpr std::uint64_t kEpoch = 7;
 
@@ -100,6 +118,9 @@ class FuzzStack final : public net::Stack {
   std::map<net::Proto, FrameHandler> handlers_;
   std::uint64_t frames_out_ = 0;
   std::uint64_t bytes_out_ = 0;
+  NodeId refused_ = NodeId::invalid();
+  NodeId last_dst_ = NodeId::invalid();
+  Bytes last_frame_;
 };
 
 }  // namespace ndsm::fuzz

@@ -1,15 +1,19 @@
 // Fuzz boundary: ReliableTransport fragment/ack parsing plus the routing
-// frame decoder underneath it, driven through a loopback net::Stack test
-// double. The input is injected twice per run:
-//   1. as the raw routing-frame payload (exercises decode_routing and the
-//      flood/DV duplicate-suppression paths on hostile headers), and
-//   2. wrapped in a valid kData routing header with upper == kTransport,
-//      so the bytes land in ReliableTransport::on_frame unmodified —
-//      exactly what a hostile UDP datagram achieves on the real backend.
+// frame decoder and relay underneath it, driven through a loopback
+// net::Stack test double. The input is injected twice per run:
+//   1. as the raw routing-frame payload (exercises the in-place routing
+//      parser, the flood duplicate suppression and the relay on hostile
+//      headers), and
+//   2. wrapped in a valid flood header addressed to this node with
+//      upper == kTransport, so the bytes land in
+//      ReliableTransport::on_frame unmodified — exactly what a hostile UDP
+//      datagram achieves on the real backend.
 // Afterwards the clock advances through the retransmit/reassembly-GC
 // schedule (bounded) so timer paths run against whatever state the
-// injected frames created. Properties: no crash/assert/UB, and every
-// rejected frame is visible in malformed_dropped (fail closed, counted).
+// injected frames created. Properties: no crash/assert/UB, every rejected
+// frame is visible in malformed_dropped (fail closed, counted), and a
+// relayed frame is exactly encode_routing() of what was received with
+// TTL - 1 and hops + 1.
 
 #include "fuzz_stack.hpp"
 #include "fuzz_target.hpp"
@@ -39,11 +43,21 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   const NodeId peer{2};
 
   // Path 1: hostile routing frame.
+  const std::uint64_t forwarded = router.stats().data_forwarded;
   stack.inject(net::Proto::kRouting, peer, NodeId{1}, input);
+  if (router.stats().data_forwarded != forwarded) {
+    routing::RoutingHeader expect;
+    Bytes body;
+    NDSM_FUZZ_CHECK(routing::decode_routing(input, expect, body));
+    NDSM_FUZZ_CHECK(expect.ttl > 0);
+    expect.ttl--;
+    if (expect.trace.hops < 255) expect.trace.hops++;
+    NDSM_FUZZ_CHECK(stack.last_frame() == routing::encode_routing(expect, body));
+  }
 
   // Path 2: hostile transport frame behind a well-formed routing header.
   routing::RoutingHeader h;
-  h.kind = routing::RoutingKind::kData;
+  h.kind = routing::RoutingKind::kFlood;
   h.origin = peer;
   h.dst = NodeId{1};
   h.seq = 1;

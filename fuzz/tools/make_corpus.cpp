@@ -153,6 +153,20 @@ void transport_frame() {
     h.upper = net::Proto::kDiscovery;
     emit("transport_frame", "flood.bin", routing::encode_routing(h, str_bytes("q")));
   }
+  {
+    // Traced flood for another node: relayed, with the hop count at its cap.
+    routing::RoutingHeader h;
+    h.kind = routing::RoutingKind::kFlood;
+    h.origin = NodeId{5};
+    h.dst = NodeId{3};
+    h.seq = 4;
+    h.ttl = 6;
+    h.upper = net::Proto::kTransport;
+    h.trace = ctx;
+    h.trace.hops = 255;
+    emit("transport_frame", "relayed_flood.bin",
+         routing::encode_routing(h, str_bytes("relay me")));
+  }
 }
 
 void discovery_msg() {

@@ -117,7 +117,7 @@ SIDE_EFFECT_RE = re.compile(r"\+\+|--|=")
 # encode calls out of this rule.
 READER_DECL_RE = re.compile(r"\b(?:serialize::)?Reader\s*&?\s+(\w+)\b")
 READER_METHODS = (r"(?:u8|u16|u32|u64|varint|svarint|f64|boolean"
-                  r"|str|str_view|bytes|vec2|id)")
+                  r"|str|str_view|bytes|bytes_view|vec2|id)")
 # A whole statement that is nothing but a primitive read: result discarded.
 READER_DISCARD_RE = re.compile(
     rf"^\s*(?:\(void\)\s*)?(\w+)\.{READER_METHODS}(?:<[\w:]+>)?\s*\([^()]*\)\s*;")
@@ -533,6 +533,19 @@ SELF_TEST_CASES = [
      "  if (!v) return false;\n"
      "  return *v > 0;\n"
      "}\n",
+     {"unchecked-reader"}),
+    # The zero-copy bytes_view() is a Reader read like any other, in a
+    # module with no per-module clang-tidy backstop: a discarded call and
+    # an immediate deref each fire on their own.
+    ("src/routing/discarded_view.cpp",
+     "#include \"serialize/codec.hpp\"\n"
+     "void f(serialize::Reader& r) {\n"
+     "  r.bytes_view();\n"
+     "}\n",
+     {"unchecked-reader"}),
+    ("src/routing/deref_view.cpp",
+     "#include \"serialize/codec.hpp\"\n"
+     "std::size_t f(serialize::Reader& r) { return (*r.bytes_view()).size(); }\n",
      {"unchecked-reader"}),
     # The deref pattern is caught through the .hpp/.cpp twin: the Reader
     # member is declared in the header, the bad read in the source.

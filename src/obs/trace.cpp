@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 
 #include "obs/json.hpp"
@@ -60,6 +61,31 @@ TraceEvent* Tracer::begin_record() {
   return ev;
 }
 
+void TraceEvent::set_kv(std::size_t i, std::string_view key, std::uint64_t value) {
+  char digits[20];  // 2^64 - 1 has 20 decimal digits
+  const auto end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  kv[i].first.assign(key);
+  kv[i].second.assign(digits, end);
+}
+
+TraceEvent* Tracer::begin_instant(std::string_view component, std::string_view name,
+                                  std::int64_t node, std::uint64_t trace_id,
+                                  std::uint64_t span_id, std::uint64_t parent_span,
+                                  std::size_t kv_count) {
+  TraceEvent* ev = begin_record();
+  if (ev == nullptr) return nullptr;
+  ev->at = stamp_now();
+  ev->duration = -1;
+  ev->component.assign(component);
+  ev->name.assign(name);
+  ev->node = node;
+  ev->trace_id = trace_id;
+  ev->span_id = span_id;
+  ev->parent_span = parent_span;
+  ev->kv.resize(kv_count);
+  return ev;
+}
+
 void Tracer::event(std::string component, std::string name, std::int64_t node,
                    std::vector<std::pair<std::string, std::string>> kv) {
   if (!enabled_) return;
@@ -87,22 +113,6 @@ void Tracer::event_traced(std::string component, std::string name, std::int64_t 
   ev.parent_span = parent_span;
   ev.kv = std::move(kv);
   record(std::move(ev));
-}
-
-void Tracer::event_traced(const char* component, const char* name, std::int64_t node,
-                          std::uint64_t trace_id, std::uint64_t span_id,
-                          std::uint64_t parent_span) {
-  TraceEvent* ev = begin_record();
-  if (ev == nullptr) return;
-  ev->at = stamp_now();
-  ev->duration = -1;
-  ev->component = component;
-  ev->name = name;
-  ev->node = node;
-  ev->trace_id = trace_id;
-  ev->span_id = span_id;
-  ev->parent_span = parent_span;
-  ev->kv.clear();
 }
 
 std::size_t Tracer::size() const { return ring_.size(); }

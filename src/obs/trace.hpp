@@ -11,12 +11,15 @@
 //
 // The ring holds the most recent `capacity` records; older records are
 // overwritten (recorded() keeps the lifetime total so wraparound is
-// detectable). Control-plane events only — per-packet hot paths use
-// metrics, not trace records.
+// detectable). Per-message and per-hop events (transport deliveries,
+// retransmits, routing forwards) fill their ring slot in place through
+// begin_record()/begin_instant(), so at steady state they allocate
+// nothing; control-plane events use the convenience overloads.
 
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -42,6 +45,10 @@ struct TraceEvent {
   std::vector<std::pair<std::string, std::string>> kv;
 
   [[nodiscard]] bool is_span() const { return duration >= 0; }
+
+  // Sets kv[i] to (key, decimal value) in place: the slot's retained
+  // strings are overwritten, so a reused ring slot does not allocate.
+  void set_kv(std::size_t i, std::string_view key, std::uint64_t value);
 };
 
 class Tracer {
@@ -70,6 +77,12 @@ class Tracer {
   // duration = -1 for instants) and kv.clear(); string/vector assigns
   // then reuse the slot's retained capacity instead of allocating.
   TraceEvent* begin_record();
+  // begin_record() for an instant event: stamps now, duration -1, the
+  // given names and ids, and sizes kv to `kv_count` entries for the
+  // caller to fill with TraceEvent::set_kv. nullptr when disabled.
+  TraceEvent* begin_instant(std::string_view component, std::string_view name,
+                            std::int64_t node, std::uint64_t trace_id, std::uint64_t span_id,
+                            std::uint64_t parent_span, std::size_t kv_count = 0);
 
   // Convenience: instant event stamped now.
   void event(std::string component, std::string name, std::int64_t node = -1,
@@ -78,10 +91,6 @@ class Tracer {
   void event_traced(std::string component, std::string name, std::int64_t node,
                     std::uint64_t trace_id, std::uint64_t span_id, std::uint64_t parent_span,
                     std::vector<std::pair<std::string, std::string>> kv = {});
-  // kv-less overload routed through begin_record(): allocation-free at
-  // steady state, for events on per-message paths.
-  void event_traced(const char* component, const char* name, std::int64_t node,
-                    std::uint64_t trace_id, std::uint64_t span_id, std::uint64_t parent_span);
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   // Drops all buffered records.

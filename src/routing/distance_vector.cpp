@@ -73,8 +73,8 @@ void DistanceVectorRouter::expire_routes() {
   }
 }
 
-void DistanceVectorRouter::on_update(NodeId from, const Bytes& body) {
-  serialize::Reader r{body};
+void DistanceVectorRouter::on_update(NodeId from, std::span<const std::uint8_t> body) {
+  serialize::Reader r{body.data(), body.size()};
   const auto n = r.varint();
   if (!n) return;
   const Time now = stack_.now();
@@ -128,19 +128,8 @@ Status DistanceVectorRouter::send(NodeId dst, Proto upper, Bytes payload) {
   h.upper = upper;
   stamp_trace(h);
   stats_.data_sent++;
-  forward_data(h, payload);
+  send_toward(dst, [&] { return encode_routing(h, payload); });
   return Status::ok();  // best-effort; reliability lives in transport
-}
-
-void DistanceVectorRouter::forward_data(RoutingHeader header, const Bytes& payload) {
-  const auto it = table_.find(header.dst);
-  if (it == table_.end() || it->second.metric >= kInfinity) {
-    stats_.drops++;
-    return;
-  }
-  const Status s = stack_.send_frame(it->second.next_hop, Proto::kRouting,
-                                     encode_routing(header, payload));
-  if (!s.is_ok()) stats_.drops++;
 }
 
 Status DistanceVectorRouter::flood(Proto upper, Bytes payload, int ttl) {
@@ -159,41 +148,20 @@ Status DistanceVectorRouter::flood(Proto upper, Bytes payload, int ttl) {
 }
 
 void DistanceVectorRouter::on_frame(const net::LinkFrame& frame) {
-  RoutingHeader h;
-  Bytes payload;
-  if (!decode_routing(frame.payload(), h, payload)) return;
-  switch (h.kind) {
+  RoutingView v;
+  if (!view_routing(frame.payload(), v)) return;
+  switch (v.header.kind) {
     case RoutingKind::kDvUpdate:
-      on_update(h.origin, payload);
+      on_update(v.header.origin, v.body);
       break;
     case RoutingKind::kData:
-      if (h.dst == self_) {
-        record_delivery_hops(kDefaultTtl - static_cast<int>(h.ttl) + 1);
-        deliver_local(h, payload);
-        return;
-      }
-      if (h.ttl == 0) {
-        stats_.drops++;
-        return;
-      }
-      h.ttl--;
-      stats_.data_forwarded++;
-      record_forward(h, "forward");
-      forward_data(h, payload);
+      on_data(v);
       break;
-    case RoutingKind::kFlood: {
-      if (!seen_[h.origin].insert(h.seq).second) return;
-      deliver_local(h, payload);
-      if (h.ttl == 0) {
-        stats_.drops++;
-        return;
-      }
-      h.ttl--;
-      stats_.data_forwarded++;
-      record_forward(h, "flood_forward");
-      stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
+    case RoutingKind::kFlood:
+      if (!seen_[v.header.origin].insert(v.header.seq).second) return;
+      deliver_local(v);
+      relay_flood(v);
       break;
-    }
   }
 }
 

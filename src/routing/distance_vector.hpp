@@ -41,8 +41,8 @@ class DistanceVectorRouter : public Router {
   };
 
   void on_frame(const net::LinkFrame& frame);
-  void on_update(NodeId from, const Bytes& body);
-  void forward_data(RoutingHeader header, const Bytes& payload);
+  void on_update(NodeId from, std::span<const std::uint8_t> body);
+  NodeId next_hop_toward(NodeId dst) override { return next_hop(dst); }
   void expire_routes();
   [[nodiscard]] Bytes encode_table() const;
 

@@ -41,23 +41,16 @@ Status FloodingRouter::flood(Proto upper, Bytes payload, int ttl) {
 }
 
 void FloodingRouter::on_frame(const net::LinkFrame& frame) {
-  RoutingHeader h;
-  Bytes payload;
-  if (!decode_routing(frame.payload(), h, payload)) return;
+  RoutingView v;
+  if (!view_routing(frame.payload(), v)) return;
+  const RoutingHeader& h = v.header;
   if (h.kind != RoutingKind::kFlood) return;
   if (seen_before(h.origin, h.seq)) return;
 
   const bool for_us = h.dst == self_ || h.dst == net::kBroadcast;
-  if (for_us) deliver_local(h, payload);
+  if (for_us) deliver_local(v);
   if (h.dst == self_) return;  // unicast reached its target: stop the flood
-  if (h.ttl == 0) {
-    stats_.drops++;
-    return;
-  }
-  h.ttl--;
-  stats_.data_forwarded++;
-  record_forward(h, "flood_forward");
-  stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
+  relay_flood(v);
 }
 
 }  // namespace ndsm::routing

@@ -1,10 +1,20 @@
 #include "routing/geographic.hpp"
 
-#include <limits>
+#include <algorithm>
 
 #include "serialize/codec.hpp"
 
 namespace ndsm::routing {
+namespace {
+
+// The first neighbour-table entry whose id is not below `id`.
+template <class Table>
+auto lower_bound_id(Table& table, NodeId id) {
+  return std::lower_bound(table.begin(), table.end(), id,
+                          [](const auto& n, NodeId v) { return n.id < v; });
+}
+
+}  // namespace
 
 GeoRouter::GeoRouter(net::Stack& stack, Time hello_period)
     : Router(stack),
@@ -40,17 +50,32 @@ void GeoRouter::hello() {
   stack_.broadcast_frame(Proto::kRouting, encode_routing(h, body));
 }
 
+void GeoRouter::note_neighbor(NodeId id, Vec2 position) {
+  const auto it = lower_bound_id(neighbors_, id);
+  if (it != neighbors_.end() && it->id == id) {
+    it->position = position;
+    it->heard = stack_.now();
+    return;
+  }
+  neighbors_.insert(it, Neighbor{id, position, stack_.now()});
+}
+
+bool GeoRouter::is_live_neighbor(NodeId id) const {
+  const auto it = lower_bound_id(neighbors_, id);
+  return it != neighbors_.end() && it->id == id && stack_.now() - it->heard <= neighbor_ttl_;
+}
+
 NodeId GeoRouter::best_hop_toward(Vec2 dst_pos) const {
   const Time now = stack_.now();
   const double own_distance = distance(stack_.self_position(), dst_pos);
   NodeId best = NodeId::invalid();
   double best_distance = own_distance;  // strictly closer than self, else stuck
-  for (const auto& [node, info] : neighbors_) {
-    if (now - info.heard > neighbor_ttl_) continue;
-    const double d = distance(info.position, dst_pos);
+  for (const Neighbor& n : neighbors_) {
+    if (now - n.heard > neighbor_ttl_) continue;
+    const double d = distance(n.position, dst_pos);
     if (d < best_distance) {
       best_distance = d;
-      best = node;
+      best = n.id;
     }
   }
   return best;
@@ -70,35 +95,17 @@ Status GeoRouter::send(NodeId dst, Proto upper, Bytes payload) {
   h.upper = upper;
   stamp_trace(h);
   stats_.data_sent++;
-  forward_data(h, payload);
+  send_toward(dst, [&] { return encode_routing(h, payload); });
   return Status::ok();
 }
 
-void GeoRouter::forward_data(RoutingHeader header, const Bytes& payload) {
-  const auto dst_pos = resolve_(header.dst);
-  if (!dst_pos) {
-    stats_.drops++;
-    return;
-  }
-  // Direct neighbour?
-  const auto direct = neighbors_.find(header.dst);
-  if (direct != neighbors_.end() &&
-      stack_.now() - direct->second.heard <= neighbor_ttl_) {
-    if (!stack_.send_frame(header.dst, Proto::kRouting, encode_routing(header, payload))
-             .is_ok()) {
-      stats_.drops++;
-    }
-    return;
-  }
+NodeId GeoRouter::next_hop_toward(NodeId dst) {
+  const auto dst_pos = resolve_(dst);
+  if (!dst_pos) return NodeId::invalid();
+  if (is_live_neighbor(dst)) return dst;
   const NodeId hop = best_hop_toward(*dst_pos);
-  if (!hop.valid()) {
-    local_minimum_drops_++;
-    stats_.drops++;
-    return;
-  }
-  if (!stack_.send_frame(hop, Proto::kRouting, encode_routing(header, payload)).is_ok()) {
-    stats_.drops++;
-  }
+  if (!hop.valid()) local_minimum_drops_++;
+  return hop;
 }
 
 Status GeoRouter::flood(Proto upper, Bytes payload, int ttl) {
@@ -117,42 +124,24 @@ Status GeoRouter::flood(Proto upper, Bytes payload, int ttl) {
 }
 
 void GeoRouter::on_frame(const net::LinkFrame& frame) {
-  RoutingHeader h;
-  Bytes payload;
-  if (!decode_routing(frame.payload(), h, payload)) return;
-  switch (h.kind) {
+  RoutingView v;
+  if (!view_routing(frame.payload(), v)) return;
+  switch (v.header.kind) {
     case RoutingKind::kDvUpdate: {  // hello beacon
-      serialize::Reader r{payload};
+      serialize::Reader r{v.body.data(), v.body.size()};
       const auto pos = r.vec2();
       if (!pos) return;
-      neighbors_[h.origin] = NeighborInfo{*pos, stack_.now()};
+      note_neighbor(v.header.origin, *pos);
       break;
     }
     case RoutingKind::kData:
-      if (h.dst == self_) {
-        record_delivery_hops(kDefaultTtl - static_cast<int>(h.ttl) + 1);
-        deliver_local(h, payload);
-        return;
-      }
-      if (h.ttl == 0) {
-        stats_.drops++;
-        return;
-      }
-      h.ttl--;
-      stats_.data_forwarded++;
-      record_forward(h, "forward");
-      forward_data(h, payload);
+      on_data(v);
       break;
-    case RoutingKind::kFlood: {
-      if (!seen_[h.origin].insert(h.seq).second) return;
-      deliver_local(h, payload);
-      if (h.ttl == 0) return;
-      h.ttl--;
-      stats_.data_forwarded++;
-      record_forward(h, "flood_forward");
-      stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
+    case RoutingKind::kFlood:
+      if (!seen_[v.header.origin].insert(v.header.seq).second) return;
+      deliver_local(v);
+      relay_flood(v);
       break;
-    }
   }
 }
 

@@ -11,10 +11,10 @@
 // would fix; documented as future work in DESIGN.md.
 
 #include <functional>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "routing/router.hpp"
 
@@ -42,23 +42,29 @@ class GeoRouter : public Router {
   [[nodiscard]] std::uint64_t local_minimum_drops() const { return local_minimum_drops_; }
 
  private:
-  struct NeighborInfo {
+  struct Neighbor {
+    NodeId id;
     Vec2 position;
     Time heard;
   };
 
   void on_frame(const net::LinkFrame& frame);
-  void forward_data(RoutingHeader header, const Bytes& payload);
+  NodeId next_hop_toward(NodeId dst) override;
+  void note_neighbor(NodeId id, Vec2 position);
+  // Whether `id` is a neighbour heard within the neighbour TTL.
+  [[nodiscard]] bool is_live_neighbor(NodeId id) const;
   [[nodiscard]] NodeId best_hop_toward(Vec2 dst_pos) const;
 
   Time hello_period_;
   Time neighbor_ttl_;
   PositionResolver resolve_;
-  // Ordered: best_hop_toward() scans this map and breaks equal-distance
-  // ties by first-seen order, so iteration order decides the next hop.
-  // With a NodeId-ordered map the tie goes to the smallest id, a pure
-  // function of the neighbor set rather than of hash-bucket layout.
-  std::map<NodeId, NeighborInfo> neighbors_;
+  // Sorted by id: best_hop_toward() scans this table and breaks
+  // equal-distance ties by first-seen order, so the tie goes to the
+  // smallest id, a pure function of the neighbor set rather than of
+  // hash-bucket layout. A flat vector keeps the per-relay scan in one
+  // cache-friendly array; entries are never erased (stale ones are
+  // skipped by their hello time).
+  std::vector<Neighbor> neighbors_;
   std::uint32_t next_seq_ = 1;
   std::unordered_map<NodeId, std::unordered_set<std::uint32_t>> seen_;
   std::uint64_t local_minimum_drops_ = 0;

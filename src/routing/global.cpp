@@ -121,31 +121,13 @@ Status GlobalRouter::send(NodeId dst, Proto upper, Bytes payload) {
     stats_.drops++;
     return Status{ErrorCode::kUnreachable, "no path"};
   }
-  forward_data(h, payload);
+  send_toward(dst, [&] { return encode_routing(h, payload); });
   return Status::ok();
 }
 
-void GlobalRouter::forward_data(RoutingHeader header, const Bytes& payload) {
-  const NodeId hop = table_->next_hop(self_, header.dst);
-  if (!hop.valid()) {
-    stats_.drops++;
-    return;
-  }
-  const Status s =
-      stack_.send_frame(hop, Proto::kRouting, encode_routing(header, payload));
-  if (!s.is_ok()) {
-    // Stale route (e.g. the hop just died): recompute once and retry.
-    table_->invalidate();
-    const NodeId retry = table_->next_hop(self_, header.dst);
-    if (!retry.valid() || retry == hop) {
-      stats_.drops++;
-      return;
-    }
-    if (!stack_.send_frame(retry, Proto::kRouting, encode_routing(header, payload))
-             .is_ok()) {
-      stats_.drops++;
-    }
-  }
+NodeId GlobalRouter::retry_hop(NodeId dst) {
+  table_->invalidate();
+  return table_->next_hop(self_, dst);
 }
 
 Status GlobalRouter::flood(Proto upper, Bytes payload, int ttl) {
@@ -164,37 +146,17 @@ Status GlobalRouter::flood(Proto upper, Bytes payload, int ttl) {
 }
 
 void GlobalRouter::on_frame(const net::LinkFrame& frame) {
-  RoutingHeader h;
-  Bytes payload;
-  if (!decode_routing(frame.payload(), h, payload)) return;
-  switch (h.kind) {
+  RoutingView v;
+  if (!view_routing(frame.payload(), v)) return;
+  switch (v.header.kind) {
     case RoutingKind::kData:
-      if (h.dst == self_) {
-        // TTL is decremented per relay, so remaining TTL gives link hops:
-        // direct neighbour = 1 hop (no decrement), each relay adds one.
-        record_delivery_hops(kDefaultTtl - static_cast<int>(h.ttl) + 1);
-        deliver_local(h, payload);
-        return;
-      }
-      if (h.ttl == 0) {
-        stats_.drops++;
-        return;
-      }
-      h.ttl--;
-      stats_.data_forwarded++;
-      record_forward(h, "forward");
-      forward_data(h, payload);
+      on_data(v);
       break;
-    case RoutingKind::kFlood: {
-      if (!seen_[h.origin].insert(h.seq).second) return;
-      deliver_local(h, payload);
-      if (h.ttl == 0) return;
-      h.ttl--;
-      stats_.data_forwarded++;
-      record_forward(h, "flood_forward");
-      stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
+    case RoutingKind::kFlood:
+      if (!seen_[v.header.origin].insert(v.header.seq).second) return;
+      deliver_local(v);
+      relay_flood(v);
       break;
-    }
     case RoutingKind::kDvUpdate:
       break;  // not our protocol
   }

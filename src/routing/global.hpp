@@ -81,7 +81,9 @@ class GlobalRouter : public Router {
 
  private:
   void on_frame(const net::LinkFrame& frame);
-  void forward_data(RoutingHeader header, const Bytes& payload);
+  NodeId next_hop_toward(NodeId dst) override { return table_->next_hop(self_, dst); }
+  // Stale route (e.g. the hop just died): recompute and retry once.
+  NodeId retry_hop(NodeId dst) override;
 
   std::shared_ptr<GlobalRoutingTable> table_;
   std::uint32_t next_seq_ = 1;

@@ -5,16 +5,26 @@
 // Router instance per node, all built on the net::Stack link-layer seam
 // (simulated World or real sockets — §3.2 network independence).
 //
-// Three strategies are provided:
+// Four strategies are provided:
 //   * FloodingRouter       — controlled flooding with duplicate suppression
 //   * DistanceVectorRouter — distributed DSDV-style hop-count routing
 //   * GlobalRouter         — middleware-computed routes (MiLAN's approach:
 //                            the middleware has a network view and writes
 //                            routes), with hop-count or energy-aware metric
+//   * GeoRouter            — greedy geographic forwarding
+//
+// Relaying is shared: every router hands a received kData frame to
+// on_data(), which delivers or relays it, and a kFlood frame it has not
+// seen before to relay_flood(). The relay parses the frame in place and
+// encodes the outbound frame (TTL - 1, hops + 1) straight from that view
+// into one buffer, so a hop never copies the body out first. Each router
+// keeps only its next-hop choice (next_hop_toward), its duplicate
+// suppression and its control messages.
 
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
@@ -46,6 +56,16 @@ struct RoutingHeader {
 
 [[nodiscard]] Bytes encode_routing(const RoutingHeader& header, const Bytes& payload);
 [[nodiscard]] bool decode_routing(const Bytes& frame, RoutingHeader& header, Bytes& payload);
+
+// A routing frame parsed without copying its body. `body` aliases the
+// received buffer and is valid only while it lives.
+struct RoutingView {
+  RoutingHeader header;
+  std::span<const std::uint8_t> body;
+};
+
+// Accepts exactly the frames decode_routing() accepts.
+[[nodiscard]] bool view_routing(const Bytes& frame, RoutingView& view);
 
 struct RouterStats {
   std::uint64_t data_sent = 0;        // originated data packets
@@ -96,12 +116,10 @@ class Router {
     if (it != handlers_.end()) it->second(origin, payload);
   }
 
-  // Delivery with the frame's causal context active, so upper layers that
-  // send from their handler continue the trace.
-  void deliver_local(const RoutingHeader& h, const Bytes& payload) {
-    const obs::ScopedTrace scope(h.trace);
-    deliver_local(h.origin, h.upper, payload);
-  }
+  // Delivery of a received frame's body with the frame's causal context
+  // active, so upper layers that send from their handler continue the
+  // trace. The body is copied out only when a handler is bound.
+  void deliver_local(const RoutingView& v);
 
   // Stamp the caller's active context onto a header about to be
   // originated (hop count starts at zero here).
@@ -110,20 +128,39 @@ class Router {
     h.trace.hops = 0;
   }
 
-  // Account a forward: bump the wire hop count and leave a causal instant
-  // so per-hop relays show up in the trace timeline.
-  void record_forward(RoutingHeader& h, const char* name) {
-    if (h.trace.hops < 255) h.trace.hops++;
-    obs::Tracer& tracer = obs::Tracer::instance();
-    if (tracer.enabled() && h.trace.valid()) {
-      tracer.event_traced("routing.router", name, static_cast<std::int64_t>(self_.value()),
-                          h.trace.trace_id, 0, h.trace.span_id,
-                          {{"origin", std::to_string(h.origin.value())},
-                           {"dst", std::to_string(h.dst.value())},
-                           {"hops", std::to_string(h.trace.hops)},
-                           {"ttl", std::to_string(h.ttl)}});
+  // --- data forwarding ------------------------------------------------------
+  // The router's next hop toward `dst`, or invalid() to drop the frame
+  // (counted in drops). Routers that unicast data override this.
+  virtual NodeId next_hop_toward(NodeId dst);
+  // Called once after the link layer refused the next_hop_toward() hop: a
+  // different hop to retry on, or invalid() (the default) to drop.
+  virtual NodeId retry_hop(NodeId dst);
+
+  // Sends a kData frame one hop toward `dst` through next_hop_toward()
+  // and, if the link refuses it, one retry_hop(). `make_frame` builds the
+  // frame for each attempt.
+  template <class MakeFrame>
+  void send_toward(NodeId dst, MakeFrame&& make_frame) {
+    const NodeId hop = next_hop_toward(dst);
+    if (!hop.valid()) {
+      stats_.drops++;
+      return;
+    }
+    if (stack_.send_frame(hop, Proto::kRouting, make_frame()).is_ok()) return;
+    const NodeId retry = retry_hop(dst);
+    if (!retry.valid() || retry == hop ||
+        !stack_.send_frame(retry, Proto::kRouting, make_frame()).is_ok()) {
+      stats_.drops++;
     }
   }
+
+  // --- the shared relay path -----------------------------------------------
+  // A received kData frame: delivered when addressed here (recording its
+  // hop count), otherwise relayed one hop on via send_toward().
+  void on_data(RoutingView& v);
+  // Re-broadcasts a kFlood frame the caller has not seen before (and has
+  // delivered locally where it wants to).
+  void relay_flood(RoutingView& v);
 
   // Subclasses call this where the hop count of a delivered data packet is
   // known (typically kDefaultTtl minus the remaining TTL).
@@ -137,6 +174,14 @@ class Router {
   obs::Histogram& hops_hist_;
 
  private:
+  // Both relays start here: a frame whose TTL is spent is dropped and
+  // counted (false); otherwise TTL - 1, hops + 1 (capped at 255), the
+  // forward is counted and traced, and the caller passes it on.
+  bool begin_relay(RoutingView& v, const char* trace_name);
+  // Leaves a causal "forward" instant so per-hop relays show up in the
+  // trace timeline, filled into the tracer's ring slot in place.
+  void record_forward(const RoutingHeader& h, const char* name) const;
+
   obs::Histogram& register_metrics() {
     metrics_.set_labels("routing.router", static_cast<std::int64_t>(self_.value()));
     metrics_.counter("routing.router.data_sent", &stats_.data_sent);

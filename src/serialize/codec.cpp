@@ -5,29 +5,6 @@
 
 namespace ndsm::serialize {
 
-void Writer::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v));
-  u8(static_cast<std::uint8_t>(v >> 8));
-}
-
-void Writer::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v));
-  u16(static_cast<std::uint16_t>(v >> 16));
-}
-
-void Writer::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v));
-  u32(static_cast<std::uint32_t>(v >> 32));
-}
-
-void Writer::varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    u8(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  u8(static_cast<std::uint8_t>(v));
-}
-
 void Writer::svarint(std::int64_t v) {
   const auto uv = static_cast<std::uint64_t>(v);
   varint((uv << 1) ^ static_cast<std::uint64_t>(v >> 63));
@@ -46,42 +23,13 @@ void Writer::str(std::string_view s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-void Writer::bytes(const Bytes& b) {
+void Writer::bytes(std::span<const std::uint8_t> b) {
   reserve(varint_size(b.size()) + b.size());
   varint(b.size());
   buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
-std::optional<std::uint8_t> Reader::u8() {
-  if (!need(1)) return std::nullopt;
-  return data_[pos_++];
-}
-
-std::optional<std::uint16_t> Reader::u16() {
-  if (!need(2)) return std::nullopt;
-  const std::uint16_t v = static_cast<std::uint16_t>(data_[pos_]) |
-                          static_cast<std::uint16_t>(data_[pos_ + 1]) << 8;
-  pos_ += 2;
-  return v;
-}
-
-std::optional<std::uint32_t> Reader::u32() {
-  const auto lo = u16();
-  if (!lo) return std::nullopt;
-  const auto hi = u16();
-  if (!hi) return std::nullopt;
-  return static_cast<std::uint32_t>(*lo) | (static_cast<std::uint32_t>(*hi) << 16);
-}
-
-std::optional<std::uint64_t> Reader::u64() {
-  const auto lo = u32();
-  if (!lo) return std::nullopt;
-  const auto hi = u32();
-  if (!hi) return std::nullopt;
-  return static_cast<std::uint64_t>(*lo) | (static_cast<std::uint64_t>(*hi) << 32);
-}
-
-std::optional<std::uint64_t> Reader::varint() {
+std::optional<std::uint64_t> Reader::varint_multibyte() {
   // LEB128, at most kMaxVarintBytes (10) bytes. Non-canonical encodings of
   // in-range values (e.g. 0x80 0x00 for zero) are accepted — the tests pin
   // that — but anything that cannot fit 64 bits fails: an 11th
@@ -140,13 +88,11 @@ std::optional<std::string_view> Reader::str_view() {
 }
 
 std::optional<Bytes> Reader::bytes() {
-  // Same clamp-before-allocate contract as str_view(): the Bytes copy is
-  // only constructed once the prefix is known to fit the buffer.
-  const auto n = varint();
-  if (!n || *n > remaining()) return std::nullopt;
-  Bytes b(data_ + pos_, data_ + pos_ + static_cast<std::size_t>(*n));
-  pos_ += static_cast<std::size_t>(*n);
-  return b;
+  // The Bytes copy is only constructed once bytes_view() has clamped the
+  // prefix against the buffer.
+  const auto b = bytes_view();
+  if (!b) return std::nullopt;
+  return Bytes(b->begin(), b->end());
 }
 
 std::optional<Vec2> Reader::vec2() {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -48,15 +49,25 @@ class Writer {
   void reserve(std::size_t additional) { buf_.reserve(buf_.size() + additional); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);          // fixed width
-  void varint(std::uint64_t v);       // LEB128
+  // Fixed width, little-endian.
+  void u16(std::uint16_t v) { put_le<2>(v); }
+  void u32(std::uint32_t v) { put_le<4>(v); }
+  void u64(std::uint64_t v) { put_le<8>(v); }
+  // LEB128.
+  void varint(std::uint64_t v) {
+    std::size_t at = buf_.size();
+    buf_.resize(at + varint_size(v));
+    while (v >= 0x80) {
+      buf_[at++] = static_cast<std::uint8_t>(v) | 0x80;
+      v >>= 7;
+    }
+    buf_[at] = static_cast<std::uint8_t>(v);
+  }
   void svarint(std::int64_t v);       // zigzag + LEB128
   void f64(double v);
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(std::string_view s);
-  void bytes(const Bytes& b);
+  void bytes(std::span<const std::uint8_t> b);
   void vec2(Vec2 v) {
     f64(v.x);
     f64(v.y);
@@ -72,6 +83,13 @@ class Writer {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
+  template <std::size_t N>
+  void put_le(std::uint64_t v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + N);
+    for (std::size_t i = 0; i < N; ++i) buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+
   Bytes buf_;
 };
 
@@ -84,16 +102,26 @@ class Writer {
 // rejects overlong/overflowing LEB128, and no input byte string can cause
 // UB or an allocation larger than the input itself. These primitives are
 // fuzzed directly (fuzz/targets/value_decode.cpp).
+//
+// The fixed-width reads and the one-byte varint case are inline, with one
+// bounds check per read; a failed fixed-width read consumes nothing.
 class Reader {
  public:
   explicit Reader(const Bytes& data) : data_(data.data()), size_(data.size()) {}
   Reader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
 
-  std::optional<std::uint8_t> u8();
-  std::optional<std::uint16_t> u16();
-  std::optional<std::uint32_t> u32();
-  std::optional<std::uint64_t> u64();
-  std::optional<std::uint64_t> varint();
+  std::optional<std::uint8_t> u8() {
+    if (!need(1)) return std::nullopt;
+    return data_[pos_++];
+  }
+  std::optional<std::uint16_t> u16() { return fixed<std::uint16_t>(); }
+  std::optional<std::uint32_t> u32() { return fixed<std::uint32_t>(); }
+  std::optional<std::uint64_t> u64() { return fixed<std::uint64_t>(); }
+  std::optional<std::uint64_t> varint() {
+    // Lengths, counts and small ids are almost always one byte.
+    if (need(1) && data_[pos_] < 0x80) return data_[pos_++];
+    return varint_multibyte();
+  }
   std::optional<std::int64_t> svarint();
   std::optional<double> f64();
   std::optional<bool> boolean();
@@ -102,6 +130,15 @@ class Reader {
   // Reader's underlying buffer and is only valid while that buffer lives.
   std::optional<std::string_view> str_view();
   std::optional<Bytes> bytes();
+  // Zero-copy bytes(): the span aliases the Reader's underlying buffer.
+  // Same clamp-before-use contract as str_view().
+  std::optional<std::span<const std::uint8_t>> bytes_view() {
+    const auto n = varint();
+    if (!n || *n > remaining()) return std::nullopt;
+    const std::span<const std::uint8_t> b{data_ + pos_, static_cast<std::size_t>(*n)};
+    pos_ += b.size();
+    return b;
+  }
   std::optional<Vec2> vec2();
 
   template <class Id>
@@ -116,6 +153,18 @@ class Reader {
 
  private:
   [[nodiscard]] bool need(std::size_t n) const { return size_ - pos_ >= n; }
+
+  template <class T>
+  std::optional<T> fixed() {
+    if (!need(sizeof(T))) return std::nullopt;
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
+    }
+    pos_ += sizeof(T);
+    return v;
+  }
+  std::optional<std::uint64_t> varint_multibyte();
 
   const std::uint8_t* data_;
   std::size_t size_;

@@ -136,22 +136,19 @@ void ReliableTransport::transmit_fragments(std::uint64_t msg_id, OutMessage& msg
     w.u16(msg.port);
     w.varint(i);
     w.varint(frags);
-    w.bytes(Bytes{msg.payload.begin() + static_cast<std::ptrdiff_t>(begin),
-                  msg.payload.begin() + static_cast<std::ptrdiff_t>(end)});
+    w.bytes(std::span<const std::uint8_t>{msg.payload}.subspan(begin, end - begin));
     // Context rides at the end of every fragment — unconditionally, so
     // frame size (and thus delay/loss draws) never depends on tracing.
     obs::encode_trace(w, msg.trace);
     stats_.fragments_sent++;
     if (only_unacked) {
       stats_.retransmissions++;
-      obs::Tracer& tracer = obs::Tracer::instance();
-      if (tracer.enabled()) {
-        tracer.event_traced("transport", "retransmit",
-                            static_cast<std::int64_t>(self().value()), msg.trace.trace_id,
-                            msg.trace.span_id, 0,
-                            {{"msg_id", std::to_string(msg_id)},
-                             {"fragment", std::to_string(i)},
-                             {"attempt", std::to_string(msg.attempts)}});
+      if (obs::TraceEvent* ev = obs::Tracer::instance().begin_instant(
+              "transport", "retransmit", static_cast<std::int64_t>(self().value()),
+              msg.trace.trace_id, msg.trace.span_id, 0, 3)) {
+        ev->set_kv(0, "msg_id", msg_id);
+        ev->set_kv(1, "fragment", i);
+        ev->set_kv(2, "attempt", static_cast<std::uint64_t>(msg.attempts));
       }
     }
     // Activate the message's context for the router so the routing header
@@ -208,10 +205,11 @@ void ReliableTransport::finish(std::uint64_t msg_id, Status status) {
     ev->parent_span = it->second.parent_span;
     ev->kv.clear();
     if (it->second.acked.size() > 1 || it->second.attempts > 0 || !status.is_ok()) {
-      ev->kv = {{"msg_id", std::to_string(msg_id)},
-                {"dst", std::to_string(it->second.dst.value())},
-                {"fragments", std::to_string(it->second.acked.size())},
-                {"attempts", std::to_string(it->second.attempts)}};
+      ev->kv.resize(4);
+      ev->set_kv(0, "msg_id", msg_id);
+      ev->set_kv(1, "dst", it->second.dst.value());
+      ev->set_kv(2, "fragments", it->second.acked.size());
+      ev->set_kv(3, "attempts", static_cast<std::uint64_t>(it->second.attempts));
     }
   }
   outbox_.erase(it);
@@ -245,7 +243,6 @@ void ReliableTransport::remember_completed(NodeId src, std::uint64_t msg_id) {
   auto& window = completed_[src];
   if (msg_id <= window.floor) return;
   if (!window.set.insert(msg_id).second) return;
-  window.order.push_back(msg_id);
   // Advance the monotone floor over contiguously completed ids; the set
   // then only holds out-of-order completions (entries the floor absorbed
   // stay in `order` and are ignored at eviction time).
@@ -253,15 +250,21 @@ void ReliableTransport::remember_completed(NodeId src, std::uint64_t msg_id) {
     window.set.erase(window.floor + 1);
     window.floor++;
   }
-  // Bounded memory: evicting id X abandons every id <= X still incomplete
-  // (they would need > dedup_window concurrently outstanding messages from
-  // one peer, which the sender's retry schedule cannot produce).
-  while (window.order.size() > config_.dedup_window) {
-    const std::uint64_t evicted = window.order.front();
-    window.order.pop_front();
-    window.set.erase(evicted);
-    window.floor = std::max(window.floor, evicted);
+  // Bounded memory: `order` is a ring of the last dedup_window completions.
+  // Evicting id X abandons every id <= X still incomplete (they would need
+  // > dedup_window concurrently outstanding messages from one peer, which
+  // the sender's retry schedule cannot produce).
+  std::uint64_t evicted = msg_id;
+  if (window.order.size() < config_.dedup_window) {
+    window.order.push_back(msg_id);
+    return;
   }
+  if (!window.order.empty()) {  // else a zero-size window evicts msg_id itself
+    std::swap(window.order[window.oldest], evicted);
+    window.oldest = (window.oldest + 1) % window.order.size();
+  }
+  window.set.erase(evicted);
+  window.floor = std::max(window.floor, evicted);
 }
 
 bool ReliableTransport::already_completed(NodeId src, std::uint64_t msg_id) const {
@@ -301,15 +304,13 @@ void ReliableTransport::on_fragment(NodeId src, serialize::Reader& r) {
     // space has been reused, so it must not touch current state (and the
     // sender it came from is gone, so no ack either).
     stats_.stale_epoch_dropped++;
-    obs::Tracer& tracer = obs::Tracer::instance();
-    if (tracer.enabled()) {
-      // Annotated drop: the pre-restart trace ends here, visibly.
-      tracer.event_traced("transport", "stale_epoch_drop",
-                          static_cast<std::int64_t>(self().value()), ctx.trace_id,
-                          ctx.span_id, ctx.span_id,
-                          {{"src", std::to_string(src.value())},
-                           {"frame_epoch", std::to_string(*epoch)},
-                           {"current_epoch", std::to_string(window.epoch)}});
+    // Annotated drop: the pre-restart trace ends here, visibly.
+    if (obs::TraceEvent* ev = obs::Tracer::instance().begin_instant(
+            "transport", "stale_epoch_drop", static_cast<std::int64_t>(self().value()),
+            ctx.trace_id, ctx.span_id, ctx.span_id, 3)) {
+      ev->set_kv(0, "src", src.value());
+      ev->set_kv(1, "frame_epoch", *epoch);
+      ev->set_kv(2, "current_epoch", window.epoch);
     }
     return;
   }
@@ -382,11 +383,10 @@ void ReliableTransport::on_fragment(NodeId src, serialize::Reader& r) {
   // this per-message event allocation-free (tracing-overhead budget).
   obs::TraceContext deliver_ctx = ctx;
   deliver_ctx.span_id = trace_ids_.next();
-  obs::Tracer& tracer = obs::Tracer::instance();
-  if (tracer.enabled() && ctx.valid()) {
-    tracer.event_traced("transport", "deliver",
-                        static_cast<std::int64_t>(self().value()), ctx.trace_id,
-                        deliver_ctx.span_id, ctx.span_id);
+  if (ctx.valid()) {
+    obs::Tracer::instance().begin_instant("transport", "deliver",
+                                          static_cast<std::int64_t>(self().value()),
+                                          ctx.trace_id, deliver_ctx.span_id, ctx.span_id);
   }
   const obs::ScopedTrace scope(deliver_ctx);
   const auto it = receivers_.find(dst_port);
@@ -424,14 +424,12 @@ void ReliableTransport::on_ack(NodeId src, serialize::Reader& r) {
     // An ack echoing another incarnation's epoch (delayed from before our
     // restart); our id space restarted, so it must not ack anything now.
     stats_.stale_epoch_dropped++;
-    obs::Tracer& tracer = obs::Tracer::instance();
-    if (tracer.enabled()) {
-      tracer.event_traced("transport", "stale_epoch_drop",
-                          static_cast<std::int64_t>(self().value()), ctx.trace_id,
-                          ctx.span_id, ctx.span_id,
-                          {{"src", std::to_string(src.value())},
-                           {"ack_epoch", std::to_string(*epoch)},
-                           {"current_epoch", std::to_string(epoch_)}});
+    if (obs::TraceEvent* ev = obs::Tracer::instance().begin_instant(
+            "transport", "stale_epoch_drop", static_cast<std::int64_t>(self().value()),
+            ctx.trace_id, ctx.span_id, ctx.span_id, 3)) {
+      ev->set_kv(0, "src", src.value());
+      ev->set_kv(1, "ack_epoch", *epoch);
+      ev->set_kv(2, "current_epoch", epoch_);
     }
     return;
   }

@@ -22,7 +22,6 @@
 // the peer's window; frames and acks from older epochs are dropped, so a
 // delayed pre-crash ack can never acknowledge a post-restart message.
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <unordered_map>
@@ -189,7 +188,10 @@ class ReliableTransport {
     std::uint64_t epoch = 0;  // peer incarnation this window belongs to
     std::uint64_t floor = 0;  // every id <= floor is completed or abandoned
     std::unordered_set<std::uint64_t> set;  // completed ids above the floor
-    std::deque<std::uint64_t> order;        // completion order, for eviction
+    // Completion order, for eviction: a ring of at most dedup_window ids
+    // that grows on demand (most peers complete only a few messages).
+    std::vector<std::uint64_t> order;
+    std::size_t oldest = 0;  // ring index of the next id to evict
   };
   std::unordered_map<NodeId, CompletedWindow> completed_;
   std::unordered_map<Port, Receiver> receivers_;

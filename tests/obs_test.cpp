@@ -619,7 +619,8 @@ TEST(Trace, WireCodecRoundTripsAndToleratesLegacyFrames) {
   EXPECT_FALSE(obs::decode_trace(r3).valid());
 
   // Truncated v1 block: flags promise a context the bytes cannot deliver.
-  serialize::Reader r4{Bytes{0x01, 0x02}};
+  const Bytes truncated{0x01, 0x02};
+  serialize::Reader r4{truncated};
   EXPECT_FALSE(obs::decode_trace(r4).valid());
 }
 

@@ -328,6 +328,54 @@ TEST(RouterStats, CountsSentAndForwarded) {
   EXPECT_EQ(forwards, 3u);
 }
 
+// --- flood TTL expiry ---------------------------------------------------------
+// A flood that arrives with its TTL spent is delivered where it lands and
+// then dropped, and the drop is counted (RouterStats::drops is
+// "undeliverable / TTL expired") by every router, not only some of them.
+template <class Grid>
+void expect_spent_flood_counted(Grid& grid) {
+  int delivered = 0;
+  for (std::size_t i = 0; i < grid.nodes.size(); ++i) {
+    grid.router(i).set_delivery_handler(Proto::kApp, [&](NodeId, const Bytes&) { delivered++; });
+  }
+  const auto total = [&](auto field) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < grid.nodes.size(); ++i) sum += grid.router(i).stats().*field;
+    return sum;
+  };
+  const std::uint64_t drops = total(&RouterStats::drops);
+  const std::uint64_t forwarded = total(&RouterStats::data_forwarded);
+  // The centre of the 4-connected 3x3 lattice floods with TTL 0: it and
+  // its four neighbours deliver, and each neighbour drops the frame.
+  ASSERT_TRUE(grid.router(4).flood(Proto::kApp, to_bytes("spent"), 0).is_ok());
+  grid.sim.run_until(grid.sim.now() + duration::seconds(1));
+  EXPECT_EQ(delivered, 5);
+  EXPECT_EQ(total(&RouterStats::drops) - drops, 4u);
+  EXPECT_EQ(total(&RouterStats::data_forwarded), forwarded);
+}
+
+TEST(FloodTtl, FloodingCountsExpiredFloods) {
+  WirelessGrid grid{9};
+  grid.with_routers<FloodingRouter>();
+  expect_spent_flood_counted(grid);
+}
+
+TEST(FloodTtl, DistanceVectorCountsExpiredFloods) {
+  DvGrid grid{9};
+  expect_spent_flood_counted(grid);
+}
+
+TEST(FloodTtl, GeographicCountsExpiredFloods) {
+  WirelessGrid grid{9};
+  grid.with_routers<GeoRouter>(duration::seconds(1));
+  expect_spent_flood_counted(grid);
+}
+
+TEST(FloodTtl, GlobalCountsExpiredFloods) {
+  GlobalGrid grid{9};
+  expect_spent_flood_counted(grid);
+}
+
 // --- partition/heal coverage (driven by the net::FaultPlan layer) -----------
 
 TEST(DistanceVector, PartitionExpiresRoutesAndHealReconverges) {

@@ -74,14 +74,25 @@ TEST(Codec, SmallNegativesAreCompact) {
   EXPECT_EQ(w.size(), 1u);
 }
 
+// Every fixed-width read fails on every truncation and consumes nothing:
+// the reader still holds the whole (short) buffer afterwards.
 TEST(Codec, TruncatedReadsFail) {
   Writer w;
-  w.u32(12345);
+  w.u64(0x0123456789abcdefULL);
   const Bytes full = w.data();
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     Bytes truncated{full.begin(), full.begin() + static_cast<std::ptrdiff_t>(cut)};
     Reader r{truncated};
-    EXPECT_FALSE(r.u32().has_value()) << cut;
+    if (cut < 2) {
+      EXPECT_FALSE(r.u16().has_value()) << cut;
+    }
+    if (cut < 4) {
+      EXPECT_FALSE(r.u32().has_value()) << cut;
+    }
+    EXPECT_FALSE(r.u64().has_value()) << cut;
+    EXPECT_FALSE(r.f64().has_value()) << cut;
+    EXPECT_FALSE(r.id<NodeId>().has_value()) << cut;
+    EXPECT_EQ(r.remaining(), cut) << "a failed read consumed input";
   }
 }
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -53,12 +55,16 @@ TEST(ShardedEngine, CrossShardPostArrivesThroughTheMailbox) {
 // worker count — the engine's core determinism claim.
 std::vector<std::pair<std::uint32_t, Time>> run_ring(std::size_t workers) {
   sim::ShardedEngine e({.shards = 4, .workers = workers, .lookahead = 50, .seed = 3});
-  auto trace = std::make_shared<std::vector<std::pair<std::uint32_t, Time>>>();
+  // One trace vector per shard: a shard's events run on one worker at a
+  // time, with the window barrier between them, so each vector has a
+  // single writer at any moment. A vector shared by all shards would be
+  // appended to from several workers at once (a data race).
+  std::vector<std::vector<std::pair<std::uint32_t, Time>>> per_shard(4);
   // One recursive hop chain per starting shard, tagged by key_hi so
   // same-instant arrivals in one shard stay ordered by chain id.
   std::function<void(std::uint32_t, std::uint64_t, std::uint64_t)> hop =
       [&](std::uint32_t shard, std::uint64_t chain, std::uint64_t step) {
-        trace->push_back({shard, e.now(shard)});
+        per_shard[shard].push_back({shard, e.now(shard)});
         if (step >= 20) return;
         const auto next = static_cast<std::uint32_t>((shard + 1) % 4);
         e.post(shard, next, e.now(shard) + 50, chain, step,
@@ -68,14 +74,14 @@ std::vector<std::pair<std::uint32_t, Time>> run_ring(std::size_t workers) {
     e.schedule(s, 10 + s, s, 0, [&hop, s] { hop(s, s, 0); });
   }
   e.run_until(duration::millis(10));
-  // Stable collection order: the trace vector is appended from whichever
-  // worker runs the shard, so sort by (time, shard, chain position) —
+  // Merge after the run, in a stable order: sort by (time, shard) —
   // events themselves are unique per (shard, time) here.
-  std::sort(trace->begin(), trace->end(),
-            [](const auto& a, const auto& b) {
-              return a.second != b.second ? a.second < b.second : a.first < b.first;
-            });
-  return *trace;
+  std::vector<std::pair<std::uint32_t, Time>> trace;
+  for (const auto& events : per_shard) trace.insert(trace.end(), events.begin(), events.end());
+  std::sort(trace.begin(), trace.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second < b.second : a.first < b.first;
+  });
+  return trace;
 }
 
 TEST(ShardedEngine, RingTraceIsWorkerCountInvariant) {

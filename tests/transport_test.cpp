@@ -383,6 +383,58 @@ TEST(Transport, LateDuplicatesBeyondDedupWindowStillSuppressed) {
   EXPECT_GT(b.transport().stats().duplicates_dropped, 0u);
 }
 
+// The completed-id window keeps its eviction order in a ring of at most
+// dedup_window ids. Ten sparse completions through a window of 4 (ids 2,
+// 4, ..., 20: never contiguous, so the floor moves only by eviction) end
+// with floor 12 and {14, 16, 18, 20} retained. Duplicates of an evicted id
+// and of a retained id are both suppressed, an incomplete id at or below
+// the floor counts as abandoned, and one above it is still delivered.
+TEST(Transport, SparseCompletionsBeyondDedupWindowStaySuppressed) {
+  sim::Simulator sim{42};
+  net::World world{sim};
+  const MediumId medium = world.add_medium(net::ethernet100());
+  node::StackConfig cfg;
+  cfg.router = node::RouterPolicy::kGlobal;
+  cfg.table = std::make_shared<routing::GlobalRoutingTable>(world, routing::Metric::kHopCount);
+  cfg.transport.dedup_window = 4;
+  cfg.media = {medium};
+  node::Runtime a{world, Vec2{0, 0}, cfg};
+  node::Runtime b{world, Vec2{10, 0}, cfg};
+  std::vector<std::string> got;
+  b.transport().set_receiver(ports::kApp,
+                             [&](NodeId, const Bytes& p) { got.push_back(to_string(p)); });
+  // A single-fragment message with wire id `msg_id`, as a sender in
+  // incarnation 1 would put it on the wire.
+  const auto send_id = [&](std::uint64_t msg_id) {
+    serialize::Writer w;
+    w.u8(1);  // kFragment
+    w.varint(1);
+    w.varint(msg_id);
+    w.u16(ports::kApp);
+    w.varint(0);
+    w.varint(1);
+    w.bytes(to_bytes(std::to_string(msg_id)));
+    obs::encode_trace(w, obs::TraceContext{});
+    ASSERT_TRUE(a.router().send(b.id(), net::Proto::kTransport, std::move(w).take()).is_ok());
+    sim.run_until(sim.now() + duration::millis(10));
+  };
+  for (std::uint64_t id = 2; id <= 20; id += 2) send_id(id);
+  ASSERT_EQ(got.size(), 10u);
+  EXPECT_EQ(b.transport().stats().duplicates_dropped, 0u);
+
+  send_id(4);   // evicted: below the floor
+  send_id(16);  // retained in the window
+  send_id(11);  // never completed, but at or below the floor: abandoned
+  EXPECT_EQ(got.size(), 10u);
+  EXPECT_EQ(b.transport().stats().duplicates_dropped, 3u);
+  send_id(13);  // above the floor and never completed
+  ASSERT_EQ(got.size(), 11u);
+  EXPECT_EQ(got.back(), "13");
+  send_id(13);
+  EXPECT_EQ(got.size(), 11u);
+  EXPECT_EQ(b.transport().stats().duplicates_dropped, 4u);
+}
+
 TEST(Transport, SenderRestartReusedMessageIdsAreNotDuplicates) {
   // Regression: message ids restart from 1 after a crash/restart, and the
   // receiver's dedup state used to outlive the sender incarnation — every
