@@ -8,7 +8,7 @@
 # Usage: ./run_benches.sh [--quick]
 #   --quick  sets NDSM_BENCH_QUICK=1 so benches run reduced workloads —
 #            smoke-testing the harness, not producing publishable numbers.
-cd /root/repo
+cd "$(dirname "$0")"
 quick=0
 for arg in "$@"; do
   case "$arg" in

@@ -6,8 +6,9 @@
 # Usage: ./scripts/check.sh [--tsan|--fuzz] [ctest-args...]
 #   default  AddressSanitizer + UBSan over the whole suite
 #   --tsan   ThreadSanitizer (TSan and ASan cannot be combined), aimed at
-#            the sharded parallel engine; pass e.g. `-R 'Sharded|scale'`
-#            to scope the run to the threaded tests
+#            the sharded parallel engine; pass e.g.
+#            `--no-tests=error -R 'Sharded|ShardMap|tsan_selftest'` to scope
+#            the run to the threaded tests and the TSan self-test
 #   --fuzz   the deterministic fuzz gate: ASan+UBSan build, then each
 #            replay_<target> driver replays the committed corpus plus a
 #            deep structured-mutation sweep (fuzz/replay_main.cpp). Runs

@@ -21,9 +21,9 @@ rules the simulator's bit-determinism argument rests on:
                       through unique_ptr/shared_ptr/containers.
   raw-concurrency     No raw threading primitives (std::thread, std::mutex,
                       std::atomic, std::condition_variable, std::async, ...)
-                      outside src/sim/sharded* — parallel execution goes
-                      through sim::ShardedEngine, which is the one place
-                      the determinism argument for threads is made.
+                      outside src/sim/simulator.* — parallel execution goes
+                      through the sharded sim::Simulator, which is the one
+                      place the determinism argument for threads is made.
   assert-side-effect  assert() arguments must be effect-free: NDEBUG
                       builds strip them, so `assert(x++)` changes
                       behaviour between build types.
@@ -69,13 +69,13 @@ CXX_EXTENSIONS = (".cpp", ".hpp")
 # seam may include it — the middleware stays clock-clean.
 CLOCK_EXEMPT_PREFIXES = ("src/sim/", "src/common/clock", "src/net/udp")
 
-# Sanctioned homes of raw threading primitives: the sharded engine core
-# (src/sim/sharded.{hpp,cpp}), whose worker pool carries the whole
+# Sanctioned homes of raw threading primitives: the event engine
+# (src/sim/simulator.{hpp,cpp}), whose worker pool carries the whole
 # determinism-under-parallelism argument (DESIGN §13), and the
 # real-socket backend src/net/udp* (kernel-facing I/O code; its public
 # contract is still single-threaded, but OS signal/socket plumbing may
 # need primitives the sim-side ban exists to keep out of protocol code).
-CONCURRENCY_EXEMPT_PREFIXES = ("src/sim/sharded", "src/net/udp")
+CONCURRENCY_EXEMPT_PREFIXES = ("src/sim/simulator.", "src/net/udp")
 
 # Directories where container iteration order becomes packet order.
 ORDERING_DIRS = ("src/net/", "src/routing/", "src/discovery/",
@@ -290,8 +290,8 @@ def lint_file(root, rel, decl_cache, violations):
                 violations.append(Violation(
                     rel, ln, "raw-concurrency",
                     f"raw threading primitive `{m.group(0).strip()}` outside "
-                    "the sharded engine core — parallelism goes through "
-                    "sim::ShardedEngine (src/sim/sharded.hpp)"))
+                    "the engine core — parallelism goes through a sharded "
+                    "sim::Simulator (src/sim/simulator.hpp)"))
 
         if ordering:
             iter_names = ([m.group(1) for m in RANGE_FOR_RE.finditer(line)]
@@ -429,8 +429,8 @@ SELF_TEST_CASES = [
      "int* f() { return new int(7); }\n"
      "void g(int* p) { delete p; }\n",
      {"raw-new-delete"}),
-    # Raw threading primitives outside the sharded engine core: both the
-    # include and the use sites fire.
+    # Raw threading primitives outside the engine core: both the include
+    # and the use sites fire.
     ("src/net/threaded.cpp",
      "#include <mutex>\n"
      "#include <thread>\n"
@@ -438,14 +438,19 @@ SELF_TEST_CASES = [
      "std::atomic<int> n_{0};\n"
      "void f() { std::thread t([] {}); t.join(); }\n",
      {"raw-concurrency"}),
-    # ...but the sharded engine core itself is the sanctioned home.
-    ("src/sim/sharded_selftest.cpp",
+    # ...but the engine core itself is the sanctioned home...
+    ("src/sim/simulator.cpp",
      "#include <condition_variable>\n"
      "#include <mutex>\n"
      "#include <thread>\n"
      "std::mutex m_;\n"
      "std::condition_variable cv_;\n",
      set()),
+    # ...and only the engine core: another src/sim file still fires.
+    ("src/sim/sim_helper.cpp",
+     "#include <mutex>\n"
+     "std::mutex m_;\n",
+     {"raw-concurrency"}),
     # An annotated, reasoned exception passes (e.g. a bench reading
     # hardware_concurrency without ever creating a thread).
     ("bench/hw_probe.cpp",

@@ -28,6 +28,4 @@ Time global_sim_time() {
   return clock.now_fn != nullptr ? clock.now_fn(clock.owner) : kClockUnbound;
 }
 
-bool sim_clock_bound() { return bound().now_fn != nullptr; }
-
 }  // namespace ndsm

@@ -22,6 +22,4 @@ void unbind_sim_clock(const void* owner);
 // Current virtual time, or kClockUnbound when no simulator is bound.
 [[nodiscard]] Time global_sim_time();
 
-[[nodiscard]] bool sim_clock_bound();
-
 }  // namespace ndsm

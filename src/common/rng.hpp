@@ -44,7 +44,7 @@ std::uint64_t splitmix64(std::uint64_t x);
 // of that stream, which ties results to one particular execution order;
 // keyed draws are what lets the sharded simulation engine produce
 // bit-identical loss/fault decisions no matter how the world is
-// partitioned or how many workers execute it (see sim/sharded.hpp).
+// partitioned or how many workers execute it (see sim/simulator.hpp).
 [[nodiscard]] std::uint64_t hash_u64(std::uint64_t seed, std::uint64_t a, std::uint64_t b = 0,
                                      std::uint64_t c = 0);
 // Uniform double in [0, 1) derived from hash_u64 (53-bit mantissa).

@@ -6,9 +6,8 @@
 // transmission can only ever reach nodes in the sender's own stripe or
 // the two adjacent ones — the property that bounds cross-shard traffic
 // to neighbor mailboxes and makes the conservative lookahead argument
-// local (sim/sharded.hpp). The same map is what pins a node::Runtime to
-// its home shard: a node's shard is a pure function of its position, so
-// crash/restart cycles keep it on the same timeline.
+// local (sim/simulator.hpp). A node's shard is a pure function of its
+// position.
 
 #include <algorithm>
 #include <cstddef>
@@ -31,12 +30,10 @@ class ShardMap {
     const auto fit = static_cast<std::size_t>(extent / max_range_m);
     shards_ = std::clamp<std::size_t>(fit, 1, requested);
     stripe_w_ = extent / static_cast<double>(shards_);
-    range_m_ = max_range_m;
   }
 
   [[nodiscard]] std::size_t shards() const { return shards_; }
   [[nodiscard]] double stripe_width() const { return stripe_w_; }
-  [[nodiscard]] double range() const { return range_m_; }
 
   [[nodiscard]] std::size_t shard_of(Vec2 p) const {
     if (p.x <= min_x_) return 0;
@@ -56,7 +53,6 @@ class ShardMap {
  private:
   double min_x_ = 0;
   double stripe_w_ = 0;
-  double range_m_ = 0;
   std::size_t shards_ = 1;
 };
 

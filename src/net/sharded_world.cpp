@@ -133,7 +133,7 @@ void ShardedWorld::seal() {
   lookahead = std::max<Time>(lookahead, 1);
 
   map_ = std::make_unique<ShardMap>(min_x, max_x, max_range, config_.shards);
-  engine_ = std::make_unique<sim::ShardedEngine>(sim::ShardedEngineConfig{
+  engine_ = std::make_unique<sim::Simulator>(sim::SimulatorConfig{
       .shards = map_->shards(),
       .workers = config_.workers,
       .lookahead = lookahead,
@@ -168,19 +168,14 @@ std::size_t ShardedWorld::shard_count() const {
   return map_ ? map_->shards() : config_.shards;
 }
 
-const ShardMap& ShardedWorld::shard_map() const {
-  NDSM_INVARIANT(map_ != nullptr, "shard_map() before seal()");
-  return *map_;
-}
-
-sim::ShardedEngine& ShardedWorld::engine() {
+sim::Simulator& ShardedWorld::engine() {
   NDSM_INVARIANT(engine_ != nullptr, "engine() before seal()");
   return *engine_;
 }
 
 void ShardedWorld::assert_owner_context(const NodeRec& n, const char* what) const {
   NDSM_INVARIANT(sealed(), "link-layer calls require a sealed world");
-  NDSM_INVARIANT(sim::ShardedEngine::current_shard() == n.shard, what);
+  NDSM_INVARIANT(engine_->current_shard() == n.shard, what);
 }
 
 double ShardedWorld::loss_probability(const LinkSpec& spec, std::size_t wire_bytes,

@@ -5,10 +5,10 @@
 // The world is split into ShardMap stripes; each shard owns the nodes in
 // its stripe — their liveness, handlers, per-node counters and digests —
 // plus a per-medium spatial grid over exactly those nodes, and runs on
-// its own sim::ShardedEngine timeline. A transmission near a cut line is
-// forwarded to the (at most two) adjacent shards through the engine's
-// ordered mailboxes; each shard then computes the receivers that fall in
-// its own stripe from its own grid.
+// its own timeline of a sharded sim::Simulator. A transmission near a cut
+// line is forwarded to the (at most two) adjacent shards through the
+// engine's ordered mailboxes; each shard then computes the receivers that
+// fall in its own stripe from its own grid.
 //
 // Determinism contract (stronger than the engine's): the per-node
 // delivery order and the merged digest() are bit-identical for ANY shard
@@ -31,9 +31,8 @@
 // handler per node. Handlers run on their node's owner shard and may
 // touch only that node's state: send/broadcast/schedule/kill/revive on
 // the node they were invoked for (owner-shard affinity is audited via
-// ShardedEngine::current_shard). The full node::Runtime middleware stack
-// still runs on the single-threaded World; Runtime::home_shard() pins
-// where each node will land as the stack migrates (DESIGN §13).
+// Simulator::current_shard). The full node::Runtime middleware stack
+// still runs on the single-threaded World (DESIGN §13).
 
 #include <cstdint>
 #include <functional>
@@ -49,7 +48,7 @@
 #include "net/shard_map.hpp"
 #include "net/world.hpp"  // kBroadcast, frame_loss_probability
 #include "obs/metrics.hpp"
-#include "sim/sharded.hpp"
+#include "sim/simulator.hpp"
 
 namespace ndsm::net {
 
@@ -139,10 +138,8 @@ class ShardedWorld {
   [[nodiscard]] std::uint64_t delivered(NodeId node) const { return rec(node).delivered; }
   [[nodiscard]] bool sealed() const { return engine_ != nullptr; }
   [[nodiscard]] std::size_t shard_count() const;
-  [[nodiscard]] std::size_t worker_count() const { return config_.workers; }
   [[nodiscard]] std::size_t shard_of(NodeId node) const { return rec(node).shard; }
-  [[nodiscard]] const ShardMap& shard_map() const;
-  [[nodiscard]] sim::ShardedEngine& engine();
+  [[nodiscard]] sim::Simulator& engine();
 
   // Determinism witness: FNV-1a fold of per-node delivery digests in
   // node-id order (each node's digest folds (time, src, tx seq, bytes,
@@ -246,7 +243,7 @@ class ShardedWorld {
   std::vector<LinkSpec> media_;
   std::vector<PendingEvent> pending_;
   std::unique_ptr<ShardMap> map_;
-  std::unique_ptr<sim::ShardedEngine> engine_;
+  std::unique_ptr<sim::Simulator> engine_;
   std::vector<std::vector<Grid>> grids_;  // [shard][medium]
   std::vector<ShardStats> shard_stats_;
   obs::MetricGroup metrics_;

@@ -26,6 +26,7 @@
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
+#include "common/periodic_timer.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/time.hpp"
@@ -88,36 +89,10 @@ class Stack {
   [[nodiscard]] virtual World* world_ptr() { return nullptr; }
 };
 
-// Periodic timer over any Stack — mirrors sim::PeriodicTimer exactly
-// (start/stop/set_interval semantics and the re-arm-after-fn ordering), so
-// components moved onto the seam keep their event schedule bit-for-bit.
-class PeriodicTimer {
- public:
-  PeriodicTimer(Stack& stack, Time interval, std::function<void()> fn)
-      : stack_(stack), interval_(interval), fn_(std::move(fn)) {}
-  ~PeriodicTimer() { stop(); }
-
-  PeriodicTimer(const PeriodicTimer&) = delete;
-  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
-
-  // Start (or restart) the timer; first firing after `initial_delay`
-  // (defaults to the interval).
-  void start(Time initial_delay = -1);
-  void stop();
-  [[nodiscard]] bool running() const { return running_; }
-  // Takes effect when the timer next re-arms; an already-armed tick keeps
-  // its old deadline (same contract as sim::PeriodicTimer).
-  void set_interval(Time interval) { interval_ = interval; }
-  [[nodiscard]] Time interval() const { return interval_; }
-
- private:
-  void arm(Time delay);
-
-  Stack& stack_;
-  Time interval_;
-  std::function<void()> fn_;
-  EventId pending_ = EventId::invalid();
-  bool running_ = false;
-};
+// Periodic timer over any Stack: the same implementation as
+// sim::PeriodicTimer (start/stop/set_interval semantics and the
+// re-arm-after-fn ordering), so components moved onto the seam keep their
+// event schedule bit-for-bit.
+using PeriodicTimer = BasicPeriodicTimer<Stack>;
 
 }  // namespace ndsm::net

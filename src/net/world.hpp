@@ -15,7 +15,6 @@
 #include <cmath>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -27,7 +26,6 @@
 #include "net/energy.hpp"
 #include "net/frame.hpp"
 #include "net/link_spec.hpp"
-#include "net/shard_map.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
@@ -164,13 +162,6 @@ class World {
   void set_fault_injector(FaultInjector* injector) { faults_ = injector; }
   [[nodiscard]] FaultInjector* fault_injector() const { return faults_; }
 
-  // Spatial partition for sharded execution (DESIGN §13). Optional: when
-  // attached, node::Runtime pins each node to its home shard at
-  // registration time, which is where the node lands as the stack
-  // migrates onto the sharded engine.
-  void set_shard_map(std::shared_ptr<const ShardMap> map) { shard_map_ = std::move(map); }
-  [[nodiscard]] const ShardMap* shard_map() const { return shard_map_.get(); }
-
   // Per-frame loss probability combining the flat loss and the BER term
   // (exposed for tests and analytical sizing of transport parameters).
   [[nodiscard]] static double frame_loss_probability(const LinkSpec& spec,
@@ -254,7 +245,6 @@ class World {
   mutable std::uint64_t audit_grid_queries_ = 0;  // sampling counter (NDSM_AUDIT)
   std::uint64_t audit_moves_ = 0;                 // sampling counter (NDSM_AUDIT)
   FaultInjector* faults_ = nullptr;
-  std::shared_ptr<const ShardMap> shard_map_;
   DeathHandler on_death_;
   mutable std::vector<NodeId> scratch_;  // candidate buffer for grid queries
   // Declared last: the registry views point at stats_/nodes_ above.

@@ -16,7 +16,6 @@ Runtime::Runtime(net::World& world, Vec2 position, StackConfig config)
       stack_(owned_stack_.get()),
       config_(std::move(config)) {
   for (const MediumId m : config_.media) world_->attach(id_, m);
-  pin_home_shard();
   register_metrics();
   bring_up();
 }
@@ -27,23 +26,14 @@ Runtime::Runtime(net::World& world, NodeId existing, StackConfig config)
       owned_stack_(std::make_unique<net::WorldStack>(world, id_)),
       stack_(owned_stack_.get()),
       config_(std::move(config)) {
-  pin_home_shard();
   register_metrics();
   bring_up();
 }
 
 Runtime::Runtime(net::Stack& stack, StackConfig config)
     : world_(stack.world_ptr()), id_(stack.self()), stack_(&stack), config_(std::move(config)) {
-  pin_home_shard();
   register_metrics();
   bring_up();
-}
-
-void Runtime::pin_home_shard() {
-  if (world_ == nullptr) return;
-  if (const net::ShardMap* map = world_->shard_map()) {
-    home_shard_ = map->shard_of(world_->position(id_));
-  }
 }
 
 Runtime::~Runtime() {
@@ -59,8 +49,6 @@ void Runtime::register_metrics() {
   metrics_.gauge("node.runtime.up", [this] { return up_ ? 1.0 : 0.0; });
   metrics_.gauge("node.runtime.services",
                  [this] { return static_cast<double>(slots_.size()); });
-  metrics_.gauge("node.runtime.home_shard",
-                 [this] { return static_cast<double>(home_shard_); });
 }
 
 std::unique_ptr<routing::Router> Runtime::make_router() {
@@ -173,11 +161,6 @@ void Runtime::restart() {
                                 static_cast<std::int64_t>(id_.value()));
   bring_up();
   NDSM_AUDIT_ASSERT(up_ && router_ && transport_, "restart left the stack half-built");
-  // Restart must rejoin the node's original timeline: the pin never moves.
-  if (const net::ShardMap* map = world_ ? world_->shard_map() : nullptr) {
-    NDSM_INVARIANT(map->shards() > home_shard_,
-                   "shard map shrank under a pinned node across a restart");
-  }
   if (config_.table) config_.table->invalidate();
 }
 

@@ -153,11 +153,6 @@ class Runtime {
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] bool up() const { return up_; }
-  // Home shard under the World's attached ShardMap (0 when none is
-  // attached): fixed at registration from the node's position and stable
-  // across crash/restart cycles, even if the node moved across a cut line
-  // in between — restarts must not silently migrate a node's timeline.
-  [[nodiscard]] std::size_t home_shard() const { return home_shard_; }
   // The network backend this node runs on.
   [[nodiscard]] net::Stack& net_stack() { return *stack_; }
   // Sim-only accessors: assert when running on a non-sim backend.
@@ -240,7 +235,6 @@ class Runtime {
     std::unique_ptr<Service> service;
   };
 
-  void pin_home_shard();
   void bring_up();
   void tear_down();
   [[nodiscard]] std::unique_ptr<routing::Router> make_router();
@@ -252,7 +246,6 @@ class Runtime {
   std::unique_ptr<net::Stack> owned_stack_;
   net::Stack* stack_;
   StackConfig config_;
-  std::size_t home_shard_ = 0;
   bool up_ = false;
   std::unique_ptr<routing::Router> router_;
   std::unique_ptr<transport::ReliableTransport> transport_;

@@ -287,5 +287,14 @@ TEST(NodeRuntime, TwinRunsWithChurnAreByteIdentical) {
   EXPECT_NE(first, different);  // the dump is sensitive to the run
 }
 
+// Twin runs cannot catch a refactor that reorders events the same way in
+// both twins. This pins the absolute event-order digest of the churn run
+// (World + Runtime + transport on one Simulator), recorded before the
+// sharded engine was folded into sim::Simulator.
+TEST(GoldenDigest, NodeChurnRun) {
+  const std::string dump = churn_run(1234);
+  EXPECT_EQ(std::stoull(dump.substr(0, dump.find(':'))), 0x6a0b980a5d6d2162ULL);
+}
+
 }  // namespace
 }  // namespace ndsm::node

@@ -1,24 +1,21 @@
-// Tests for the sharded parallel simulation stack: sim::ShardedEngine
-// (conservative windows, ordered mailboxes, key-ordered execution),
-// net::ShardMap (stripe partition), net::ShardedWorld (digest-identical
-// execution for any shard count and any worker count), and the
-// node::Runtime home-shard pin. The digest-equality tests here are the
-// contract the whole PR rides on: a sharded run is not "approximately"
-// the single-shard run, it is byte-identical.
+// Tests for the sharded parallel simulation stack: a sharded
+// sim::Simulator (conservative windows, ordered mailboxes, key-ordered
+// execution), net::ShardMap (stripe partition) and net::ShardedWorld
+// (digest-identical execution for any shard count and any worker count).
+// The digest-equality tests here are the contract sharding rides on: a
+// sharded run is not "approximately" the single-shard run, it is
+// byte-identical.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
-#include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "net/shard_map.hpp"
 #include "net/sharded_world.hpp"
-#include "net/world.hpp"
-#include "node/runtime.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 
 namespace ndsm {
@@ -26,8 +23,8 @@ namespace {
 
 // --- engine ----------------------------------------------------------------
 
-TEST(ShardedEngine, ExecutesSameInstantEventsInKeyOrder) {
-  sim::ShardedEngine e({.shards = 1, .workers = 1, .lookahead = 10, .seed = 1});
+TEST(ShardedSimulator, ExecutesSameInstantEventsInKeyOrder) {
+  sim::Simulator e({.shards = 1, .workers = 1, .lookahead = 10, .seed = 1});
   std::vector<int> order;
   e.schedule(0, 100, 5, 0, [&] { order.push_back(5); });
   e.schedule(0, 100, 1, 0, [&] { order.push_back(1); });
@@ -38,8 +35,8 @@ TEST(ShardedEngine, ExecutesSameInstantEventsInKeyOrder) {
   EXPECT_EQ(e.stats().executed, 4u);
 }
 
-TEST(ShardedEngine, CrossShardPostArrivesThroughTheMailbox) {
-  sim::ShardedEngine e({.shards = 2, .workers = 1, .lookahead = 100, .seed = 1});
+TEST(ShardedSimulator, CrossShardPostArrivesThroughTheMailbox) {
+  sim::Simulator e({.shards = 2, .workers = 1, .lookahead = 100, .seed = 1});
   Time got = -1;
   e.schedule(0, 50, 1, 0, [&] {
     e.post(0, 1, e.now(0) + 100, 1, 0, [&] { got = e.now(1); });
@@ -54,7 +51,7 @@ TEST(ShardedEngine, CrossShardPostArrivesThroughTheMailbox) {
 // to the neighboring shard. The execution trace must be identical for any
 // worker count — the engine's core determinism claim.
 std::vector<std::pair<std::uint32_t, Time>> run_ring(std::size_t workers) {
-  sim::ShardedEngine e({.shards = 4, .workers = workers, .lookahead = 50, .seed = 3});
+  sim::Simulator e({.shards = 4, .workers = workers, .lookahead = 50, .seed = 3});
   // One trace vector per shard: a shard's events run on one worker at a
   // time, with the window barrier between them, so each vector has a
   // single writer at any moment. A vector shared by all shards would be
@@ -84,18 +81,18 @@ std::vector<std::pair<std::uint32_t, Time>> run_ring(std::size_t workers) {
   return trace;
 }
 
-TEST(ShardedEngine, RingTraceIsWorkerCountInvariant) {
+TEST(ShardedSimulator, RingTraceIsWorkerCountInvariant) {
   const auto serial = run_ring(1);
   EXPECT_EQ(serial.size(), 4u * 21u);
   EXPECT_EQ(run_ring(2), serial);
   EXPECT_EQ(run_ring(8), serial);
 }
 
-TEST(ShardedEngineDeath, LookaheadViolationAborts) {
+TEST(ShardedSimulatorDeath, LookaheadViolationAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        sim::ShardedEngine e({.shards = 2, .workers = 1, .lookahead = 100, .seed = 1});
+        sim::Simulator e({.shards = 2, .workers = 1, .lookahead = 100, .seed = 1});
         e.schedule(0, 50, 1, 0, [&] { e.post(0, 1, e.now(0) + 1, 1, 0, [] {}); });
         e.run_until(1000);
       },
@@ -320,6 +317,20 @@ TEST(ShardedWorld, ChaosSoakDigestIdenticalAcrossShardingsAndWorkers) {
   }
 }
 
+// The twin-run and cross-sharding comparisons above hold for any event
+// order that every configuration shares. This pins the absolute digest of
+// the chaos lattice, recorded before the sharded engine was folded into
+// sim::Simulator (flat loss, lattice positions: no libm-dependent input).
+TEST(GoldenDigest, ShardedChaosLattice) {
+  for (const std::size_t shards : {1u, 4u}) {
+    for (const std::size_t workers : {1u, 2u}) {
+      const RunOutcome r = run_lattice(10, 10, shards, workers, true);
+      EXPECT_EQ(r.digest, 0x58dd23556838623aULL) << "shards=" << shards << " workers=" << workers;
+      EXPECT_EQ(r.totals.frames_delivered, 1059u) << "shards=" << shards << " workers=" << workers;
+    }
+  }
+}
+
 TEST(ShardedWorld, KillAndReviveAreDigestVisible) {
   // Same workload, one run with a scripted crash window: the digests must
   // differ (deliveries were suppressed while down) — liveness is part of
@@ -348,38 +359,6 @@ TEST(ShardedWorld, KillAndReviveAreDigestVisible) {
   churn.run_until(duration::millis(10));
   EXPECT_NE(quiet.digest(), churn.digest());
   EXPECT_LT(churn.totals().frames_delivered, quiet.totals().frames_delivered);
-}
-
-// --- runtime pinning ---------------------------------------------------------
-
-TEST(RuntimeHomeShard, PinIsPositionDerivedAndRestartStable) {
-  sim::Simulator s(7);
-  net::World w(s);
-  const MediumId m = w.add_medium(net::wifi80211(100.0, 0.0));
-  w.set_shard_map(std::make_shared<net::ShardMap>(0.0, 1000.0, 100.0, 4));
-  node::StackConfig cfg;
-  cfg.media = {m};
-  node::Runtime a(w, Vec2{50, 0}, cfg);
-  node::Runtime b(w, Vec2{900, 0}, cfg);
-  EXPECT_EQ(a.home_shard(), 0u);
-  EXPECT_EQ(b.home_shard(), 3u);
-  // Mobility across a cut line does not migrate the pin, and neither does
-  // a crash/restart cycle: the node rejoins its original timeline.
-  w.set_position(b.id(), Vec2{50, 0});
-  b.crash();
-  b.restart();
-  EXPECT_TRUE(b.up());
-  EXPECT_EQ(b.home_shard(), 3u);
-}
-
-TEST(RuntimeHomeShard, DefaultsToShardZeroWithoutMap) {
-  sim::Simulator s(7);
-  net::World w(s);
-  const MediumId m = w.add_medium(net::wifi80211(100.0, 0.0));
-  node::StackConfig cfg;
-  cfg.media = {m};
-  node::Runtime a(w, Vec2{500, 0}, cfg);
-  EXPECT_EQ(a.home_shard(), 0u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -371,6 +372,113 @@ TEST(Determinism, SameSeedSameTrace) {
   };
   EXPECT_EQ(run(99), run(99));
   EXPECT_NE(run(99), run(100));
+}
+
+// --- cancel and slab on a 4-shard engine ------------------------------------
+// Every shard keeps its own slab, so the cancel and slot-reuse contracts
+// above must hold per shard, including from inside a parallel window.
+
+TEST(ShardedSimulator, CancelFromOwnShardInsideParallelWindow) {
+  Simulator e({.shards = 4, .workers = 4, .lookahead = 10, .seed = 1});
+  std::array<EventId, 4> same_window{};
+  std::array<EventId, 4> later_window{};
+  // One element per shard: a shard's events never write another's slot.
+  std::array<int, 4> fired{};
+  std::array<bool, 4> cancelled{};
+  for (Simulator::ShardIndex s = 0; s < 4; ++s) {
+    e.schedule(s, 20, 0, 0, [&, s] {
+      cancelled[s] = e.cancel(same_window[s]) && e.cancel(later_window[s]) &&
+                     !e.cancel(same_window[s]);
+    });
+    same_window[s] = e.schedule(s, 25, 1, 0, [&fired, s] { fired[s] += 100; });
+    later_window[s] = e.schedule(s, 70, 1, 0, [&fired, s] { fired[s] += 100; });
+    e.schedule(s, 80, 2, 0, [&fired, s] { fired[s]++; });
+  }
+  EXPECT_EQ(e.pending(), 16u);
+  e.run_until(100);
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_TRUE(cancelled[s]) << "shard " << s;
+    EXPECT_EQ(fired[s], 1) << "shard " << s;
+  }
+  EXPECT_EQ(e.pending(), 0u);  // tombstones in the heaps do not count
+  EXPECT_EQ(e.stats().executed, 8u);
+  e.audit_verify();
+}
+
+TEST(ShardedSimulator, StaleIdIsIgnoredAfterSlotReuse) {
+  Simulator e({.shards = 4, .workers = 2, .lookahead = 10, .seed = 1});
+  // Slot 0 of two different shards: the ids still differ.
+  const EventId a = e.schedule(2, 10, 1, 0, [] {});
+  const EventId b = e.schedule(3, 10, 1, 0, [] {});
+  EXPECT_NE(a, b);
+  EXPECT_TRUE(e.cancel(a));
+  EXPECT_FALSE(e.cancel(a));
+  bool reused_ran = false;
+  const EventId reused = e.schedule(2, 10, 1, 0, [&reused_ran] { reused_ran = true; });
+  EXPECT_NE(reused, a);
+  EXPECT_FALSE(e.cancel(a));  // the stale id must not cancel the new occupant
+  EXPECT_EQ(e.pending(), 2u);
+
+  // Inside a window: shard 1's first events fire and free their slots, a
+  // later event reuses one, and the fired events' ids stay dead.
+  EventId x = EventId::invalid();
+  EventId y = EventId::invalid();
+  bool stale_ignored = false;
+  bool z_ran = false;
+  x = e.schedule(1, 10, 1, 0, [] {});
+  y = e.schedule(1, 20, 1, 0, [&] {
+    e.schedule(1, 30, 1, 0, [&z_ran] { z_ran = true; });
+    stale_ignored = !e.cancel(x) && !e.cancel(y);
+  });
+  EXPECT_EQ(e.pending(), 4u);
+  e.run_until(50);
+  EXPECT_TRUE(reused_ran);
+  EXPECT_TRUE(stale_ignored);
+  EXPECT_TRUE(z_ran);
+  EXPECT_FALSE(e.cancel(b));  // already fired
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_EQ(e.slab_capacity(), 4u);  // shards 1, 2, 3: 2 + 1 + 1 slots
+  e.audit_verify();
+}
+
+TEST(ShardedSimulatorDeath, CancelFromForeignShardInsideWindowAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Simulator e({.shards = 4, .workers = 1, .lookahead = 10, .seed = 1});
+        const EventId victim = e.schedule(3, 50, 1, 0, [] {});
+        e.schedule(0, 20, 1, 0, [&] { (void)e.cancel(victim); });
+        e.run_until(100);
+      },
+      "another shard");
+}
+
+// --- golden digests ----------------------------------------------------------
+// Twin-run tests compare two runs of the same code, so a change that
+// reorders events passes them whenever it reorders both twins alike. These
+// pin absolute values recorded before the sharded engine was folded into
+// Simulator: a mismatch is a behaviour change.
+
+TEST(GoldenDigest, SerialWorkloadWithCancels) {
+  Simulator sim{2024};
+  std::vector<EventId> ids;
+  std::uint64_t fired = 0;
+  for (int i = 0; i < 200; ++i) {
+    const auto at = static_cast<Time>(sim.rng().uniform_int(0, 500));
+    ids.push_back(sim.schedule_at(at, [&sim, &ids, &fired, i] {
+      fired++;
+      // Handlers cancel other events (fired, pending or already cancelled)
+      // and schedule follow-ups, some at the current instant.
+      if (i % 3 == 0) (void)sim.cancel(ids[(static_cast<std::size_t>(i) * 7 + 11) % ids.size()]);
+      if (i % 4 == 0) sim.schedule_after(static_cast<Time>(i % 17), [&fired] { fired++; });
+    }));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 5) (void)sim.cancel(ids[i]);
+  sim.run_all();
+  EXPECT_EQ(sim.digest(), 0x4197b233ed894756ULL);
+  EXPECT_EQ(sim.executed_events(), 175u);
+  EXPECT_EQ(fired, sim.executed_events());
+  EXPECT_EQ(sim.now(), 516);
 }
 
 }  // namespace
