@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "serialize/codec.hpp"
 
 namespace ndsm::apps::mazewar {
@@ -17,17 +18,6 @@ enum class Kind : std::uint8_t {
   kHit = 4,
   kHitAck = 5,
 };
-
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-[[nodiscard]] std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 void encode_state(serialize::Writer& w, const RatState& s) {
   w.svarint(s.x);

@@ -25,21 +25,11 @@ enum class Kind : std::uint8_t {
   kBlocks = 10,  // targeted loss repair: blocks re-sent reliably
 };
 
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 // Replies listing missing blocks are clamped: repair proceeds in waves
 // rather than encoding an unbounded index list into one control message.
 constexpr std::size_t kMaxMissingPerVote = 512;
 // wal_file records larger than this are treated as a torn/corrupt tail.
 constexpr std::uint32_t kMaxWalFileRecord = 16u << 20;
-
-[[nodiscard]] std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 [[nodiscard]] Bytes make_simple(Kind kind, std::uint64_t commit_id) {
   serialize::Writer w;

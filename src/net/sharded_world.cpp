@@ -10,14 +10,6 @@ namespace ndsm::net {
 
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-void mix(std::uint64_t& d, std::uint64_t v) {
-  d ^= v;
-  d *= kFnvPrime;
-}
-
 std::uint64_t cell_key(Vec2 p, double cell_m) {
   const auto cx = static_cast<std::int64_t>(std::floor(p.x / cell_m));
   const auto cy = static_cast<std::int64_t>(std::floor(p.y / cell_m));
@@ -199,17 +191,17 @@ bool ShardedWorld::partitioned(Vec2 a, Vec2 b, Time sent_at) const {
 void ShardedWorld::deliver(NodeRec& n, const ShardFrame& frame, std::uint64_t tx_uid) {
   if (!n.alive) return;
   n.delivered++;
-  mix(n.digest, static_cast<std::uint64_t>(frame.at));
-  mix(n.digest, frame.src.value());
-  mix(n.digest, tx_uid);
-  mix(n.digest, frame.payload().size());
+  n.digest = fnv_fold(n.digest, static_cast<std::uint64_t>(frame.at));
+  n.digest = fnv_fold(n.digest, frame.src.value());
+  n.digest = fnv_fold(n.digest, tx_uid);
+  n.digest = fnv_fold(n.digest, frame.payload().size());
   shard_stats_[n.shard].t.frames_delivered++;
   if (n.handler) n.handler(frame);
 }
 
 void ShardedWorld::mix_control(NodeRec& n, Time at, std::uint64_t tag) {
-  mix(n.digest, 0xc0117701ULL ^ tag);
-  mix(n.digest, static_cast<std::uint64_t>(at));
+  n.digest = fnv_fold(n.digest, 0xc0117701ULL ^ tag);
+  n.digest = fnv_fold(n.digest, static_cast<std::uint64_t>(at));
 }
 
 void ShardedWorld::kill(NodeId node) {
@@ -426,8 +418,8 @@ Status ShardedWorld::send(NodeId src, NodeId dst, Bytes payload) {
 std::uint64_t ShardedWorld::digest() const {
   std::uint64_t d = kFnvBasis;
   for (const NodeRec& n : nodes_) {
-    mix(d, n.digest);
-    mix(d, n.delivered);
+    d = fnv_fold(d, n.digest);
+    d = fnv_fold(d, n.delivered);
   }
   return d;
 }
@@ -436,8 +428,8 @@ std::uint64_t ShardedWorld::shard_digest(std::size_t s) const {
   std::uint64_t d = kFnvBasis;
   for (const NodeRec& n : nodes_) {
     if (n.shard != s) continue;
-    mix(d, n.digest);
-    mix(d, n.delivered);
+    d = fnv_fold(d, n.digest);
+    d = fnv_fold(d, n.delivered);
   }
   return d;
 }

@@ -192,7 +192,7 @@ class ShardedWorld {
     std::uint64_t tx_seq = 0;       // per-sender transmission ids
     std::uint64_t timer_seq = 0;    // same-instant timer order
     std::uint64_t control_seq = 0;  // same-instant control order
-    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    std::uint64_t digest = kFnvBasis;
     std::uint64_t delivered = 0;
   };
 

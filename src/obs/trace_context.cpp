@@ -2,21 +2,11 @@
 
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "serialize/codec.hpp"
 
 namespace ndsm::obs {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xffU;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::vector<TraceContext>& context_stack() {
   static std::vector<TraceContext> stack;
@@ -54,7 +44,7 @@ TraceContext decode_trace(serialize::Reader& r) {
 std::uint64_t TraceIdAllocator::next() {
   // Counter advances unconditionally (even when tracing is disabled) so
   // allocator state never depends on the tracing switch.
-  std::uint64_t h = fnv_mix(fnv_mix(fnv_mix(kFnvOffset, node_), epoch_), ++counter_);
+  std::uint64_t h = fnv_mix(fnv_mix(fnv_mix(kFnvTruncatedBasis, node_), epoch_), ++counter_);
   return h == 0 ? 1 : h;
 }
 

@@ -41,15 +41,7 @@ void DistanceVectorRouter::advertise() {
   }
   // Fresh sequence number for our own entry (DSDV).
   table_[self_] = Route{self_, 0, ++own_seq_, kTimeNever};
-  RoutingHeader h;
-  h.kind = RoutingKind::kDvUpdate;
-  h.origin = self_;
-  h.dst = net::kBroadcast;
-  h.ttl = 1;
-  const Bytes body = encode_table();
-  stats_.control_packets++;
-  stats_.control_bytes += body.size();
-  stack_.broadcast_frame(Proto::kRouting, encode_routing(h, body));
+  broadcast_control(encode_table());
 }
 
 void DistanceVectorRouter::expire_routes() {
@@ -73,7 +65,7 @@ void DistanceVectorRouter::expire_routes() {
   }
 }
 
-void DistanceVectorRouter::on_update(NodeId from, std::span<const std::uint8_t> body) {
+void DistanceVectorRouter::on_control(NodeId from, std::span<const std::uint8_t> body) {
   serialize::Reader r{body.data(), body.size()};
   const auto n = r.varint();
   if (!n) return;
@@ -112,57 +104,6 @@ NodeId DistanceVectorRouter::next_hop(NodeId dst) const {
   const auto it = table_.find(dst);
   if (it == table_.end() || it->second.metric >= kInfinity) return NodeId::invalid();
   return it->second.next_hop;
-}
-
-Status DistanceVectorRouter::send(NodeId dst, Proto upper, Bytes payload) {
-  if (dst == self_) {
-    deliver_local(self_, upper, payload);
-    return Status::ok();
-  }
-  RoutingHeader h;
-  h.kind = RoutingKind::kData;
-  h.origin = self_;
-  h.dst = dst;
-  h.seq = next_seq_++;
-  h.ttl = static_cast<std::uint8_t>(kDefaultTtl);
-  h.upper = upper;
-  stamp_trace(h);
-  stats_.data_sent++;
-  send_toward(dst, [&] { return encode_routing(h, payload); });
-  return Status::ok();  // best-effort; reliability lives in transport
-}
-
-Status DistanceVectorRouter::flood(Proto upper, Bytes payload, int ttl) {
-  RoutingHeader h;
-  h.kind = RoutingKind::kFlood;
-  h.origin = self_;
-  h.dst = net::kBroadcast;
-  h.seq = next_seq_++;
-  h.ttl = static_cast<std::uint8_t>(ttl);
-  h.upper = upper;
-  stamp_trace(h);
-  seen_[self_].insert(h.seq);
-  deliver_local(self_, upper, payload);
-  stats_.data_sent++;
-  return stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
-}
-
-void DistanceVectorRouter::on_frame(const net::LinkFrame& frame) {
-  RoutingView v;
-  if (!view_routing(frame.payload(), v)) return;
-  switch (v.header.kind) {
-    case RoutingKind::kDvUpdate:
-      on_update(v.header.origin, v.body);
-      break;
-    case RoutingKind::kData:
-      on_data(v);
-      break;
-    case RoutingKind::kFlood:
-      if (!seen_[v.header.origin].insert(v.header.seq).second) return;
-      deliver_local(v);
-      relay_flood(v);
-      break;
-  }
 }
 
 }  // namespace ndsm::routing

@@ -7,8 +7,6 @@
 // instead of ping-ponging upward.
 
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "routing/router.hpp"
 
@@ -21,9 +19,6 @@ class DistanceVectorRouter : public Router {
   explicit DistanceVectorRouter(net::Stack& stack,
                                 Time update_period = duration::seconds(5));
   ~DistanceVectorRouter() override;
-
-  Status send(NodeId dst, Proto upper, Bytes payload) override;
-  Status flood(Proto upper, Bytes payload, int ttl = kDefaultTtl) override;
 
   // Immediately broadcast the route table (normally driven by the timer).
   void advertise();
@@ -40,8 +35,8 @@ class DistanceVectorRouter : public Router {
     Time refreshed = 0;
   };
 
-  void on_frame(const net::LinkFrame& frame);
-  void on_update(NodeId from, std::span<const std::uint8_t> body);
+  // A neighbour's route-table advertisement.
+  void on_control(NodeId from, std::span<const std::uint8_t> body) override;
   NodeId next_hop_toward(NodeId dst) override { return next_hop(dst); }
   void expire_routes();
   [[nodiscard]] Bytes encode_table() const;
@@ -54,10 +49,6 @@ class DistanceVectorRouter : public Router {
   // here made the wire format depend on hash-bucket layout.
   std::map<NodeId, Route> table_;
   net::PeriodicTimer timer_;
-
-  // Flood machinery reused for flood().
-  std::uint32_t next_seq_ = 1;
-  std::unordered_map<NodeId, std::unordered_set<std::uint32_t>> seen_;
 };
 
 }  // namespace ndsm::routing

@@ -1,10 +1,8 @@
 #pragma once
 // Controlled flooding with per-origin duplicate suppression. Baseline for
 // E2 (discovery) and E6 (routing energy): correct everywhere, expensive
-// everywhere.
-
-#include <unordered_map>
-#include <unordered_set>
+// everywhere. Every frame is a flood: send() floods toward its target,
+// which stops the flood, and data or control frames are ignored.
 
 #include "routing/router.hpp"
 
@@ -16,15 +14,6 @@ class FloodingRouter : public Router {
   ~FloodingRouter() override;
 
   Status send(NodeId dst, Proto upper, Bytes payload) override;
-  Status flood(Proto upper, Bytes payload, int ttl = kDefaultTtl) override;
-
- private:
-  void on_frame(const net::LinkFrame& frame);
-  Status originate(NodeId dst, Proto upper, Bytes payload, int ttl);
-  [[nodiscard]] bool seen_before(NodeId origin, std::uint32_t seq);
-
-  std::uint32_t next_seq_ = 1;
-  std::unordered_map<NodeId, std::unordered_set<std::uint32_t>> seen_;
 };
 
 }  // namespace ndsm::routing

@@ -37,17 +37,9 @@ void GeoRouter::hello() {
     hello_timer_.stop();
     return;
   }
-  RoutingHeader h;
-  h.kind = RoutingKind::kDvUpdate;  // reused as "control beacon" kind
-  h.origin = self_;
-  h.dst = net::kBroadcast;
-  h.ttl = 1;
   serialize::Writer w;
   w.vec2(stack_.self_position());
-  const Bytes body = std::move(w).take();
-  stats_.control_packets++;
-  stats_.control_bytes += body.size();
-  stack_.broadcast_frame(Proto::kRouting, encode_routing(h, body));
+  broadcast_control(std::move(w).take());
 }
 
 void GeoRouter::note_neighbor(NodeId id, Vec2 position) {
@@ -81,24 +73,6 @@ NodeId GeoRouter::best_hop_toward(Vec2 dst_pos) const {
   return best;
 }
 
-Status GeoRouter::send(NodeId dst, Proto upper, Bytes payload) {
-  if (dst == self_) {
-    deliver_local(self_, upper, payload);
-    return Status::ok();
-  }
-  RoutingHeader h;
-  h.kind = RoutingKind::kData;
-  h.origin = self_;
-  h.dst = dst;
-  h.seq = next_seq_++;
-  h.ttl = static_cast<std::uint8_t>(kDefaultTtl);
-  h.upper = upper;
-  stamp_trace(h);
-  stats_.data_sent++;
-  send_toward(dst, [&] { return encode_routing(h, payload); });
-  return Status::ok();
-}
-
 NodeId GeoRouter::next_hop_toward(NodeId dst) {
   const auto dst_pos = resolve_(dst);
   if (!dst_pos) return NodeId::invalid();
@@ -108,41 +82,11 @@ NodeId GeoRouter::next_hop_toward(NodeId dst) {
   return hop;
 }
 
-Status GeoRouter::flood(Proto upper, Bytes payload, int ttl) {
-  RoutingHeader h;
-  h.kind = RoutingKind::kFlood;
-  h.origin = self_;
-  h.dst = net::kBroadcast;
-  h.seq = next_seq_++;
-  h.ttl = static_cast<std::uint8_t>(ttl);
-  h.upper = upper;
-  stamp_trace(h);
-  seen_[self_].insert(h.seq);
-  deliver_local(self_, upper, payload);
-  stats_.data_sent++;
-  return stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
-}
-
-void GeoRouter::on_frame(const net::LinkFrame& frame) {
-  RoutingView v;
-  if (!view_routing(frame.payload(), v)) return;
-  switch (v.header.kind) {
-    case RoutingKind::kDvUpdate: {  // hello beacon
-      serialize::Reader r{v.body.data(), v.body.size()};
-      const auto pos = r.vec2();
-      if (!pos) return;
-      note_neighbor(v.header.origin, *pos);
-      break;
-    }
-    case RoutingKind::kData:
-      on_data(v);
-      break;
-    case RoutingKind::kFlood:
-      if (!seen_[v.header.origin].insert(v.header.seq).second) return;
-      deliver_local(v);
-      relay_flood(v);
-      break;
-  }
+void GeoRouter::on_control(NodeId from, std::span<const std::uint8_t> body) {
+  serialize::Reader r{body.data(), body.size()};
+  const auto pos = r.vec2();
+  if (!pos) return;
+  note_neighbor(from, *pos);
 }
 
 }  // namespace ndsm::routing

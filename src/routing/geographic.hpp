@@ -12,8 +12,6 @@
 
 #include <functional>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "routing/router.hpp"
@@ -26,9 +24,6 @@ class GeoRouter : public Router {
 
   explicit GeoRouter(net::Stack& stack, Time hello_period = duration::seconds(2));
   ~GeoRouter() override;
-
-  Status send(NodeId dst, Proto upper, Bytes payload) override;
-  Status flood(Proto upper, Bytes payload, int ttl = kDefaultTtl) override;
 
   // How to find a destination's position. Default: the Stack's position
   // oracle (the World's ground truth in the sim — the GPS assumption);
@@ -48,7 +43,8 @@ class GeoRouter : public Router {
     Time heard;
   };
 
-  void on_frame(const net::LinkFrame& frame);
+  // A neighbour's hello beacon: its position.
+  void on_control(NodeId from, std::span<const std::uint8_t> body) override;
   NodeId next_hop_toward(NodeId dst) override;
   void note_neighbor(NodeId id, Vec2 position);
   // Whether `id` is a neighbour heard within the neighbour TTL.
@@ -65,8 +61,6 @@ class GeoRouter : public Router {
   // cache-friendly array; entries are never erased (stale ones are
   // skipped by their hello time).
   std::vector<Neighbor> neighbors_;
-  std::uint32_t next_seq_ = 1;
-  std::unordered_map<NodeId, std::unordered_set<std::uint32_t>> seen_;
   std::uint64_t local_minimum_drops_ = 0;
   net::PeriodicTimer hello_timer_;
 };

@@ -103,63 +103,9 @@ GlobalRouter::GlobalRouter(net::Stack& stack, std::shared_ptr<GlobalRoutingTable
 
 GlobalRouter::~GlobalRouter() { stack_.clear_frame_handler(Proto::kRouting); }
 
-Status GlobalRouter::send(NodeId dst, Proto upper, Bytes payload) {
-  if (dst == self_) {
-    deliver_local(self_, upper, payload);
-    return Status::ok();
-  }
-  RoutingHeader h;
-  h.kind = RoutingKind::kData;
-  h.origin = self_;
-  h.dst = dst;
-  h.seq = next_seq_++;
-  h.ttl = static_cast<std::uint8_t>(kDefaultTtl);
-  h.upper = upper;
-  stamp_trace(h);
-  stats_.data_sent++;
-  if (!table_->reachable(self_, dst)) {
-    stats_.drops++;
-    return Status{ErrorCode::kUnreachable, "no path"};
-  }
-  send_toward(dst, [&] { return encode_routing(h, payload); });
-  return Status::ok();
-}
-
 NodeId GlobalRouter::retry_hop(NodeId dst) {
   table_->invalidate();
   return table_->next_hop(self_, dst);
-}
-
-Status GlobalRouter::flood(Proto upper, Bytes payload, int ttl) {
-  RoutingHeader h;
-  h.kind = RoutingKind::kFlood;
-  h.origin = self_;
-  h.dst = net::kBroadcast;
-  h.seq = next_seq_++;
-  h.ttl = static_cast<std::uint8_t>(ttl);
-  h.upper = upper;
-  stamp_trace(h);
-  seen_[self_].insert(h.seq);
-  deliver_local(self_, upper, payload);
-  stats_.data_sent++;
-  return stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
-}
-
-void GlobalRouter::on_frame(const net::LinkFrame& frame) {
-  RoutingView v;
-  if (!view_routing(frame.payload(), v)) return;
-  switch (v.header.kind) {
-    case RoutingKind::kData:
-      on_data(v);
-      break;
-    case RoutingKind::kFlood:
-      if (!seen_[v.header.origin].insert(v.header.seq).second) return;
-      deliver_local(v);
-      relay_flood(v);
-      break;
-    case RoutingKind::kDvUpdate:
-      break;  // not our protocol
-  }
 }
 
 }  // namespace ndsm::routing

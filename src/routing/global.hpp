@@ -13,7 +13,6 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/world.hpp"
@@ -74,20 +73,16 @@ class GlobalRouter : public Router {
   GlobalRouter(net::Stack& stack, std::shared_ptr<GlobalRoutingTable> table);
   ~GlobalRouter() override;
 
-  Status send(NodeId dst, Proto upper, Bytes payload) override;
-  Status flood(Proto upper, Bytes payload, int ttl = kDefaultTtl) override;
-
   [[nodiscard]] GlobalRoutingTable& table() { return *table_; }
 
  private:
-  void on_frame(const net::LinkFrame& frame);
+  // send() to a node the table cannot reach returns kUnreachable.
+  bool has_path(NodeId dst) override { return table_->reachable(self_, dst); }
   NodeId next_hop_toward(NodeId dst) override { return table_->next_hop(self_, dst); }
   // Stale route (e.g. the hop just died): recompute and retry once.
   NodeId retry_hop(NodeId dst) override;
 
   std::shared_ptr<GlobalRoutingTable> table_;
-  std::uint32_t next_seq_ = 1;
-  std::unordered_map<NodeId, std::unordered_set<std::uint32_t>> seen_;
 };
 
 }  // namespace ndsm::routing

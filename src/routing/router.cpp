@@ -66,15 +66,85 @@ void Router::deliver_local(const RoutingView& v) {
   it->second(v.header.origin, payload);
 }
 
+RoutingHeader Router::originate(RoutingKind kind, NodeId dst, Proto upper, int ttl) {
+  RoutingHeader h;
+  h.kind = kind;
+  h.origin = self_;
+  h.dst = dst;
+  h.seq = next_seq_++;
+  h.ttl = static_cast<std::uint8_t>(ttl);
+  h.upper = upper;
+  h.trace = obs::active_trace();
+  h.trace.hops = 0;
+  stats_.data_sent++;
+  return h;
+}
+
+Status Router::send(NodeId dst, Proto upper, Bytes payload) {
+  if (dst == self_) {
+    deliver_local(self_, upper, payload);
+    return Status::ok();
+  }
+  const RoutingHeader h = originate(RoutingKind::kData, dst, upper, kDefaultTtl);
+  if (!has_path(dst)) {
+    stats_.drops++;
+    return Status{ErrorCode::kUnreachable, "no path"};
+  }
+  send_toward(dst, [&] { return encode_routing(h, payload); });
+  return Status::ok();
+}
+
+Status Router::flood(Proto upper, Bytes payload, int ttl) {
+  return flood_to(net::kBroadcast, upper, std::move(payload), ttl);
+}
+
+Status Router::flood_to(NodeId dst, Proto upper, Bytes payload, int ttl) {
+  const RoutingHeader h = originate(RoutingKind::kFlood, dst, upper, ttl);
+  (void)flood_window(self_).insert(h.seq);  // never re-forward our own packet
+  if (dst == net::kBroadcast) deliver_local(self_, upper, payload);  // local subscribers too
+  return stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
+}
+
+void Router::broadcast_control(const Bytes& body) {
+  RoutingHeader h;
+  h.kind = RoutingKind::kDvUpdate;
+  h.origin = self_;
+  h.dst = net::kBroadcast;
+  h.ttl = 1;
+  stats_.control_packets++;
+  stats_.control_bytes += body.size();
+  stack_.broadcast_frame(Proto::kRouting, encode_routing(h, body));
+}
+
 NodeId Router::next_hop_toward(NodeId /*dst*/) { return NodeId::invalid(); }
 
 NodeId Router::retry_hop(NodeId /*dst*/) { return NodeId::invalid(); }
+
+bool Router::has_path(NodeId /*dst*/) { return true; }
+
+void Router::on_control(NodeId /*from*/, std::span<const std::uint8_t> /*body*/) {}
+
+void Router::on_frame(const net::LinkFrame& frame) {
+  RoutingView v;
+  if (!view_routing(frame.payload(), v)) return;
+  switch (v.header.kind) {
+    case RoutingKind::kData:
+      on_data(v);
+      break;
+    case RoutingKind::kFlood:
+      on_flood(v);
+      break;
+    case RoutingKind::kDvUpdate:
+      on_control(v.header.origin, v.body);
+      break;
+  }
+}
 
 void Router::on_data(RoutingView& v) {
   if (v.header.dst == self_) {
     // TTL is decremented per relay, so remaining TTL gives link hops:
     // direct neighbour = 1 hop (no decrement), each relay adds one.
-    record_delivery_hops(kDefaultTtl - static_cast<int>(v.header.ttl) + 1);
+    hops_hist_.observe(static_cast<double>(kDefaultTtl - static_cast<int>(v.header.ttl) + 1));
     deliver_local(v);
     return;
   }
@@ -82,7 +152,11 @@ void Router::on_data(RoutingView& v) {
   send_toward(v.header.dst, [&v] { return encode(v.header, v.body); });
 }
 
-void Router::relay_flood(RoutingView& v) {
+void Router::on_flood(RoutingView& v) {
+  const RoutingHeader& h = v.header;
+  if (!flood_window(h.origin).insert(h.seq)) return;
+  if (h.dst == self_ || h.dst == net::kBroadcast) deliver_local(v);
+  if (h.dst == self_) return;  // a targeted flood reached its target: stop it
   if (!begin_relay(v, "flood_forward")) return;
   stack_.broadcast_frame(Proto::kRouting, encode(v.header, v.body));
 }

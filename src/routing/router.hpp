@@ -13,20 +13,29 @@
 //                            routes), with hop-count or energy-aware metric
 //   * GeoRouter            — greedy geographic forwarding
 //
-// Relaying is shared: every router hands a received kData frame to
-// on_data(), which delivers or relays it, and a kFlood frame it has not
-// seen before to relay_flood(). The relay parses the frame in place and
-// encodes the outbound frame (TTL - 1, hops + 1) straight from that view
-// into one buffer, so a hop never copies the body out first. Each router
-// keeps only its next-hop choice (next_hop_toward), its duplicate
-// suppression and its control messages.
+// Everything but the next-hop choice is shared, in Router: origination
+// (one per-node sequence for data and floods), flooding, flood duplicate
+// suppression and the relay. send() originates a kData frame and hands it
+// to next_hop_toward(); flood() originates a kFlood frame. A received kData
+// frame goes to on_data(), which delivers or relays it; a kFlood frame to
+// on_flood(), which drops it if seen, delivers it if addressed here (or to
+// everyone) and re-broadcasts it unless it reached its target. The relay
+// parses the frame in place and encodes the outbound frame (TTL - 1,
+// hops + 1) straight from that view into one buffer, so a hop never copies
+// the body out first. Floods seen are kept per origin in a DedupWindow
+// (common/dedup_window.hpp) of kFloodWindow sequence numbers above a
+// floor, so no per-origin state grows without bound. Each router keeps
+// only its next-hop choice (next_hop_toward), its frame handler and its
+// control messages (broadcast_control / on_control).
 
 #include <functional>
 #include <map>
 #include <memory>
 #include <span>
+#include <unordered_map>
 
 #include "common/bytes.hpp"
+#include "common/dedup_window.hpp"
 #include "common/ids.hpp"
 #include "common/status.hpp"
 #include "net/stack.hpp"
@@ -38,7 +47,8 @@ namespace ndsm::routing {
 
 using net::Proto;
 
-// Wire header carried in every routing frame.
+// Wire header carried in every routing frame. kDvUpdate is the one-hop
+// control beacon kind: DV route advertisements and Geo hellos.
 enum class RoutingKind : std::uint8_t { kData = 1, kFlood = 2, kDvUpdate = 3 };
 
 struct RoutingHeader {
@@ -81,19 +91,20 @@ class Router {
   // origin = the node that sent the payload end-to-end.
   using DeliveryHandler = std::function<void(NodeId origin, const Bytes& payload)>;
 
-  explicit Router(net::Stack& stack)
-      : stack_(stack), self_(stack.self()), hops_hist_(register_metrics()) {}
   virtual ~Router() = default;
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  // Send `payload` to `dst`, possibly over multiple hops.
-  virtual Status send(NodeId dst, Proto upper, Bytes payload) = 0;
+  // Send `payload` to `dst`, possibly over multiple hops. The default
+  // originates one kData frame toward next_hop_toward() and returns ok
+  // even when no hop is known (best effort: reliability lives in the
+  // transport), unless has_path() rules the destination out.
+  virtual Status send(NodeId dst, Proto upper, Bytes payload);
 
   // Network-wide flood (delivered to the upper layer on every reachable
-  // node, including nodes with no route state).
-  virtual Status flood(Proto upper, Bytes payload, int ttl = kDefaultTtl) = 0;
+  // node, including this one and nodes with no route state).
+  virtual Status flood(Proto upper, Bytes payload, int ttl = kDefaultTtl);
 
   // Register the upper-layer protocol handler (transport, discovery,
   // location, ...). One handler per protocol.
@@ -106,10 +117,25 @@ class Router {
   [[nodiscard]] const RouterStats& stats() const { return stats_; }
   // The network backend this router runs on (sim WorldStack or UdpStack).
   [[nodiscard]] net::Stack& stack() { return stack_; }
+  // Flood sequence numbers from `origin` held above its floor (at most
+  // kFloodWindow).
+  [[nodiscard]] std::size_t flood_ids_held(NodeId origin) const {
+    const auto it = flood_seen_.find(origin);
+    return it == flood_seen_.end() ? 0 : it->second.held();
+  }
 
   static constexpr int kDefaultTtl = 32;
+  // Flood sequence numbers remembered per origin above its floor. A flood
+  // that arrives after more than this many later floods from its origin
+  // counts as seen.
+  static constexpr std::size_t kFloodWindow = 1024;
 
  protected:
+  // Registers no frame handler: each router binds Proto::kRouting itself,
+  // so a decorator built around a router does not take its frames.
+  explicit Router(net::Stack& stack)
+      : stack_(stack), self_(stack.self()), hops_hist_(register_metrics()) {}
+
   void deliver_local(NodeId origin, Proto upper, const Bytes& payload) {
     stats_.data_delivered++;
     const auto it = handlers_.find(upper);
@@ -121,20 +147,49 @@ class Router {
   // trace. The body is copied out only when a handler is bound.
   void deliver_local(const RoutingView& v);
 
-  // Stamp the caller's active context onto a header about to be
-  // originated (hop count starts at zero here).
-  static void stamp_trace(RoutingHeader& h) {
-    h.trace = obs::active_trace();
-    h.trace.hops = 0;
-  }
+  // Originates a kFlood frame toward `dst` (net::kBroadcast: everyone,
+  // this node included); FloodingRouter's send() floods toward its target.
+  Status flood_to(NodeId dst, Proto upper, Bytes payload, int ttl);
 
-  // --- data forwarding ------------------------------------------------------
+  // --- receiving ------------------------------------------------------------
+  // Parses a routing frame and dispatches it by kind: kData to on_data(),
+  // kFlood to on_flood(), a control beacon to on_control().
+  void on_frame(const net::LinkFrame& frame);
+  // A received kData frame: delivered when addressed here (recording its
+  // hop count), otherwise relayed one hop on via send_toward().
+  void on_data(RoutingView& v);
+  // A received kFlood frame: dropped if seen, delivered if addressed here
+  // or to everyone, re-broadcast unless it reached its target.
+  void on_flood(RoutingView& v);
+
+  // --- per-router hooks -----------------------------------------------------
   // The router's next hop toward `dst`, or invalid() to drop the frame
   // (counted in drops). Routers that unicast data override this.
   virtual NodeId next_hop_toward(NodeId dst);
   // Called once after the link layer refused the next_hop_toward() hop: a
   // different hop to retry on, or invalid() (the default) to drop.
   virtual NodeId retry_hop(NodeId dst);
+  // Whether send() may originate toward `dst` at all (default: yes); a
+  // refused send is counted sent and dropped and returns kUnreachable.
+  virtual bool has_path(NodeId dst);
+  // A received one-hop control beacon (kDvUpdate) from neighbour `from`.
+  virtual void on_control(NodeId from, std::span<const std::uint8_t> body);
+  // Broadcasts a one-hop control beacon carrying `body`, counted in
+  // control_packets and control_bytes.
+  void broadcast_control(const Bytes& body);
+
+  net::Stack& stack_;
+  NodeId self_;
+  RouterStats stats_;
+
+ private:
+  // A header for a frame this node originates (its own next sequence
+  // number, the caller's active trace context at hop 0), counted in
+  // data_sent.
+  RoutingHeader originate(RoutingKind kind, NodeId dst, Proto upper, int ttl);
+  DedupWindow& flood_window(NodeId origin) {
+    return flood_seen_.try_emplace(origin, kFloodWindow).first->second;
+  }
 
   // Sends a kData frame one hop toward `dst` through next_hop_toward()
   // and, if the link refuses it, one retry_hop(). `make_frame` builds the
@@ -154,26 +209,6 @@ class Router {
     }
   }
 
-  // --- the shared relay path -----------------------------------------------
-  // A received kData frame: delivered when addressed here (recording its
-  // hop count), otherwise relayed one hop on via send_toward().
-  void on_data(RoutingView& v);
-  // Re-broadcasts a kFlood frame the caller has not seen before (and has
-  // delivered locally where it wants to).
-  void relay_flood(RoutingView& v);
-
-  // Subclasses call this where the hop count of a delivered data packet is
-  // known (typically kDefaultTtl minus the remaining TTL).
-  void record_delivery_hops(int hops) { hops_hist_.observe(static_cast<double>(hops)); }
-
-  net::Stack& stack_;
-  NodeId self_;
-  std::map<Proto, DeliveryHandler> handlers_;
-  RouterStats stats_;
-  obs::MetricGroup metrics_;
-  obs::Histogram& hops_hist_;
-
- private:
   // Both relays start here: a frame whose TTL is spent is dropped and
   // counted (false); otherwise TTL - 1, hops + 1 (capped at 255), the
   // forward is counted and traced, and the caller passes it on.
@@ -193,6 +228,12 @@ class Router {
     return metrics_.histogram("routing.router.hops",
                               {0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32});
   }
+
+  std::map<Proto, DeliveryHandler> handlers_;
+  obs::MetricGroup metrics_;
+  obs::Histogram& hops_hist_;
+  std::uint32_t next_seq_ = 1;  // per-node, shared by data and floods
+  std::unordered_map<NodeId, DedupWindow> flood_seen_;  // by origin
 };
 
 }  // namespace ndsm::routing

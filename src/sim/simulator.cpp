@@ -300,10 +300,7 @@ std::size_t Simulator::heap_depth() const {
 
 std::uint64_t Simulator::digest() const {
   std::uint64_t d = shards_[0].digest;
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    d ^= shards_[s].digest;
-    d *= 0x100000001b3ULL;
-  }
+  for (std::size_t s = 1; s < shards_.size(); ++s) d = fnv_fold(d, shards_[s].digest);
   return d;
 }
 

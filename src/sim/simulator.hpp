@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "common/audit.hpp"
+#include "common/bytes.hpp"
 #include "common/clock.hpp"
 #include "common/ids.hpp"
 #include "common/periodic_timer.hpp"
@@ -240,7 +241,7 @@ class Simulator {
     Time now = 0;
     std::uint64_t seq = 0;  // single-timeline insertion counter (key_lo)
     std::uint64_t executed = 0;
-    std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+    std::uint64_t digest = kFnvBasis;
 
     [[nodiscard]] bool holds(const Entry& e) const { return slots[e.slot].gen == e.gen; }
     // Pop cancelled entries off the heap top; true while a live event remains.
@@ -251,10 +252,7 @@ class Simulator {
     // Detach the callback, bump the generation and recycle the slot.
     std::function<void()> release(std::uint32_t slot);
     // FNV-1a fold of one executed event into the shard digest.
-    void mix(std::uint64_t v) {
-      digest ^= v;
-      digest *= 0x100000001b3ULL;
-    }
+    void mix(std::uint64_t v) { digest = fnv_fold(digest, v); }
     void verify() const;
   };
 

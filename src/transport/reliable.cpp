@@ -239,40 +239,6 @@ void ReliableTransport::on_frame(NodeId src, const Bytes& frame) {
   }
 }
 
-void ReliableTransport::remember_completed(NodeId src, std::uint64_t msg_id) {
-  auto& window = completed_[src];
-  if (msg_id <= window.floor) return;
-  if (!window.set.insert(msg_id).second) return;
-  // Advance the monotone floor over contiguously completed ids; the set
-  // then only holds out-of-order completions (entries the floor absorbed
-  // stay in `order` and are ignored at eviction time).
-  while (window.set.count(window.floor + 1) > 0) {
-    window.set.erase(window.floor + 1);
-    window.floor++;
-  }
-  // Bounded memory: `order` is a ring of the last dedup_window completions.
-  // Evicting id X abandons every id <= X still incomplete (they would need
-  // > dedup_window concurrently outstanding messages from one peer, which
-  // the sender's retry schedule cannot produce).
-  std::uint64_t evicted = msg_id;
-  if (window.order.size() < config_.dedup_window) {
-    window.order.push_back(msg_id);
-    return;
-  }
-  if (!window.order.empty()) {  // else a zero-size window evicts msg_id itself
-    std::swap(window.order[window.oldest], evicted);
-    window.oldest = (window.oldest + 1) % window.order.size();
-  }
-  window.set.erase(evicted);
-  window.floor = std::max(window.floor, evicted);
-}
-
-bool ReliableTransport::already_completed(NodeId src, std::uint64_t msg_id) const {
-  const auto it = completed_.find(src);
-  if (it == completed_.end()) return false;
-  return msg_id <= it->second.floor || it->second.set.count(msg_id) > 0;
-}
-
 void ReliableTransport::purge_inbox(NodeId src) {
   auto it = inbox_.lower_bound({src, 0});
   while (it != inbox_.end() && it->first.first == src) {
@@ -298,7 +264,9 @@ void ReliableTransport::on_fragment(NodeId src, serialize::Reader& r) {
   }
   const obs::TraceContext ctx = obs::decode_trace(r);
 
-  auto& window = completed_[src];
+  auto& window =
+      completed_.try_emplace(src, CompletedWindow{0, DedupWindow{config_.dedup_window}})
+          .first->second;
   if (*epoch < window.epoch) {
     // Delayed frame from a pre-restart incarnation of the peer; its msg-id
     // space has been reused, so it must not touch current state (and the
@@ -317,8 +285,7 @@ void ReliableTransport::on_fragment(NodeId src, serialize::Reader& r) {
   if (*epoch > window.epoch) {
     // The peer restarted: fresh id sequence, fresh dedup state, and any
     // half-reassembled messages from the old incarnation are garbage.
-    window = CompletedWindow{};
-    window.epoch = *epoch;
+    window = CompletedWindow{*epoch, DedupWindow{config_.dedup_window}};
     purge_inbox(src);
   }
 
@@ -336,7 +303,7 @@ void ReliableTransport::on_fragment(NodeId src, serialize::Reader& r) {
     router_.send(src, routing::Proto::kTransport, std::move(ack).take());
   }
 
-  if (already_completed(src, *msg_id)) {
+  if (window.ids.contains(*msg_id)) {
     stats_.duplicates_dropped++;
     return;
   }
@@ -374,7 +341,7 @@ void ReliableTransport::on_fragment(NodeId src, serialize::Reader& r) {
   const Port dst_port = in.port;
   if (in.gc.valid()) router_.stack().cancel(in.gc);
   inbox_.erase({src, *msg_id});
-  remember_completed(src, *msg_id);
+  window.ids.insert(*msg_id);
   stats_.messages_delivered++;
   stats_.payload_bytes_delivered += payload.size();
   // Delivery gets its own span id (drawn unconditionally) so work done in

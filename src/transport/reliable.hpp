@@ -11,22 +11,23 @@
 //
 // Duplicate suppression: message ids are per-sender monotone, and every
 // frame carries the sender incarnation's epoch. The receiver keeps, per
-// (peer, epoch), a completed-id window plus a monotone id floor: the floor
-// advances over contiguously completed ids and over ids evicted from the
-// window, so a frame duplicated arbitrarily late (e.g. by delay-jitter
-// faults) is still rejected — the guarantee is not bounded by the window
-// any more. The only way a completed message can be re-delivered is a gap
-// of more than `dedup_window` concurrently incomplete smaller ids, which
-// the sender's retry schedule cannot produce. A new (higher) epoch —
-// the sender crashed and restarted, restarting its id sequence — resets
-// the peer's window; frames and acks from older epochs are dropped, so a
-// delayed pre-crash ack can never acknowledge a post-restart message.
+// (peer, epoch), the completed ids in a DedupWindow (the one the routers
+// use for floods, common/dedup_window.hpp): a monotone floor that advances
+// over contiguously completed ids, plus at most `dedup_window` completed
+// ids above it. A completed message is never re-delivered, however late
+// a duplicate of it arrives (e.g. by delay-jitter faults). An incomplete
+// id is given up on (its frames acked and dropped) only once more than
+// `dedup_window` later ids completed first, which the sender's retry
+// schedule cannot produce. A new (higher) epoch — the sender crashed and
+// restarted, restarting its id sequence — resets the peer's window;
+// frames and acks from older epochs are dropped, so a delayed pre-crash
+// ack can never acknowledge a post-restart message.
 
 #include <functional>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "common/dedup_window.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_context.hpp"
 #include "routing/router.hpp"
@@ -42,7 +43,7 @@ struct TransportConfig {
   Time initial_rto = duration::millis(200);
   double rto_backoff = 2.0;
   int max_retries = 5;
-  std::size_t dedup_window = 1024;  // completed-message ids remembered per peer
+  std::size_t dedup_window = 1024;  // completed ids held per peer above its floor
   // Upper bound on the fragment count a single message may declare, on
   // both sides: send() rejects larger payloads up front, and the receiver
   // drops fragments declaring more (a hostile count would otherwise size
@@ -157,8 +158,6 @@ class ReliableTransport {
   void on_timeout(std::uint64_t msg_id);
   void finish(std::uint64_t msg_id, Status status);
   [[nodiscard]] std::size_t fragment_count(std::size_t payload_size) const;
-  void remember_completed(NodeId src, std::uint64_t msg_id);
-  [[nodiscard]] bool already_completed(NodeId src, std::uint64_t msg_id) const;
 
   // Registers all counter views, returns the RTT histogram (called from
   // the ctor init list to seed rtt_ms_).
@@ -185,13 +184,8 @@ class ReliableTransport {
   // Keyed by (src, msg_id).
   std::map<std::pair<NodeId, std::uint64_t>, InMessage> inbox_;
   struct CompletedWindow {
-    std::uint64_t epoch = 0;  // peer incarnation this window belongs to
-    std::uint64_t floor = 0;  // every id <= floor is completed or abandoned
-    std::unordered_set<std::uint64_t> set;  // completed ids above the floor
-    // Completion order, for eviction: a ring of at most dedup_window ids
-    // that grows on demand (most peers complete only a few messages).
-    std::vector<std::uint64_t> order;
-    std::size_t oldest = 0;  // ring index of the next id to evict
+    std::uint64_t epoch = 0;  // peer incarnation these ids belong to
+    DedupWindow ids;
   };
   std::unordered_map<NodeId, CompletedWindow> completed_;
   std::unordered_map<Port, Receiver> receivers_;

@@ -193,6 +193,13 @@ TEST(Bytes, FnvIsStableAndDiscriminates) {
   EXPECT_EQ(fnv1a("password"), fnv1a("password"));
   EXPECT_NE(fnv1a("password"), fnv1a("Password"));
   EXPECT_NE(fnv1a(""), fnv1a("a"));
+  // Absolute values: WAL, checkpoint and ReplFS block checksums and
+  // password digests are fnv1a() values on disk and on the wire, and the
+  // app digests fold words with fnv_mix, so none of these may move.
+  EXPECT_EQ(fnv1a(""), 0x14650fb0739d0383ULL);
+  EXPECT_EQ(fnv1a("ndsm"), 0x6328d114c3881bf9ULL);
+  EXPECT_EQ(fnv_mix(kFnvBasis, 0x0102030405060708ULL), 0x0c6d4496e17859d5ULL);
+  EXPECT_EQ(fnv_fold(kFnvBasis, 7), (kFnvBasis ^ 7) * kFnvPrime);
 }
 
 }  // namespace

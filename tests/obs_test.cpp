@@ -642,6 +642,11 @@ TEST(Trace, IdAllocatorNeverReturnsZeroAndSeparatesEpochs) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(a2.next(), a3.next());
   }
+  // And the same ids in every build: trace exports are compared across
+  // versions.
+  obs::TraceIdAllocator a4{NodeId{5}, 100};
+  EXPECT_EQ(a4.next(), 0x4f898f520fa4b2c3ULL);
+  EXPECT_EQ(a4.next(), 0xf2993a36eed6d460ULL);
 }
 
 TEST(Flight, RecordDumpsRingWithHeader) {

@@ -1,11 +1,14 @@
 // Tests for the routers' shared relay path (Router::on_data and
-// Router::relay_flood): what every router puts on the wire when it passes
-// a frame on, byte for byte, and how many heap allocations that costs.
-// This binary replaces the global operator new with a counting one, which
-// is why these tests live apart from routing_test.
+// Router::on_flood): what every router puts on the wire when it passes a
+// frame on, byte for byte, and how many heap allocations that costs; and
+// for the duplicate window behind flood suppression and the transport's
+// completed ids (DedupWindow). This binary replaces the global operator
+// new with a counting one, which is why these tests live apart from
+// routing_test and common_test.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -13,9 +16,11 @@
 #include <new>
 #include <optional>
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/dedup_window.hpp"
 #include "fuzz_stack.hpp"
 #include "net/link_spec.hpp"
 #include "net/world.hpp"
@@ -308,7 +313,8 @@ class TracerOn {
 
 // After warm-up, relaying one traced frame allocates the outbound frame
 // and nothing else (no body copy, no second encode buffer, no trace record
-// storage), plus the duplicate-suppression entry for a flood.
+// storage). A flood in sequence order only raises its origin's
+// duplicate-window floor, which allocates nothing either.
 TEST_P(RelayIdentity, SteadyStateRelayAllocatesOnlyTheOutboundFrame) {
   const TracerOn tracing{8};
   const auto rig = make_rig(GetParam().name, GetParam().kind);
@@ -325,10 +331,9 @@ TEST_P(RelayIdentity, SteadyStateRelayAllocatesOnlyTheOutboundFrame) {
                                                  encode_routing(f.header, f.body)));
   }
   for (int i = 0; i < kWarmUp; ++i) rig->stack.deliver(frames[i]);
-  const std::uint64_t expected = rig->kind == RoutingKind::kFlood ? 2 : 1;
   for (int i = kWarmUp; i < kWarmUp + kMeasured; ++i) {
     const std::uint64_t recorded = TracerOn::tracer().recorded();
-    EXPECT_EQ(allocations_in([&] { rig->stack.deliver(frames[i]); }), expected) << "relay " << i;
+    EXPECT_EQ(allocations_in([&] { rig->stack.deliver(frames[i]); }), 1u) << "relay " << i;
     EXPECT_EQ(TracerOn::tracer().recorded(), recorded + 1) << "no forward record";
   }
   EXPECT_EQ(rig->router->stats().data_forwarded,
@@ -346,6 +351,59 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name) +
              (info.param.kind == RoutingKind::kFlood ? "Flood" : "Data");
     });
+
+// Every router runs the same kFlood receive step: a flood is delivered
+// here when addressed here or to everyone, and passed on unless it was
+// addressed here.
+TEST(RelayFlood, DeliveredWhenAddressedHereAndStoppedThere) {
+  for (const char* name : {"geo", "dv", "global", "flooding"}) {
+    SCOPED_TRACE(name);
+    const auto rig = make_rig(name, RoutingKind::kFlood);
+    for (const NodeId dst : {net::kBroadcast, kTarget, kSelf}) {
+      RoutingHeader h;
+      h.kind = RoutingKind::kFlood;
+      h.origin = kOrigin;
+      h.dst = dst;
+      h.seq = rig->next_seq++;
+      h.ttl = 8;
+      rig->inject(encode_routing(h, to_bytes("flood")));
+    }
+    EXPECT_EQ(rig->router->stats().data_delivered, 2u);  // the broadcast and kSelf's
+    EXPECT_EQ(rig->router->stats().data_forwarded, 2u);  // the broadcast and kTarget's
+  }
+}
+
+// One origin floods kFloodWindow + 100 frames newest first, then replays
+// all of them. The window holds at most kFloodWindow of that origin's
+// sequence numbers: the first kFloodWindow + 1 floods are relayed, the
+// last of them moves the floor past every older one, and the 99 oldest
+// count as seen. No replay is relayed.
+TEST(RelayWindow, ReplayedFloodsAreDroppedAndTheWindowStaysBounded) {
+  for (const char* name : {"geo", "dv", "global", "flooding"}) {
+    SCOPED_TRACE(name);
+    const auto rig = make_rig(name, RoutingKind::kFlood);
+    Rng rng{0x5eed, 15};
+    std::vector<Bytes> frames;
+    for (std::size_t i = 0; i < Router::kFloodWindow + 100; ++i) {
+      const Frame f = random_frame(*rig, rng);
+      frames.push_back(encode_routing(f.header, f.body));
+    }
+    std::size_t most_held = 0;
+    for (auto it = frames.rbegin(); it != frames.rend(); ++it) {
+      rig->inject(*it);
+      most_held = std::max(most_held, rig->router->flood_ids_held(kOrigin));
+    }
+    EXPECT_EQ(most_held, Router::kFloodWindow);
+    EXPECT_EQ(rig->router->stats().data_forwarded, Router::kFloodWindow + 1);
+    EXPECT_EQ(rig->router->flood_ids_held(kOrigin), 0u);
+
+    const std::uint64_t sent = rig->stack.frames_out();
+    for (const Bytes& frame : frames) rig->inject(frame);
+    EXPECT_EQ(rig->router->stats().data_forwarded, Router::kFloodWindow + 1);
+    EXPECT_EQ(rig->stack.frames_out(), sent);
+    EXPECT_EQ(rig->router->flood_ids_held(kOrigin), 0u);
+  }
+}
 
 // GlobalRouter's stale-route retry runs inside the shared relay: when the
 // link refuses the cached next hop (it just died), the table is recomputed
@@ -392,6 +450,100 @@ TEST(Relay, GeoBreaksEqualDistanceTiesTowardTheSmallestId) {
   EXPECT_EQ(router.known_neighbors(), 3u);
   ASSERT_TRUE(router.send(NodeId{50}, Proto::kApp, to_bytes("tie")).is_ok());
   EXPECT_EQ(rig.stack.last_dst(), NodeId{4});
+}
+
+// --- the duplicate window --------------------------------------------------
+
+TEST(DedupWindow, IdsOneAboveTheFloorAllocateNothing) {
+  DedupWindow window{4};
+  std::uint64_t refused = 0;
+  EXPECT_EQ(allocations_in([&] {
+              for (std::uint64_t id = 1; id <= 1000; ++id) refused += window.insert(id) ? 0 : 1;
+            }),
+            0u);
+  EXPECT_EQ(refused, 0u);
+  EXPECT_EQ(window.floor(), 1000u);
+  EXPECT_EQ(window.held(), 0u);
+  // Also once ids have been held: the floor absorbs them in place.
+  EXPECT_TRUE(window.insert(1002));
+  EXPECT_TRUE(window.insert(1004));
+  EXPECT_EQ(allocations_in([&] {
+              refused += window.insert(1001) ? 0 : 1;
+              refused += window.insert(1003) ? 0 : 1;
+              refused += window.insert(1005) ? 0 : 1;
+            }),
+            0u);
+  EXPECT_EQ(refused, 0u);
+  EXPECT_EQ(window.floor(), 1005u);
+  EXPECT_EQ(window.held(), 0u);
+}
+
+TEST(DedupWindow, HoldsUpToCapacityThenTheSmallestMovesIntoTheFloor) {
+  DedupWindow window{3};
+  for (const std::uint64_t id : {3, 5, 7}) EXPECT_TRUE(window.insert(id));
+  EXPECT_EQ(window.floor(), 0u);
+  EXPECT_EQ(window.held(), 3u);
+  EXPECT_FALSE(window.contains(1));
+
+  EXPECT_TRUE(window.insert(9));  // one over capacity: 3 moves into the floor
+  EXPECT_EQ(window.floor(), 3u);
+  EXPECT_EQ(window.held(), 3u);     // 5, 7, 9
+  EXPECT_TRUE(window.contains(1));  // never inserted, given up on
+  EXPECT_FALSE(window.insert(2));
+  EXPECT_FALSE(window.insert(7));
+
+  EXPECT_TRUE(window.insert(4));  // floor + 1 reaches 5
+  EXPECT_EQ(window.floor(), 5u);
+  EXPECT_EQ(window.held(), 2u);  // 7, 9
+  EXPECT_TRUE(window.insert(2000));
+  EXPECT_TRUE(window.insert(1000));  // over capacity again: 7 moves into the floor
+  EXPECT_EQ(window.floor(), 7u);
+  EXPECT_EQ(window.held(), 3u);  // 9, 1000, 2000
+  EXPECT_TRUE(window.contains(6));
+  EXPECT_FALSE(window.contains(8));
+}
+
+// Against a model that remembers every id: whatever the order, every
+// inserted id stays contained, a repeat is refused, and no more than the
+// capacity is ever held.
+TEST(DedupWindow, EveryInsertedIdStaysContained) {
+  for (const std::size_t capacity : {1u, 8u, 64u}) {
+    SCOPED_TRACE(capacity);
+    DedupWindow window{capacity};
+    Rng rng{0xd00d, capacity};
+    std::set<std::uint64_t> inserted;
+    for (int i = 0; i < 3000; ++i) {
+      // Mostly near the front of the stream, some stragglers behind it.
+      const std::uint64_t id = static_cast<std::uint64_t>(i / 4) + 1 +
+                               static_cast<std::uint64_t>(rng.uniform_int(0, 40));
+      const bool fresh = window.insert(id);
+      if (inserted.count(id) > 0) {
+        EXPECT_FALSE(fresh) << id;
+      } else if (fresh) {
+        inserted.insert(id);
+      }
+      ASSERT_LE(window.held(), capacity);
+    }
+    for (const std::uint64_t id : inserted) EXPECT_TRUE(window.contains(id)) << id;
+  }
+}
+
+// A zero-capacity window keeps no ids: every out-of-order id raises the
+// floor to itself, so an id counts as seen iff it is at most the largest
+// id inserted (the transport's dedup_window = 0).
+TEST(DedupWindow, ZeroCapacityFloorsEveryId) {
+  DedupWindow window{0};
+  Rng rng{0xd00d, 0};
+  std::uint64_t largest = 0;
+  for (int i = 0; i < 500; ++i) {
+    const auto id = static_cast<std::uint64_t>(rng.uniform_int(1, 300));
+    EXPECT_EQ(window.insert(id), id > largest) << id;
+    largest = std::max(largest, id);
+    EXPECT_EQ(window.floor(), largest);
+    EXPECT_EQ(window.held(), 0u);
+    EXPECT_TRUE(window.contains(largest));
+    EXPECT_FALSE(window.contains(largest + 1));
+  }
 }
 
 }  // namespace

@@ -447,5 +447,95 @@ TEST(GeoRouting, PartitionBlocksGreedyForwardingUntilHeal) {
   EXPECT_EQ(faults.stats().partitions_healed, 1u);
 }
 
+// --- golden pins ------------------------------------------------------------
+
+// One flood-and-relay run: a 4x4 wireless lattice (flat 2% loss, no
+// bit-error term, lattice positions: no libm-dependent input) whose fault
+// plan duplicates and jitters frames. Every 400 ms each node floods (every
+// other node with a TTL of 3, so floods also expire) and sends one data
+// packet seven nodes on. Returns the event-order digest and the routers'
+// summed stats.
+struct FloodRun {
+  std::uint64_t digest = 0;
+  RouterStats totals;
+};
+
+FloodRun flood_and_relay_run(const std::function<void(WirelessGrid&)>& install) {
+  WirelessGrid grid{16, 20.0, 7, 1e9, 0.02};
+  install(grid);
+  net::FaultPlan faults{grid.world};
+  faults.duplication(0.2, duration::millis(30));
+  faults.jitter(0.2, duration::millis(30));
+  const std::size_t n = grid.nodes.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    grid.router(i).set_delivery_handler(Proto::kApp, [](NodeId, const Bytes&) {});
+  }
+  sim::PeriodicTimer traffic{grid.sim, duration::millis(400), [&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      Router& r = grid.router(i);
+      const int ttl = i % 2 == 0 ? Router::kDefaultTtl : 3;
+      (void)r.flood(Proto::kApp, Bytes(24, static_cast<std::uint8_t>(i)), ttl);
+      (void)r.send(grid.nodes[(i + 7) % n], Proto::kApp, Bytes(48, static_cast<std::uint8_t>(i)));
+    }
+  }};
+  traffic.start();
+  grid.sim.run_until(duration::seconds(8));
+  FloodRun run;
+  run.digest = grid.sim.digest();
+  for (std::size_t i = 0; i < n; ++i) {
+    const RouterStats& s = grid.router(i).stats();
+    run.totals.data_sent += s.data_sent;
+    run.totals.data_forwarded += s.data_forwarded;
+    run.totals.data_delivered += s.data_delivered;
+    run.totals.control_packets += s.control_packets;
+    run.totals.control_bytes += s.control_bytes;
+    run.totals.drops += s.drops;
+  }
+  return run;
+}
+
+void expect_pinned(const FloodRun& run, std::uint64_t digest, const RouterStats& totals) {
+  EXPECT_EQ(run.digest, digest);
+  EXPECT_EQ(run.totals.data_sent, totals.data_sent);
+  EXPECT_EQ(run.totals.data_forwarded, totals.data_forwarded);
+  EXPECT_EQ(run.totals.data_delivered, totals.data_delivered);
+  EXPECT_EQ(run.totals.control_packets, totals.control_packets);
+  EXPECT_EQ(run.totals.control_bytes, totals.control_bytes);
+  EXPECT_EQ(run.totals.drops, totals.drops);
+}
+
+// Absolute digests and router totals of the flood-and-relay run, one case
+// per router, recorded before the routers' origination, flooding and
+// duplicate suppression moved into routing::Router.
+TEST(GoldenDigest, RouterFloodAndRelay) {
+  {
+    SCOPED_TRACE("flooding");
+    expect_pinned(flood_and_relay_run([](WirelessGrid& g) { g.with_routers<FloodingRouter>(); }),
+                  0x5bbf6bf6e54a0e24ULL, RouterStats{640, 8054, 4907, 0, 0, 482});
+  }
+  {
+    SCOPED_TRACE("distance vector");
+    expect_pinned(flood_and_relay_run([](WirelessGrid& g) {
+                    g.with_routers<DistanceVectorRouter>(duration::seconds(1));
+                  }),
+                  0xeee5caea0254a722ULL, RouterStats{640, 4716, 5100, 128, 23333, 516});
+  }
+  {
+    SCOPED_TRACE("global");
+    expect_pinned(flood_and_relay_run([](WirelessGrid& g) {
+                    g.with_routers<GlobalRouter>(
+                        std::make_shared<GlobalRoutingTable>(g.world, Metric::kHopCount));
+                  }),
+                  0x308bae954100a50bULL, RouterStats{640, 4713, 5122, 0, 0, 509});
+  }
+  {
+    SCOPED_TRACE("geographic");
+    expect_pinned(flood_and_relay_run([](WirelessGrid& g) {
+                    g.with_routers<GeoRouter>(duration::seconds(1));
+                  }),
+                  0xf5202389c619a6c8ULL, RouterStats{640, 4818, 5132, 128, 2048, 498});
+  }
+}
+
 }  // namespace
 }  // namespace ndsm::routing
