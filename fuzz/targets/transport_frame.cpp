@@ -1,12 +1,14 @@
 // Fuzz boundary: ReliableTransport fragment/ack parsing plus the routing
 // frame decoder and relay underneath it, driven through a loopback
-// net::Stack test double. The input is injected twice per run:
+// net::Stack test double. The input is injected three times per run:
 //   1. as the raw routing-frame payload (exercises the in-place routing
 //      parser, the flood duplicate suppression and the relay on hostile
-//      headers), and
-//   2. wrapped in a valid flood header addressed to this node with
-//      upper == kTransport, so the bytes land in
-//      ReliableTransport::on_frame unmodified — exactly what a hostile UDP
+//      headers), then
+//   2. wrapped in a valid flood header and
+//   3. wrapped in a valid direct data header, both addressed to this node
+//      with upper == kTransport, so the bytes land in
+//      ReliableTransport::on_frame unmodified through each of
+//      FloodingRouter's two receive paths — exactly what a hostile UDP
 //      datagram achieves on the real backend.
 // Afterwards the clock advances through the retransmit/reassembly-GC
 // schedule (bounded) so timer paths run against whatever state the
@@ -55,7 +57,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     NDSM_FUZZ_CHECK(stack.last_frame() == routing::encode_routing(expect, body));
   }
 
-  // Path 2: hostile transport frame behind a well-formed routing header.
+  // Path 2: hostile transport frame behind a well-formed routing header,
+  // a flood's and then a direct data frame's.
   routing::RoutingHeader h;
   h.kind = routing::RoutingKind::kFlood;
   h.origin = peer;
@@ -63,6 +66,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   h.seq = 1;
   h.ttl = 4;
   h.upper = net::Proto::kTransport;
+  stack.inject(net::Proto::kRouting, peer, NodeId{1}, routing::encode_routing(h, input));
+  h.kind = routing::RoutingKind::kData;
+  h.ttl = routing::Router::kDefaultTtl;
   stack.inject(net::Proto::kRouting, peer, NodeId{1}, routing::encode_routing(h, input));
 
   // Drive the retransmit chain and the reassembly GC over the state the

@@ -167,6 +167,20 @@ void transport_frame() {
     emit("transport_frame", "relayed_flood.bin",
          routing::encode_routing(h, str_bytes("relay me")));
   }
+  {
+    // Direct data frame for another node: FloodingRouter neither delivers
+    // nor relays it.
+    routing::RoutingHeader h;
+    h.kind = routing::RoutingKind::kData;
+    h.origin = NodeId{5};
+    h.dst = NodeId{3};
+    h.seq = 2;
+    h.ttl = 32;
+    h.upper = net::Proto::kTransport;
+    h.trace = ctx;
+    emit("transport_frame", "data_for_other.bin",
+         routing::encode_routing(h, str_bytes("not for me")));
+  }
 }
 
 void discovery_msg() {

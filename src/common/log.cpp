@@ -24,8 +24,6 @@ Logger& Logger::instance() {
   return logger;
 }
 
-void Logger::flush() { std::fflush(stderr); }
-
 void Logger::write(LogLevel level, const std::string& component, const std::string& message) {
   // Render the whole record into one buffer so concurrent/interleaved
   // writers emit whole lines, then hand it off in a single call.

@@ -55,9 +55,6 @@ class Logger {
   void set_sink(Sink sink) { sink_ = std::move(sink); }
   [[nodiscard]] bool has_custom_sink() const { return static_cast<bool>(sink_); }
 
-  // Flush the default stderr sink (custom sinks flush themselves).
-  void flush();
-
   void write(LogLevel level, const std::string& component, const std::string& message);
 
  private:

@@ -69,6 +69,19 @@ constexpr std::size_t kMaxDatagram = 65000;
 
 void set_nonblocking(int fd) { fcntl(fd, F_SETFL, fcntl(fd, F_GETFL, 0) | O_NONBLOCK); }
 
+// The unicast port of `node`: port_base + node id, or nullopt when that
+// does not fit in 16 bits (a cast would wrap it onto someone else's port).
+[[nodiscard]] std::optional<std::uint16_t> node_port(std::uint16_t port_base, NodeId node) {
+  const std::uint64_t port = std::uint64_t{port_base} + node.value();
+  if (port > 0xffff) return std::nullopt;
+  return static_cast<std::uint16_t>(port);
+}
+
+[[nodiscard]] Status no_port(NodeId node) {
+  return {ErrorCode::kUnreachable,
+          "port_base + node id " + std::to_string(node.value()) + " exceeds port 65535"};
+}
+
 }  // namespace
 
 UdpStack::UdpStack(NodeId self, UdpStackConfig config)
@@ -79,6 +92,11 @@ UdpStack::UdpStack(NodeId self, UdpStackConfig config)
                ? config_.rng_seed
                : splitmix64(epoch_ ^ (static_cast<std::uint64_t>(getpid()) << 32) ^
                             self.value())) {
+  if (!node_port(config_.port_base, self_)) {
+    throw std::invalid_argument("UdpStack: port_base " + std::to_string(config_.port_base) +
+                                " + node id " + std::to_string(self_.value()) +
+                                " exceeds port 65535");
+  }
   if (config_.multicast_port == 0) {
     config_.multicast_port = static_cast<std::uint16_t>(config_.port_base - 1);
   }
@@ -104,9 +122,7 @@ UdpStack::~UdpStack() {
   close_sockets();
 }
 
-std::uint16_t UdpStack::unicast_port() const {
-  return static_cast<std::uint16_t>(config_.port_base + self_.value());
-}
+std::uint16_t UdpStack::unicast_port() const { return *node_port(config_.port_base, self_); }
 
 void UdpStack::open_sockets() {
   ucast_fd_ = socket(AF_INET, SOCK_DGRAM, 0);
@@ -224,19 +240,19 @@ Status UdpStack::send_frame(NodeId dst, Proto proto, Bytes payload) {
     return {ErrorCode::kInvalidArgument, "frame exceeds datagram limit"};
   }
   const Bytes wire = encode_wire_datagram({proto, self_, dst}, payload);
-  if (dst == kBroadcast) {
-    if (using_multicast()) return send_datagram(wire, config_.multicast_port, true);
-    Status status = Status::ok();
-    for (const NodeId peer : config_.peers) {
-      if (peer == self_) continue;
-      const auto port = static_cast<std::uint16_t>(config_.port_base + peer.value());
-      const Status s = send_datagram(wire, port, false);
-      if (!s.is_ok()) status = s;
-    }
-    return status;
+  if (dst != kBroadcast) {
+    const auto port = node_port(config_.port_base, dst);
+    return port ? send_datagram(wire, *port, false) : no_port(dst);
   }
-  return send_datagram(wire, static_cast<std::uint16_t>(config_.port_base + dst.value()),
-                       false);
+  if (using_multicast()) return send_datagram(wire, config_.multicast_port, true);
+  Status status = Status::ok();
+  for (const NodeId peer : config_.peers) {
+    if (peer == self_) continue;
+    const auto port = node_port(config_.port_base, peer);
+    const Status s = port ? send_datagram(wire, *port, false) : no_port(peer);
+    if (!s.is_ok()) status = s;
+  }
+  return status;
 }
 
 Status UdpStack::broadcast_frame(Proto proto, Bytes payload) {
@@ -346,10 +362,14 @@ bool UdpStack::poll_once(Time max_wait) {
   }
   if (wait < 0) wait = 0;
 
+  // Broadcasts drain before unicasts. On loopback one sender's datagrams
+  // reach both sockets in send order, so this keeps the order of a bulk
+  // multicast followed by control unicasts (ReplFS stages a write's blocks
+  // by multicast, then sends each replica its prepare).
   pollfd fds[2];
   nfds_t nfds = 0;
-  if (ucast_fd_ >= 0) fds[nfds++] = {ucast_fd_, POLLIN, 0};
   if (mcast_recv_fd_ >= 0) fds[nfds++] = {mcast_recv_fd_, POLLIN, 0};
+  if (ucast_fd_ >= 0) fds[nfds++] = {ucast_fd_, POLLIN, 0};
 
   stats_.polls++;
   int ready = 0;

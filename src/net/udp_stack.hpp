@@ -15,6 +15,11 @@
 //     process entropy, delivery order is whatever the kernel gives us.
 //     The sim remains the substrate for every reproducibility claim.
 //
+// Receive order: each poll_once() drains the multicast socket before the
+// unicast one. A sender's datagrams reach the two sockets in send order on
+// loopback, so a receiver reads a bulk multicast before the unicast
+// control frames sent after it (DESIGN §14).
+//
 // Threading model: none. The owner drives the stack by calling
 // poll_once()/run_for()/run_until() from one thread; receive handlers and
 // timer callbacks fire inside those calls. This mirrors the sim's
@@ -35,7 +40,9 @@ namespace ndsm::net {
 
 struct UdpStackConfig {
   // Unicast datagrams for node N go to 127.0.0.1:(port_base + N). Node
-  // ids must therefore be small (< 65535 - port_base).
+  // ids must therefore be small: the constructor throws when port_base +
+  // self exceeds 65535, and send_frame() refuses (kUnreachable, no
+  // datagram) a destination whose port would.
   std::uint16_t port_base = 47000;
   // Loopback multicast group carrying broadcast frames. Every stack in a
   // fleet must share group + port. The port defaults to port_base - 1.
@@ -84,9 +91,10 @@ struct UdpStats {
 
 class UdpStack final : public Stack {
  public:
-  // Opens the sockets (throws std::runtime_error if the unicast bind
-  // fails) and binds the process-global clock hook so log/trace records
-  // are stamped with this stack's monotonic time.
+  // Opens the sockets (throws std::invalid_argument if port_base + self
+  // exceeds 65535, std::runtime_error if the unicast bind fails) and binds
+  // the process-global clock hook so log/trace records are stamped with
+  // this stack's monotonic time.
   explicit UdpStack(NodeId self, UdpStackConfig config = {});
   ~UdpStack() override;
 

@@ -117,12 +117,6 @@ Histogram* MetricsRegistry::add_histogram(std::string name, MetricLabels labels,
   return out;
 }
 
-void MetricsRegistry::remove(MetricId id) {
-  metrics_.erase(std::remove_if(metrics_.begin(), metrics_.end(),
-                                [id](const Metric& m) { return m.id == id; }),
-                 metrics_.end());
-}
-
 void MetricsRegistry::remove_all(const std::vector<MetricId>& ids) {
   if (ids.empty()) return;
   const std::unordered_set<MetricId> doomed(ids.begin(), ids.end());
@@ -130,8 +124,6 @@ void MetricsRegistry::remove_all(const std::vector<MetricId>& ids) {
                                 [&doomed](const Metric& m) { return doomed.count(m.id) > 0; }),
                  metrics_.end());
 }
-
-void MetricsRegistry::clear() { metrics_.clear(); }
 
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
   std::vector<MetricSample> out;

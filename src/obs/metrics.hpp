@@ -120,13 +120,11 @@ class MetricsRegistry {
   Histogram* add_histogram(std::string name, MetricLabels labels,
                            std::vector<double> upper_bounds, MetricId* id_out = nullptr);
 
-  void remove(MetricId id);
   // Single-pass removal; what MetricGroup uses so tearing down a 400-node
   // World is O(registry) rather than O(registry * group).
   void remove_all(const std::vector<MetricId>& ids);
 
   [[nodiscard]] std::size_t size() const { return metrics_.size(); }
-  void clear();
 
   // All metrics, sampled now, sorted by (name, component, node).
   [[nodiscard]] std::vector<MetricSample> snapshot() const;

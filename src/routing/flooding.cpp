@@ -5,7 +5,12 @@ namespace ndsm::routing {
 FloodingRouter::FloodingRouter(net::Stack& stack) : Router(stack) {
   stack_.set_frame_handler(Proto::kRouting, [this](const net::LinkFrame& f) {
     RoutingView v;
-    if (view_routing(f.payload(), v) && v.header.kind == RoutingKind::kFlood) on_flood(v);
+    if (!view_routing(f.payload(), v)) return;
+    if (v.header.kind == RoutingKind::kFlood) {
+      on_flood(v);
+    } else if (v.header.kind == RoutingKind::kData && v.header.dst == self_) {
+      on_data(v);
+    }
   });
 }
 
@@ -16,6 +21,7 @@ Status FloodingRouter::send(NodeId dst, Proto upper, Bytes payload) {
     deliver_local(self_, upper, payload);
     return Status::ok();
   }
+  if (send_direct(dst, upper, payload)) return Status::ok();
   return flood_to(dst, upper, std::move(payload), kDefaultTtl);
 }
 

@@ -49,10 +49,4 @@ std::optional<Vec2> LocationService::lookup(NodeId node, Time max_age) const {
   return it->second.position;
 }
 
-std::optional<LocationService::Entry> LocationService::entry(NodeId node) const {
-  const auto it = cache_.find(node);
-  if (it == cache_.end()) return std::nullopt;
-  return it->second;
-}
-
 }  // namespace ndsm::routing

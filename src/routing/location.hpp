@@ -30,7 +30,6 @@ class LocationService {
   // Last known position of `node`, if a beacon has been seen and is not
   // older than `max_age` (kTimeNever = any age).
   [[nodiscard]] std::optional<Vec2> lookup(NodeId node, Time max_age = kTimeNever) const;
-  [[nodiscard]] std::optional<Entry> entry(NodeId node) const;
   [[nodiscard]] std::size_t known_count() const { return cache_.size(); }
 
  private:

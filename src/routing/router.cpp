@@ -71,12 +71,11 @@ RoutingHeader Router::originate(RoutingKind kind, NodeId dst, Proto upper, int t
   h.kind = kind;
   h.origin = self_;
   h.dst = dst;
-  h.seq = next_seq_++;
+  h.seq = kind == RoutingKind::kFlood ? next_flood_seq_++ : next_data_seq_++;
   h.ttl = static_cast<std::uint8_t>(ttl);
   h.upper = upper;
   h.trace = obs::active_trace();
   h.trace.hops = 0;
-  stats_.data_sent++;
   return h;
 }
 
@@ -86,6 +85,7 @@ Status Router::send(NodeId dst, Proto upper, Bytes payload) {
     return Status::ok();
   }
   const RoutingHeader h = originate(RoutingKind::kData, dst, upper, kDefaultTtl);
+  stats_.data_sent++;
   if (!has_path(dst)) {
     stats_.drops++;
     return Status{ErrorCode::kUnreachable, "no path"};
@@ -100,9 +100,17 @@ Status Router::flood(Proto upper, Bytes payload, int ttl) {
 
 Status Router::flood_to(NodeId dst, Proto upper, Bytes payload, int ttl) {
   const RoutingHeader h = originate(RoutingKind::kFlood, dst, upper, ttl);
+  stats_.data_sent++;
   (void)flood_window(self_).insert(h.seq);  // never re-forward our own packet
   if (dst == net::kBroadcast) deliver_local(self_, upper, payload);  // local subscribers too
   return stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
+}
+
+bool Router::send_direct(NodeId dst, Proto upper, const Bytes& payload) {
+  const RoutingHeader h = originate(RoutingKind::kData, dst, upper, kDefaultTtl);
+  if (!stack_.send_frame(dst, Proto::kRouting, encode_routing(h, payload)).is_ok()) return false;
+  stats_.data_sent++;
+  return true;
 }
 
 void Router::broadcast_control(const Bytes& body) {

@@ -13,10 +13,13 @@
 //                            routes), with hop-count or energy-aware metric
 //   * GeoRouter            — greedy geographic forwarding
 //
-// Everything but the next-hop choice is shared, in Router: origination
-// (one per-node sequence for data and floods), flooding, flood duplicate
-// suppression and the relay. send() originates a kData frame and hands it
-// to next_hop_toward(); flood() originates a kFlood frame. A received kData
+// Everything but the next-hop choice is shared, in Router: origination,
+// flooding, flood duplicate suppression and the relay. A node numbers its
+// data frames and its floods from two separate sequences, so data sent
+// between two floods leaves no gap in the flood numbers a receiver's
+// window waits on. send() originates a kData frame and hands it to
+// next_hop_toward(); flood() originates a kFlood frame; send_direct()
+// offers one kData frame straight to a one-hop target. A received kData
 // frame goes to on_data(), which delivers or relays it; a kFlood frame to
 // on_flood(), which drops it if seen, delivers it if addressed here (or to
 // everyone) and re-broadcasts it unless it reached its target. The relay
@@ -55,7 +58,7 @@ struct RoutingHeader {
   RoutingKind kind = RoutingKind::kData;
   NodeId origin;
   NodeId dst;             // net::kBroadcast for floods without a target
-  std::uint32_t seq = 0;  // per-origin sequence for duplicate suppression
+  std::uint32_t seq = 0;  // per-origin data or flood sequence; floods dedup on it
   std::uint8_t ttl = 0;
   Proto upper = Proto::kApp;  // which upper-layer protocol the payload is for
   // Causal context stamped at originate time (versioned optional trailer
@@ -148,8 +151,14 @@ class Router {
   void deliver_local(const RoutingView& v);
 
   // Originates a kFlood frame toward `dst` (net::kBroadcast: everyone,
-  // this node included); FloodingRouter's send() floods toward its target.
+  // this node included); FloodingRouter's send() floods toward a target
+  // the link cannot reach in one hop.
   Status flood_to(NodeId dst, Proto upper, Bytes payload, int ttl);
+  // Originates a kData frame for `dst` and offers it once to the link,
+  // addressed to `dst` itself. True (counted in data_sent) when the link
+  // took it; false when the link refused it (not one hop away, or this
+  // node is down), which counts nothing.
+  bool send_direct(NodeId dst, Proto upper, const Bytes& payload);
 
   // --- receiving ------------------------------------------------------------
   // Parses a routing frame and dispatches it by kind: kData to on_data(),
@@ -183,9 +192,9 @@ class Router {
   RouterStats stats_;
 
  private:
-  // A header for a frame this node originates (its own next sequence
-  // number, the caller's active trace context at hop 0), counted in
-  // data_sent.
+  // A header for a frame this node originates: the next number of its
+  // flood sequence for kFlood, of its data sequence otherwise, and the
+  // caller's active trace context at hop 0. The caller counts data_sent.
   RoutingHeader originate(RoutingKind kind, NodeId dst, Proto upper, int ttl);
   DedupWindow& flood_window(NodeId origin) {
     return flood_seen_.try_emplace(origin, kFloodWindow).first->second;
@@ -232,7 +241,8 @@ class Router {
   std::map<Proto, DeliveryHandler> handlers_;
   obs::MetricGroup metrics_;
   obs::Histogram& hops_hist_;
-  std::uint32_t next_seq_ = 1;  // per-node, shared by data and floods
+  std::uint32_t next_data_seq_ = 1;
+  std::uint32_t next_flood_seq_ = 1;  // apart from data: no gaps in receivers' windows
   std::unordered_map<NodeId, DedupWindow> flood_seen_;  // by origin
 };
 

@@ -17,8 +17,6 @@ SubscriptionId EventChannel::subscribe_local(const std::string& type, EventHandl
   return SubscriptionId{token};
 }
 
-void EventChannel::unsubscribe_local(SubscriptionId id) { subs_.erase(id.value()); }
-
 void EventChannel::emit(const std::string& type, serialize::Value payload) {
   emitted_++;
   Event event;

@@ -36,7 +36,6 @@ class EventChannel {
   // --- local bus -----------------------------------------------------------
   // Subscribe to events emitted *on this node* (type == "" matches all).
   SubscriptionId subscribe_local(const std::string& type, EventHandler handler);
-  void unsubscribe_local(SubscriptionId id);
 
   // Emit an event: local subscribers see it synchronously, attached remote
   // listeners receive a pushed copy.

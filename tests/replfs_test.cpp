@@ -434,7 +434,12 @@ TEST(ReplfsUdp, CommitAndReadBackOverLoopback) {
     });
   }
   ReplfsConfig ccfg;
-  ccfg.retry_period = duration::millis(100);  // loopback: re-drive fast
+  // The client's re-drive ticker fires on its period whatever a write's
+  // age, and re-sends a prepare to a replica that has not voted yet. The
+  // prepare count asserted below must not depend on whether a tick lands
+  // in a vote phase on a slow host, and no replica here needs a re-drive
+  // (the prepares ride the reliable transport).
+  ccfg.retry_period = duration::seconds(2);
   Client client{r3.transport(), s3, servers, ccfg};
 
   const auto pump_until = [&](const std::function<bool()>& pred, Time budget) {
@@ -457,6 +462,10 @@ TEST(ReplfsUdp, CommitAndReadBackOverLoopback) {
   ASSERT_TRUE(pump_until([&] { return committed + failed == kWrites; },
                          duration::seconds(20)));
   ASSERT_EQ(failed, 0);
+  // Each replica reads a write's multicast blocks before its unicast
+  // prepare, so no write needs a vote-missing repair or a second prepare.
+  EXPECT_EQ(client.stats().blocks_repaired, 0u);
+  EXPECT_EQ(client.stats().prepares_sent, kWrites * servers.size());
 
   Server& srv1 = *r1.service<Server>("replfs");
   Server& srv2 = *r2.service<Server>("replfs");

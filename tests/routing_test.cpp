@@ -122,6 +122,122 @@ TEST(Flooding, UnicastStopsAtTarget) {
   EXPECT_EQ(beyond_got, 0);  // flood not forwarded past its unicast target
 }
 
+// Every node's router stats, summed.
+RouterStats grid_totals(WirelessGrid& grid) {
+  RouterStats t;
+  for (std::size_t i = 0; i < grid.nodes.size(); ++i) {
+    const RouterStats& s = grid.router(i).stats();
+    t.data_sent += s.data_sent;
+    t.data_forwarded += s.data_forwarded;
+    t.data_delivered += s.data_delivered;
+    t.control_packets += s.control_packets;
+    t.control_bytes += s.control_bytes;
+    t.drops += s.drops;
+  }
+  return t;
+}
+
+TEST(Flooding, OneHopSendIsOneDirectFrame) {
+  WirelessGrid grid{9};
+  grid.with_routers<FloodingRouter>();
+  std::vector<int> got(9, 0);
+  for (std::size_t i = 0; i < 9; ++i) {
+    grid.router(i).set_delivery_handler(Proto::kApp,
+                                        [&got, i](NodeId, const Bytes&) { got[i]++; });
+  }
+  const std::uint64_t frames = grid.world.stats().frames_sent;
+  ASSERT_TRUE(grid.router(0).send(grid.nodes[1], Proto::kApp, to_bytes("next door")).is_ok());
+  grid.sim.run_until(duration::seconds(1));
+  EXPECT_EQ(grid.world.stats().frames_sent, frames + 1);
+  const RouterStats t = grid_totals(grid);
+  EXPECT_EQ(t.data_sent, 1u);
+  EXPECT_EQ(t.data_forwarded, 0u);
+  EXPECT_EQ(t.drops, 0u);
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 0, 0, 0, 0, 0, 0, 0}));
+}
+
+TEST(Flooding, TwoHopSendStillFloods) {
+  WirelessGrid grid{9};
+  grid.with_routers<FloodingRouter>();
+  int target_got = 0;
+  grid.router(2).set_delivery_handler(Proto::kApp,
+                                      [&](NodeId, const Bytes&) { target_got++; });
+  ASSERT_TRUE(grid.router(0).send(grid.nodes[2], Proto::kApp, to_bytes("two hops")).is_ok());
+  grid.sim.run_until(duration::seconds(1));
+  EXPECT_EQ(target_got, 1);
+  const RouterStats t = grid_totals(grid);
+  EXPECT_EQ(t.data_sent, 1u);  // the refused direct attempt counts nothing
+  EXPECT_EQ(t.drops, 0u);
+  EXPECT_GT(t.data_forwarded, 0u);
+}
+
+// A restarted FloodingRouter numbers its floods from 1 again, and peers
+// still hold the old incarnation's numbers, so its floods read as seen.
+// A send to a one-hop peer is a direct data frame, which no flood window
+// filters: it arrives after the restart.
+TEST(Flooding, OneHopSendsSurviveARestart) {
+  WirelessGrid grid{4};  // 2x2: node 1 is one hop from node 0
+  grid.with_routers<FloodingRouter>();
+  int got = 0;
+  grid.router(1).set_delivery_handler(Proto::kApp, [&](NodeId, const Bytes&) { got++; });
+  const auto send_five = [&] {
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(grid.router(0).send(grid.nodes[1], Proto::kApp, to_bytes("x")).is_ok());
+    }
+  };
+  grid.sim.run_until(duration::seconds(3));
+  send_five();
+  grid.sim.run_until(duration::seconds(4));
+  ASSERT_EQ(got, 5);
+  grid.runtime(0).crash();
+  grid.sim.run_until(duration::seconds(5));
+  grid.runtime(0).restart();
+  grid.sim.run_until(duration::seconds(8));
+  send_five();
+  grid.sim.run_until(duration::seconds(9));
+  EXPECT_EQ(got, 10);
+}
+
+// Data frames and floods are numbered apart, so an origin that sends data
+// between its floods leaves no gap in any receiver's flood window: every
+// window drains back to its floor, for all four routers.
+TEST(Router, DataBetweenFloodsLeavesNoHeldFloodIds) {
+  const std::vector<std::pair<const char*, std::function<void(WirelessGrid&)>>> routers{
+      {"flooding", [](WirelessGrid& g) { g.with_routers<FloodingRouter>(); }},
+      {"distance vector",
+       [](WirelessGrid& g) { g.with_routers<DistanceVectorRouter>(duration::seconds(1)); }},
+      {"global",
+       [](WirelessGrid& g) {
+         g.with_routers<GlobalRouter>(
+             std::make_shared<GlobalRoutingTable>(g.world, Metric::kHopCount));
+       }},
+      {"geographic", [](WirelessGrid& g) { g.with_routers<GeoRouter>(duration::seconds(1)); }},
+  };
+  constexpr int kRounds = 10;
+  for (const auto& [name, install] : routers) {
+    SCOPED_TRACE(name);
+    WirelessGrid grid{9};
+    install(grid);
+    std::vector<int> floods(9, 0);
+    for (std::size_t i = 0; i < 9; ++i) {
+      grid.router(i).set_delivery_handler(Proto::kApp, [&floods, i](NodeId, const Bytes& b) {
+        if (to_string(b) == "flood") floods[i]++;
+      });
+    }
+    grid.sim.run_until(duration::seconds(3));  // beacons settle
+    for (int k = 0; k < kRounds; ++k) {
+      ASSERT_TRUE(grid.router(0).send(grid.nodes[1], Proto::kApp, to_bytes("near")).is_ok());
+      ASSERT_TRUE(grid.router(0).send(grid.nodes[8], Proto::kApp, to_bytes("far")).is_ok());
+      ASSERT_TRUE(grid.router(0).flood(Proto::kApp, to_bytes("flood")).is_ok());
+      grid.sim.run_until(grid.sim.now() + duration::millis(200));
+    }
+    for (std::size_t i = 1; i < 9; ++i) {
+      EXPECT_EQ(floods[i], kRounds) << "node " << i;
+      EXPECT_EQ(grid.router(i).flood_ids_held(grid.nodes[0]), 0u) << "node " << i;
+    }
+  }
+}
+
 struct DvGrid : WirelessGrid {
   explicit DvGrid(std::size_t n) : WirelessGrid(n) {
     with_routers<DistanceVectorRouter>(duration::seconds(1));
@@ -480,18 +596,7 @@ FloodRun flood_and_relay_run(const std::function<void(WirelessGrid&)>& install) 
   }};
   traffic.start();
   grid.sim.run_until(duration::seconds(8));
-  FloodRun run;
-  run.digest = grid.sim.digest();
-  for (std::size_t i = 0; i < n; ++i) {
-    const RouterStats& s = grid.router(i).stats();
-    run.totals.data_sent += s.data_sent;
-    run.totals.data_forwarded += s.data_forwarded;
-    run.totals.data_delivered += s.data_delivered;
-    run.totals.control_packets += s.control_packets;
-    run.totals.control_bytes += s.control_bytes;
-    run.totals.drops += s.drops;
-  }
-  return run;
+  return FloodRun{grid.sim.digest(), grid_totals(grid)};
 }
 
 void expect_pinned(const FloodRun& run, std::uint64_t digest, const RouterStats& totals) {

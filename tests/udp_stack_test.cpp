@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,9 @@
 #include "discovery/directory_server.hpp"
 #include "net/udp_wire.hpp"
 #include "node/runtime.hpp"
+#include "routing/flooding.hpp"
 #include "transport/ports.hpp"
+#include "transport/reliable.hpp"
 
 namespace ndsm {
 namespace {
@@ -115,6 +118,89 @@ TEST(UdpStackTest, BroadcastFallsBackToUnicastFanout) {
   c.set_frame_handler(net::Proto::kRouting, [&](const net::LinkFrame&) { c_got++; });
   ASSERT_TRUE(a.broadcast_frame(net::Proto::kRouting, to_bytes("beacon")).is_ok());
   ASSERT_TRUE(pump({&a, &b, &c}, [&] { return b_got == 1 && c_got == 1; }));
+}
+
+// port_base + node id must fit in 16 bits: a wrapped port is one nobody
+// can address (47000 + 18536 = 65536 would have bound port 0).
+TEST(UdpStackTest, ConstructorRejectsAPortPast65535) {
+  net::UdpStackConfig cfg;
+  cfg.port_base = 47000;
+  EXPECT_THROW(net::UdpStack(NodeId{18536}, cfg), std::invalid_argument);
+}
+
+// A destination whose port would pass 65535 is refused with no datagram
+// sent, on the unicast path and in the broadcast fan-out, instead of
+// wrapping onto a low port (here port 1, which a send would reach).
+TEST(UdpStackTest, SendsRefuseADestinationPortPast65535) {
+  const std::uint16_t base = next_port_base();
+  const NodeId beyond{65537u - base};
+  const std::vector<NodeId> ids{NodeId{1}, NodeId{2}};
+  net::UdpStack a{ids[0], fleet_config(base, ids)};
+  EXPECT_FALSE(a.send_frame(beyond, net::Proto::kApp, to_bytes("wrap")).is_ok());
+  EXPECT_EQ(a.stats().datagrams_sent, 0u);
+
+  net::UdpStackConfig cfg = fleet_config(base, {ids[0], ids[1], beyond});
+  cfg.multicast_group = "not-a-multicast-address";  // force the unicast fan-out
+  net::UdpStack c{NodeId{3}, cfg};
+  net::UdpStack b{ids[1], fleet_config(base, ids)};
+  int b_got = 0;
+  b.set_frame_handler(net::Proto::kApp, [&](const net::LinkFrame&) { b_got++; });
+  EXPECT_FALSE(c.broadcast_frame(net::Proto::kApp, to_bytes("fan-out")).is_ok());
+  EXPECT_EQ(c.stats().datagrams_sent, 2u);  // nodes 1 and 2, not the wrapped port
+  ASSERT_TRUE(pump({&b, &c}, [&] { return b_got == 1; }));
+}
+
+// One poll_once() reads the multicast socket before the unicast socket,
+// so a broadcast and a unicast sent after it by one sender are handled
+// in send order (ReplFS's blocks before its prepare).
+TEST(UdpStackTest, BroadcastIsReadBeforeALaterUnicast) {
+  const std::uint16_t base = next_port_base();
+  const std::vector<NodeId> ids{NodeId{1}, NodeId{2}};
+  net::UdpStack a{ids[0], fleet_config(base, ids)};
+  net::UdpStack b{ids[1], fleet_config(base, ids)};
+  if (!b.using_multicast()) GTEST_SKIP() << "no multicast: broadcasts share the unicast socket";
+
+  std::vector<std::string> order;
+  b.set_frame_handler(net::Proto::kApp,
+                      [&](const net::LinkFrame& f) { order.push_back(to_string(f.payload())); });
+  ASSERT_TRUE(a.broadcast_frame(net::Proto::kApp, to_bytes("broadcast")).is_ok());
+  ASSERT_TRUE(a.send_frame(ids[1], net::Proto::kApp, to_bytes("unicast")).is_ok());
+  timespec ts{0, 10 * 1000 * 1000};  // let both datagrams land
+  nanosleep(&ts, nullptr);
+  b.poll_once(duration::millis(1));
+  ASSERT_TRUE(pump({&b}, [&] { return order.size() == 2; }));
+  EXPECT_EQ(order, (std::vector<std::string>{"broadcast", "unicast"}));
+}
+
+// On one segment a FloodingRouter sends a routed frame as one unicast
+// datagram: a one-fragment reliable message costs the fragment and its
+// ack, and the third node relays nothing (a flood cost 4 datagrams: two
+// multicasts and a relay of each).
+TEST(UdpStackTest, OneReliableMessageIsTwoDatagrams) {
+  const std::uint16_t base = next_port_base();
+  const std::vector<NodeId> ids{NodeId{1}, NodeId{2}, NodeId{3}};
+  net::UdpStack s1{ids[0], fleet_config(base, ids)};
+  net::UdpStack s2{ids[1], fleet_config(base, ids)};
+  net::UdpStack s3{ids[2], fleet_config(base, ids)};
+  routing::FloodingRouter r1{s1}, r2{s2}, r3{s3};
+  transport::TransportConfig cfg;
+  cfg.initial_rto = duration::seconds(10);  // no retransmission on a slow host
+  transport::ReliableTransport t1{r1, cfg}, t2{r2, cfg}, t3{r3, cfg};
+
+  int delivered = 0;
+  bool acked = false;
+  t2.set_receiver(transport::ports::kApp, [&](NodeId, const Bytes&) { delivered++; });
+  ASSERT_TRUE(t1.send(ids[1], transport::ports::kApp, to_bytes("one fragment"),
+                      [&](Status s) { acked = s.is_ok(); })
+                  .is_ok());
+  ASSERT_TRUE(pump({&s1, &s2, &s3}, [&] { return acked && delivered == 1; }));
+  s3.run_for(duration::millis(20));  // anything node 3 would relay
+  EXPECT_EQ(s1.stats().datagrams_sent + s2.stats().datagrams_sent + s3.stats().datagrams_sent,
+            2u);
+  for (const routing::Router* r : {&r1, &r2, &r3}) {
+    EXPECT_EQ(r->stats().data_forwarded, 0u);
+  }
+  EXPECT_EQ(delivered, 1);
 }
 
 // Satellite regression (DESIGN §15): datagrams that are not NDSM wire —
