@@ -10,12 +10,16 @@
 //      ReliableTransport::on_frame unmodified through each of
 //      FloodingRouter's two receive paths — exactly what a hostile UDP
 //      datagram achieves on the real backend.
+// The receiver replies to every message it is handed, so the encoder of
+// the ack a reply carries runs on whatever hostile frame completed it.
 // Afterwards the clock advances through the retransmit/reassembly-GC
 // schedule (bounded) so timer paths run against whatever state the
 // injected frames created. Properties: no crash/assert/UB, every rejected
-// frame is visible in malformed_dropped (fail closed, counted), and a
-// relayed frame is exactly encode_routing() of what was received with
-// TTL - 1 and hops + 1.
+// frame is visible in malformed_dropped (fail closed, counted), a rejected
+// frame acts on nothing (a carried ack whose fragment part fails
+// validation acks nothing: the outbox and the open message's unacked
+// fragments stay as they were), and a relayed frame is exactly
+// encode_routing() of what was received with TTL - 1 and hops + 1.
 
 #include "fuzz_stack.hpp"
 #include "fuzz_target.hpp"
@@ -34,7 +38,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   transport::ReliableTransport tp{router, cfg};
 
   std::uint64_t delivered = 0;
-  tp.set_receiver(10, [&](NodeId, const Bytes& payload) { delivered += payload.size(); });
+  tp.set_receiver(10, [&](NodeId src, const Bytes& payload) {
+    delivered += payload.size();
+    (void)tp.send(src, 10, Bytes{0x72});
+  });
 
   // Open outbox state so injected bytes that happen to parse as acks have
   // something to ack (msg_id 1, two fragments, epoch FuzzStack::kEpoch).
@@ -44,9 +51,22 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   const Bytes input(data, data + size);
   const NodeId peer{2};
 
+  // Each injection reaches on_frame at most once; one the transport drops
+  // as malformed must leave its send state untouched.
+  const auto inject = [&](Bytes frame) {
+    const std::uint64_t malformed = tp.stats().malformed_dropped;
+    const std::size_t outbox = tp.outbox_size();
+    const std::size_t unacked = tp.unacked_fragments();
+    stack.inject(net::Proto::kRouting, peer, NodeId{1}, std::move(frame));
+    if (tp.stats().malformed_dropped != malformed) {
+      NDSM_FUZZ_CHECK(tp.outbox_size() == outbox);
+      NDSM_FUZZ_CHECK(tp.unacked_fragments() == unacked);
+    }
+  };
+
   // Path 1: hostile routing frame.
   const std::uint64_t forwarded = router.stats().data_forwarded;
-  stack.inject(net::Proto::kRouting, peer, NodeId{1}, input);
+  inject(input);
   if (router.stats().data_forwarded != forwarded) {
     routing::RoutingHeader expect;
     Bytes body;
@@ -66,10 +86,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   h.seq = 1;
   h.ttl = 4;
   h.upper = net::Proto::kTransport;
-  stack.inject(net::Proto::kRouting, peer, NodeId{1}, routing::encode_routing(h, input));
+  inject(routing::encode_routing(h, input));
   h.kind = routing::RoutingKind::kData;
   h.ttl = routing::Router::kDefaultTtl;
-  stack.inject(net::Proto::kRouting, peer, NodeId{1}, routing::encode_routing(h, input));
+  inject(routing::encode_routing(h, input));
 
   // Drive the retransmit chain and the reassembly GC over the state the
   // frames left behind.

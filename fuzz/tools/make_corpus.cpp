@@ -110,6 +110,47 @@ void transport_frame() {
     emit("transport_frame", "ack.bin", std::move(w).take());
   }
   {
+    // Reply fragment carrying the ack of msg 1 fragment 0 (sender epoch 7)
+    // ahead of an ordinary one-fragment message.
+    serialize::Writer w;
+    w.u8(3);  // kAckedFragment
+    w.varint(7);
+    w.varint(1);
+    w.varint(0);
+    w.varint(3);
+    w.varint(4);
+    w.u16(10);
+    w.varint(0);
+    w.varint(1);
+    w.bytes(str_bytes("reply"));
+    obs::encode_trace(w, ctx);
+    emit("transport_frame", "acked_fragment.bin", std::move(w).take());
+  }
+  {
+    serialize::Writer w;  // carried ack truncated after its msg id
+    w.u8(3);
+    w.varint(7);
+    w.varint(1);
+    emit("transport_frame", "acked_fragment_truncated_ack.bin", std::move(w).take());
+  }
+  {
+    // A well-formed ack of msg 1 fragment 0 on a fragment claiming 2^60
+    // total: the whole frame is dropped and the ack not applied.
+    serialize::Writer w;
+    w.u8(3);
+    w.varint(7);
+    w.varint(1);
+    w.varint(0);
+    w.varint(3);
+    w.varint(5);
+    w.u16(10);
+    w.varint(0);
+    w.varint(1ULL << 60);
+    w.bytes(str_bytes("overflow"));
+    obs::encode_trace(w, ctx);
+    emit("transport_frame", "acked_hostile_count.bin", std::move(w).take());
+  }
+  {
     serialize::Writer w;  // hostile count: one fragment claiming 2^60 total
     w.u8(1);
     w.varint(7);

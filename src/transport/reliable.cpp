@@ -4,7 +4,9 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "common/audit.hpp"
 #include "common/log.hpp"
 #include "obs/trace.hpp"
 #include "serialize/codec.hpp"
@@ -29,6 +31,7 @@ obs::Histogram& ReliableTransport::register_metrics() {
   metrics_.counter("transport.reliable.fragments_sent", &stats_.fragments_sent);
   metrics_.counter("transport.reliable.retransmissions", &stats_.retransmissions);
   metrics_.counter("transport.reliable.acks_sent", &stats_.acks_sent);
+  metrics_.counter("transport.reliable.acks_piggybacked", &stats_.acks_piggybacked);
   metrics_.counter("transport.reliable.duplicates_dropped", &stats_.duplicates_dropped);
   metrics_.counter("transport.reliable.malformed_dropped", &stats_.malformed_dropped);
   metrics_.counter("transport.reliable.stale_epoch_dropped", &stats_.stale_epoch_dropped);
@@ -36,10 +39,15 @@ obs::Histogram& ReliableTransport::register_metrics() {
   metrics_.counter("transport.reliable.payload_bytes_sent", &stats_.payload_bytes_sent);
   metrics_.counter("transport.reliable.payload_bytes_delivered",
                    &stats_.payload_bytes_delivered);
+  // A message whose last ack rides on the peer's reply completes when the
+  // reply arrives, so on a real clock (UDP) the RTT includes the peer's
+  // handler time.
   return metrics_.histogram("transport.reliable.rtt_ms", obs::latency_ms_bounds());
 }
 
 ReliableTransport::~ReliableTransport() {
+  NDSM_INVARIANT(frame_depth_ == 0,
+                 "ReliableTransport destroyed inside its own delivery up-call");
   router_.clear_delivery_handler(routing::Proto::kTransport);
   for (auto& [id, msg] : outbox_) {
     if (msg.timer.valid()) router_.stack().cancel(msg.timer);
@@ -130,7 +138,17 @@ void ReliableTransport::transmit_fragments(std::uint64_t msg_id, OutMessage& msg
     const std::size_t begin = i * config_.max_fragment_bytes;
     const std::size_t end = std::min(msg.payload.size(), begin + config_.max_fragment_bytes);
     serialize::Writer w;
-    w.u8(static_cast<std::uint8_t>(FrameKind::kFragment));
+    if (!only_unacked && i == 0 && held_ack_.peer == msg.dst) {
+      // The ack held for this peer's message rides on the reply.
+      w.u8(static_cast<std::uint8_t>(FrameKind::kAckedFragment));
+      w.varint(held_ack_.ack.epoch);
+      w.varint(held_ack_.ack.msg_id);
+      w.varint(held_ack_.ack.index);
+      held_ack_.peer = NodeId::invalid();
+      stats_.acks_piggybacked++;
+    } else {
+      w.u8(static_cast<std::uint8_t>(FrameKind::kFragment));
+    }
     w.varint(epoch_);
     w.varint(msg_id);
     w.u16(msg.port);
@@ -220,23 +238,84 @@ void ReliableTransport::on_frame(NodeId src, const Bytes& frame) {
   // Untrusted-byte boundary (DESIGN §15): on the UDP backend these bytes
   // come straight off a socket. Every malformed shape fails closed into
   // stats_.malformed_dropped; nothing in here may assert on wire content.
+  // A frame is validated whole before either of its parts is acted on.
   serialize::Reader r{frame};
   const auto kind = r.u8();
-  if (!kind) {
+  std::optional<AckRef> ack;
+  std::optional<Fragment> fragment;
+  bool valid = kind.has_value();
+  if (valid) {
+    switch (static_cast<FrameKind>(*kind)) {
+      case FrameKind::kFragment:
+        fragment = read_fragment(r);
+        valid = fragment.has_value();
+        break;
+      case FrameKind::kAck:
+        ack = read_ack(r);
+        valid = ack.has_value();
+        break;
+      case FrameKind::kAckedFragment:
+        ack = read_ack(r);
+        if (ack) fragment = read_fragment(r);
+        valid = fragment && !count_conflicts(src, *fragment);
+        break;
+      default:
+        valid = false;
+        break;
+    }
+  }
+  if (!valid) {
     stats_.malformed_dropped++;
     return;
   }
-  switch (static_cast<FrameKind>(*kind)) {
-    case FrameKind::kFragment:
-      on_fragment(src, r);
-      break;
-    case FrameKind::kAck:
-      on_ack(src, r);
-      break;
-    default:
-      stats_.malformed_dropped++;
-      break;
+  const obs::TraceContext ctx = obs::decode_trace(r);
+  if (!fragment) {
+    if (ack) on_ack(src, *ack, ctx);  // a standalone ack
+    return;
   }
+  // A carried ack is applied first, as if it had arrived as its own frame
+  // ahead of the fragment. Its completion callback may run here, so
+  // on_fragment looks all state up afresh.
+  frame_depth_++;
+  if (ack) on_ack(src, *ack, ctx);
+  on_fragment(src, *fragment, ctx);
+  frame_depth_--;
+}
+
+std::optional<ReliableTransport::AckRef> ReliableTransport::read_ack(serialize::Reader& r) {
+  const auto epoch = r.varint();
+  const auto msg_id = r.varint();
+  const auto index = r.varint();
+  if (!epoch || !msg_id || !index) return std::nullopt;
+  return AckRef{*epoch, *msg_id, *index};
+}
+
+std::optional<ReliableTransport::Fragment> ReliableTransport::read_fragment(
+    serialize::Reader& r) const {
+  const auto epoch = r.varint();
+  const auto msg_id = r.varint();
+  const auto port = r.u16();
+  const auto index = r.varint();
+  const auto count = r.varint();
+  const auto data = r.bytes_view();
+  // Truncated fields, a zero/oversized count, or an out-of-range index.
+  // The count bound is what keeps the resize() sizing the reassembly
+  // buffers honest.
+  if (!epoch || !msg_id || !port || !index || !count || !data || *count == 0 ||
+      *index >= *count || *count > config_.max_fragments_per_message) {
+    return std::nullopt;
+  }
+  return Fragment{AckRef{*epoch, *msg_id, *index}, *port, *count, *data};
+}
+
+bool ReliableTransport::count_conflicts(NodeId src, const Fragment& f) const {
+  const auto window = completed_.find(src);
+  if (window == completed_.end() || window->second.epoch != f.id.epoch ||
+      window->second.ids.contains(f.id.msg_id)) {
+    return false;  // no partial this fragment could join
+  }
+  const auto it = inbox_.find({src, f.id.msg_id});
+  return it != inbox_.end() && it->second.fragments.size() != f.count;
 }
 
 void ReliableTransport::purge_inbox(NodeId src) {
@@ -247,27 +326,26 @@ void ReliableTransport::purge_inbox(NodeId src) {
   }
 }
 
-void ReliableTransport::on_fragment(NodeId src, serialize::Reader& r) {
-  const auto epoch = r.varint();
-  const auto msg_id = r.varint();
-  const auto port = r.u16();
-  const auto index = r.varint();
-  const auto count = r.varint();
-  auto data = r.bytes();
-  if (!epoch || !msg_id || !port || !index || !count || !data || *count == 0 ||
-      *index >= *count || *count > config_.max_fragments_per_message) {
-    // Truncated fields, a zero/oversized count, or an out-of-range index:
-    // drop before any state (or the ack below) is touched. The count bound
-    // is what keeps the resize() sizing the reassembly buffers honest.
-    stats_.malformed_dropped++;
-    return;
-  }
-  const obs::TraceContext ctx = obs::decode_trace(r);
+void ReliableTransport::send_ack(NodeId dst, const AckRef& ack, const obs::TraceContext& ctx) {
+  // The ack echoes the fragment's context so the sender's on_ack can
+  // attribute it.
+  serialize::Writer w;
+  w.u8(static_cast<std::uint8_t>(FrameKind::kAck));
+  w.varint(ack.epoch);
+  w.varint(ack.msg_id);
+  w.varint(ack.index);
+  obs::encode_trace(w, ctx);
+  stats_.acks_sent++;
+  const obs::ScopedTrace scope(ctx);
+  router_.send(dst, routing::Proto::kTransport, std::move(w).take());
+}
 
+void ReliableTransport::on_fragment(NodeId src, const Fragment& f, const obs::TraceContext& ctx) {
+  const std::uint64_t msg_id = f.id.msg_id;
   auto& window =
       completed_.try_emplace(src, CompletedWindow{0, DedupWindow{config_.dedup_window}})
           .first->second;
-  if (*epoch < window.epoch) {
+  if (f.id.epoch < window.epoch) {
     // Delayed frame from a pre-restart incarnation of the peer; its msg-id
     // space has been reused, so it must not touch current state (and the
     // sender it came from is gone, so no ack either).
@@ -277,61 +355,63 @@ void ReliableTransport::on_fragment(NodeId src, serialize::Reader& r) {
             "transport", "stale_epoch_drop", static_cast<std::int64_t>(self().value()),
             ctx.trace_id, ctx.span_id, ctx.span_id, 3)) {
       ev->set_kv(0, "src", src.value());
-      ev->set_kv(1, "frame_epoch", *epoch);
+      ev->set_kv(1, "frame_epoch", f.id.epoch);
       ev->set_kv(2, "current_epoch", window.epoch);
     }
     return;
   }
-  if (*epoch > window.epoch) {
+  if (f.id.epoch > window.epoch) {
     // The peer restarted: fresh id sequence, fresh dedup state, and any
     // half-reassembled messages from the old incarnation are garbage.
-    window = CompletedWindow{*epoch, DedupWindow{config_.dedup_window}};
+    window = CompletedWindow{f.id.epoch, DedupWindow{config_.dedup_window}};
     purge_inbox(src);
   }
 
-  // Always ack, even for duplicates (the ack may have been lost). The ack
-  // echoes the fragment's context so the sender's on_ack can attribute it.
-  serialize::Writer ack;
-  ack.u8(static_cast<std::uint8_t>(FrameKind::kAck));
-  ack.varint(*epoch);
-  ack.varint(*msg_id);
-  ack.varint(*index);
-  obs::encode_trace(ack, ctx);
-  stats_.acks_sent++;
-  {
-    const obs::ScopedTrace scope(ctx);
-    router_.send(src, routing::Proto::kTransport, std::move(ack).take());
-  }
-
-  if (window.ids.contains(*msg_id)) {
+  // Every valid fragment is acked, duplicates too (the ack may have been
+  // lost); only the ack of a fragment that completes its message waits
+  // for the receiver (deliver()).
+  if (window.ids.contains(msg_id)) {
     stats_.duplicates_dropped++;
+    send_ack(src, f.id, ctx);
     return;
   }
-  auto& in = inbox_[{src, *msg_id}];
-  if (in.fragments.empty()) {
-    in.fragments.resize(*count);  // bounded by max_fragments_per_message above
-    in.have.assign(*count, false);
-    in.port = *port;
+  auto it = inbox_.find({src, msg_id});
+  if (it == inbox_.end()) {
+    if (f.count == 1) {
+      // The whole message: no reassembly entry, no GC timer.
+      window.ids.insert(msg_id);
+      deliver(src, f.port, Bytes(f.data.begin(), f.data.end()), f.id, ctx);
+      return;
+    }
+    it = inbox_.try_emplace({src, msg_id}).first;
+    InMessage& in = it->second;
+    in.fragments.resize(f.count);  // bounded by max_fragments_per_message
+    in.have.assign(f.count, false);
+    in.port = f.port;
     // Arm the reassembly GC: if the sender gives up (retries exhausted)
     // with this message half-received, the state must not leak.
-    const std::uint64_t id = *msg_id;
     in.gc = router_.stack().schedule_after(
         config_.reassembly_timeout,
-        [this, src, id] { on_reassembly_timeout(src, id); });
-  }
-  if (*count != in.fragments.size()) {  // count changed mid-message: hostile or bug
+        [this, src, msg_id] { on_reassembly_timeout(src, msg_id); });
+  } else if (f.count != it->second.fragments.size()) {
+    // Count changed mid-message: hostile or a bug. Dropped unacked.
     stats_.malformed_dropped++;
     return;
   }
+  InMessage& in = it->second;
   in.last_fragment_at = router_.stack().now();
-  if (in.have[*index]) {
+  if (in.have[f.id.index]) {
     stats_.duplicates_dropped++;
+    send_ack(src, f.id, ctx);
     return;
   }
-  in.have[*index] = true;
-  in.fragments[*index] = std::move(*data);
+  in.have[f.id.index] = true;
+  in.fragments[f.id.index].assign(f.data.begin(), f.data.end());
   in.received++;
-  if (in.received < in.fragments.size()) return;
+  if (in.received < in.fragments.size()) {
+    send_ack(src, f.id, ctx);
+    return;
+  }
 
   // Assemble and deliver.
   Bytes payload;
@@ -340,8 +420,13 @@ void ReliableTransport::on_fragment(NodeId src, serialize::Reader& r) {
   }
   const Port dst_port = in.port;
   if (in.gc.valid()) router_.stack().cancel(in.gc);
-  inbox_.erase({src, *msg_id});
-  window.ids.insert(*msg_id);
+  inbox_.erase(it);
+  window.ids.insert(msg_id);
+  deliver(src, dst_port, payload, f.id, ctx);
+}
+
+void ReliableTransport::deliver(NodeId src, Port port, const Bytes& payload, const AckRef& ack,
+                                const obs::TraceContext& ctx) {
   stats_.messages_delivered++;
   stats_.payload_bytes_delivered += payload.size();
   // Delivery gets its own span id (drawn unconditionally) so work done in
@@ -355,9 +440,20 @@ void ReliableTransport::on_fragment(NodeId src, serialize::Reader& r) {
                                           static_cast<std::int64_t>(self().value()),
                                           ctx.trace_id, deliver_ctx.span_id, ctx.span_id);
   }
-  const obs::ScopedTrace scope(deliver_ctx);
-  const auto it = receivers_.find(dst_port);
-  if (it != receivers_.end()) it->second(src, payload);
+  const auto it = receivers_.find(port);
+  if (it == receivers_.end()) {
+    send_ack(src, ack, ctx);
+    return;
+  }
+  // Hold the ack while the receiver runs (transmit_fragments may carry
+  // it). A delivery nested in this up-call holds its own and restores ours.
+  const HeldAck outer = std::exchange(held_ack_, HeldAck{src, ack, ctx});
+  {
+    const obs::ScopedTrace scope(deliver_ctx);
+    it->second(src, payload);
+  }
+  const HeldAck left = std::exchange(held_ack_, outer);
+  if (left.peer.valid()) send_ack(left.peer, left.ack, left.trace);
 }
 
 void ReliableTransport::on_reassembly_timeout(NodeId src, std::uint64_t msg_id) {
@@ -378,16 +474,8 @@ void ReliableTransport::on_reassembly_timeout(NodeId src, std::uint64_t msg_id) 
   inbox_.erase(it);
 }
 
-void ReliableTransport::on_ack(NodeId src, serialize::Reader& r) {
-  const auto epoch = r.varint();
-  const auto msg_id = r.varint();
-  const auto index = r.varint();
-  if (!epoch || !msg_id || !index) {
-    stats_.malformed_dropped++;
-    return;
-  }
-  const obs::TraceContext ctx = obs::decode_trace(r);
-  if (*epoch != epoch_) {
+void ReliableTransport::on_ack(NodeId src, const AckRef& ack, const obs::TraceContext& ctx) {
+  if (ack.epoch != epoch_) {
     // An ack echoing another incarnation's epoch (delayed from before our
     // restart); our id space restarted, so it must not ack anything now.
     stats_.stale_epoch_dropped++;
@@ -395,17 +483,17 @@ void ReliableTransport::on_ack(NodeId src, serialize::Reader& r) {
             "transport", "stale_epoch_drop", static_cast<std::int64_t>(self().value()),
             ctx.trace_id, ctx.span_id, ctx.span_id, 3)) {
       ev->set_kv(0, "src", src.value());
-      ev->set_kv(1, "ack_epoch", *epoch);
+      ev->set_kv(1, "ack_epoch", ack.epoch);
       ev->set_kv(2, "current_epoch", epoch_);
     }
     return;
   }
-  const auto it = outbox_.find(*msg_id);
+  const auto it = outbox_.find(ack.msg_id);
   if (it == outbox_.end()) return;
   OutMessage& msg = it->second;
-  if (*index >= msg.acked.size() || msg.acked[*index]) return;
-  msg.acked[*index] = true;
-  if (--msg.unacked == 0) finish(*msg_id, Status::ok());
+  if (ack.index >= msg.acked.size() || msg.acked[ack.index]) return;
+  msg.acked[ack.index] = true;
+  if (--msg.unacked == 0) finish(ack.msg_id, Status::ok());
 }
 
 }  // namespace ndsm::transport

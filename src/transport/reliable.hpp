@@ -22,9 +22,34 @@
 // restarted, restarting its id sequence — resets the peer's window;
 // frames and acks from older epochs are dropped, so a delayed pre-crash
 // ack can never acknowledge a post-restart message.
+//
+// Acks ride on replies: every fragment is acked, but the ack of the
+// fragment that completes a message is held while that message's
+// receiver runs. The first fragment of the first new message the receiver
+// sends back to the same peer during that up-call carries it (a
+// kAckedFragment frame: the ack's epoch, msg id and index ahead of an
+// ordinary fragment), so a request answered inside its up-call costs one
+// frame each way. If the up-call sends the peer nothing, the ack leaves on
+// its own when the up-call returns, at the same instant: there is no ack
+// delay, timer or option, and one-way traffic puts the same bytes on the
+// wire as a transport without carried acks. Duplicates and fragments that
+// leave their message incomplete are acked at once, and retransmissions
+// never carry an ack.
+//
+// A one-fragment message is delivered straight from its frame: it takes
+// no reassembly entry and arms no reassembly GC timer. Multi-fragment
+// messages reassemble under the GC described at
+// TransportConfig::reassembly_timeout.
+//
+// The transport must not be destroyed while it handles a frame, that is
+// inside a receiver up-call or a completion callback run for an ack a
+// fragment carried: the held ack and the fragment are still to be handled
+// when those return. The destructor checks this (NDSM_INVARIANT).
 
 #include <functional>
 #include <map>
+#include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "common/dedup_window.hpp"
@@ -62,7 +87,8 @@ struct TransportStats {
   std::uint64_t messages_failed = 0;
   std::uint64_t fragments_sent = 0;
   std::uint64_t retransmissions = 0;
-  std::uint64_t acks_sent = 0;
+  std::uint64_t acks_sent = 0;         // standalone ack frames put on the wire
+  std::uint64_t acks_piggybacked = 0;  // acks carried on a reply's first fragment
   std::uint64_t duplicates_dropped = 0;
   // Frames that failed wire validation: truncated/corrupt fields, unknown
   // frame kinds, zero or oversized fragment counts, inconsistent counts
@@ -116,9 +142,41 @@ class ReliableTransport {
   // drain to zero after retries exhaust).
   [[nodiscard]] std::size_t outbox_size() const { return outbox_.size(); }
   [[nodiscard]] std::size_t reassembly_count() const { return inbox_.size(); }
+  // Fragments of in-flight messages that no ack has covered yet.
+  [[nodiscard]] std::size_t unacked_fragments() const {
+    std::size_t n = 0;
+    for (const auto& [id, msg] : outbox_) n += msg.unacked;
+    return n;
+  }
 
  private:
-  enum class FrameKind : std::uint8_t { kFragment = 1, kAck = 2 };
+  // kAckedFragment is an ack (epoch, msg id, index) followed by a
+  // kFragment body; the fragment's trace trailer serves both.
+  enum class FrameKind : std::uint8_t { kFragment = 1, kAck = 2, kAckedFragment = 3 };
+
+  // One fragment's acknowledgement: the epoch of the incarnation that sent
+  // the fragment, its message id and its index.
+  struct AckRef {
+    std::uint64_t epoch = 0;
+    std::uint64_t msg_id = 0;
+    std::uint64_t index = 0;
+  };
+
+  // A fragment's wire fields; `data` aliases the received frame.
+  struct Fragment {
+    AckRef id;  // epoch, msg id, index: what its ack echoes
+    Port port = 0;
+    std::uint64_t count = 0;
+    std::span<const std::uint8_t> data;
+  };
+
+  // The ack held while a receiver runs (see the header comment); `peer` is
+  // invalid when none is held.
+  struct HeldAck {
+    NodeId peer;
+    AckRef ack;
+    obs::TraceContext trace;
+  };
 
   struct OutMessage {
     NodeId dst;
@@ -147,8 +205,18 @@ class ReliableTransport {
   };
 
   void on_frame(NodeId src, const Bytes& frame);
-  void on_fragment(NodeId src, serialize::Reader& r);
-  void on_ack(NodeId src, serialize::Reader& r);
+  [[nodiscard]] static std::optional<AckRef> read_ack(serialize::Reader& r);
+  [[nodiscard]] std::optional<Fragment> read_fragment(serialize::Reader& r) const;
+  // True when `f` would join a partial message of the current incarnation
+  // that declared another fragment count.
+  [[nodiscard]] bool count_conflicts(NodeId src, const Fragment& f) const;
+  void on_fragment(NodeId src, const Fragment& f, const obs::TraceContext& ctx);
+  void on_ack(NodeId src, const AckRef& ack, const obs::TraceContext& ctx);
+  void send_ack(NodeId dst, const AckRef& ack, const obs::TraceContext& ctx);
+  // Hands a complete message to its receiver, holding `ack` for the
+  // receiver's first message back to `src`.
+  void deliver(NodeId src, Port port, const Bytes& payload, const AckRef& ack,
+               const obs::TraceContext& ctx);
   // Drop all reassembly state for `src` (stale partials from an older
   // sender incarnation whose msg ids may collide with the new one's).
   void purge_inbox(NodeId src);
@@ -189,6 +257,10 @@ class ReliableTransport {
   };
   std::unordered_map<NodeId, CompletedWindow> completed_;
   std::unordered_map<Port, Receiver> receivers_;
+  HeldAck held_ack_;
+  // Fragment frames being handled right now (more than one when an
+  // up-call pumps the stack); must be zero at destruction.
+  int frame_depth_ = 0;
 };
 
 }  // namespace ndsm::transport

@@ -424,6 +424,9 @@ TEST(ReplfsUdp, CommitAndReadBackOverLoopback) {
   net::UdpStack s3{NodeId{3}, ncfg};
   node::StackConfig scfg;
   scfg.router = node::RouterPolicy::kFlooding;
+  // No retransmission on a slow host: the datagram totals below count the
+  // message flow alone.
+  scfg.transport.initial_rto = duration::seconds(10);
   node::Runtime r1{s1, scfg};
   node::Runtime r2{s2, scfg};
   node::Runtime r3{s3, scfg};
@@ -452,6 +455,10 @@ TEST(ReplfsUdp, CommitAndReadBackOverLoopback) {
     return pred();
   };
 
+  const auto datagrams = [&] {
+    return s1.stats().datagrams_sent + s2.stats().datagrams_sent + s3.stats().datagrams_sent;
+  };
+
   constexpr int kWrites = 4;
   int committed = 0, failed = 0;
   for (int i = 0; i < kWrites; ++i) {
@@ -467,6 +474,22 @@ TEST(ReplfsUdp, CommitAndReadBackOverLoopback) {
   EXPECT_EQ(client.stats().blocks_repaired, 0u);
   EXPECT_EQ(client.stats().prepares_sent, kWrites * servers.size());
 
+  // Datagrams per write, 2 replicas, every message one fragment:
+  //   - 512-byte blocks (1, 2, 4 and 5 of them): one multicast each, or a
+  //     unicast to each peer without multicast;
+  //   - 2 prepares, 2 votes carrying the prepares' acks, 1 standalone ack
+  //     of the first vote, 2 commits (one carries the last vote's ack),
+  //     2 commit-acks carrying the commits' acks, 1 standalone ack of the
+  //     first commit-ack;
+  //   - the last commit-ack's ack rides on the next write's prepare, which
+  //     the completion issues from inside the up-call; after the last
+  //     write it goes standalone.
+  const std::uint64_t blocks = 1 + 2 + 4 + 5;
+  ASSERT_EQ(client.stats().blocks_multicast, blocks);
+  const std::uint64_t per_block = s3.using_multicast() ? 1 : everyone.size() - 1;
+  EXPECT_EQ(datagrams(), blocks * per_block + kWrites * 10 + 1);
+  EXPECT_EQ(client.stats().retry_rounds, 0u);
+
   Server& srv1 = *r1.service<Server>("replfs");
   Server& srv2 = *r2.service<Server>("replfs");
   EXPECT_EQ(srv1.store().size(), static_cast<std::size_t>(kWrites));
@@ -481,6 +504,10 @@ TEST(ReplfsUdp, CommitAndReadBackOverLoopback) {
     });
   }
   ASSERT_TRUE(pump_until([&] { return verified == 2; }, duration::seconds(10)));
+  // Per read: the request; the 2,305-byte response in 25 fragments of 96
+  // bytes, the first carrying the request's ack; 25 standalone acks (the
+  // reader sends nothing back).
+  EXPECT_EQ(datagrams(), blocks * per_block + kWrites * 10 + 1 + 2 * (1 + 25 + 25));
 }
 
 }  // namespace

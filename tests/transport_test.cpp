@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "fuzz_stack.hpp"
 #include "net/faults.hpp"
+#include "routing/flooding.hpp"
 #include "test_helpers.hpp"
 #include "transport/reliable.hpp"
 
@@ -190,6 +194,45 @@ TEST(Transport, MalformedFramesCountedAndDropped) {
   ASSERT_TRUE(lan.transport(0).send(lan.nodes[1], ports::kApp, to_bytes("alive")).is_ok());
   lan.sim.run_until(duration::seconds(2));
   EXPECT_EQ(to_string(got), "alive");
+}
+
+// Satellite regression: a fragment that declares another count than the
+// message it joins is malformed, and like every malformed frame it is
+// dropped before anything is acked. It used to be acked first, telling the
+// sender that a fragment had landed which the receiver then threw away.
+TEST(Transport, FragmentWithAConflictingCountIsDroppedUnacked) {
+  Lan lan{2};
+  int delivered = 0;
+  lan.transport(1).set_receiver(ports::kApp, [&](NodeId, const Bytes&) { delivered++; });
+  const auto inject = [&](std::uint64_t index, std::uint64_t count) {
+    serialize::Writer w;
+    w.u8(1);  // kFragment
+    w.varint(lan.transport(0).trace_ids().epoch());
+    w.varint(5);  // msg id
+    w.u16(ports::kApp);
+    w.varint(index);
+    w.varint(count);
+    w.bytes(to_bytes("part"));
+    obs::encode_trace(w, obs::TraceContext{});
+    ASSERT_TRUE(lan.router(0)
+                    .send(lan.nodes[1], net::Proto::kTransport, std::move(w).take())
+                    .is_ok());
+    lan.sim.run_until(lan.sim.now() + duration::millis(10));
+  };
+  inject(0, 2);  // opens a two-fragment message
+  const TransportStats before = lan.transport(1).stats();
+  ASSERT_EQ(before.acks_sent, 1u);
+  ASSERT_EQ(lan.transport(1).reassembly_count(), 1u);
+  inject(1, 3);  // claims a third fragment
+  inject(0, 1);  // claims the id for a one-fragment message
+  const TransportStats& after = lan.transport(1).stats();
+  EXPECT_EQ(after.malformed_dropped, before.malformed_dropped + 2);
+  EXPECT_EQ(after.acks_sent, before.acks_sent);
+  EXPECT_EQ(after.acks_piggybacked, before.acks_piggybacked);
+  EXPECT_EQ(delivered, 0);
+  inject(1, 2);  // the real second fragment still completes the message
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(lan.transport(1).reassembly_count(), 0u);
 }
 
 TEST(Transport, FailureReportedWhenPeerDead) {
@@ -461,6 +504,248 @@ TEST(Transport, SenderRestartReusedMessageIdsAreNotDuplicates) {
 
   EXPECT_EQ(got, (std::vector<std::string>{"pre-crash", "post-restart"}));
   EXPECT_EQ(lan.transport(1).stats().duplicates_dropped, 0u);
+}
+
+// --- acks carried on replies ----------------------------------------------
+
+// A receiver that answers inside its up-call: the reply's first fragment
+// carries the request's ack, so the exchange is three frames (request,
+// reply with the ack, the reply's own ack). Separate acks made it four.
+TEST(Transport, ReplyInsideTheUpCallCarriesTheAck) {
+  Lan lan{2};
+  Status request_status{ErrorCode::kInternal, "never set"};
+  Status reply_status{ErrorCode::kInternal, "never set"};
+  std::string got;
+  lan.transport(1).set_receiver(ports::kApp, [&](NodeId src, const Bytes&) {
+    ASSERT_TRUE(lan.transport(1)
+                    .send(src, ports::kApp, to_bytes("pong"),
+                          [&](Status s) { reply_status = s; })
+                    .is_ok());
+  });
+  lan.transport(0).set_receiver(ports::kApp,
+                                [&](NodeId, const Bytes& b) { got = to_string(b); });
+  ASSERT_TRUE(lan.transport(0)
+                  .send(lan.nodes[1], ports::kApp, to_bytes("ping"),
+                        [&](Status s) { request_status = s; })
+                  .is_ok());
+  lan.sim.run_until(duration::seconds(1));
+
+  EXPECT_EQ(got, "pong");
+  EXPECT_TRUE(request_status.is_ok());
+  EXPECT_TRUE(reply_status.is_ok());
+  EXPECT_EQ(lan.world.stats().frames_sent, 3u);
+  EXPECT_EQ(lan.transport(1).stats().acks_piggybacked, 1u);
+  EXPECT_EQ(lan.transport(1).stats().acks_sent, 0u);
+  EXPECT_EQ(lan.transport(0).stats().acks_piggybacked, 0u);
+  EXPECT_EQ(lan.transport(0).stats().acks_sent, 1u);  // the reply's
+}
+
+// Without a message back to the sender inside the up-call the ack leaves
+// on its own: a receiver that stays silent, and one that passes the
+// message on to a third node, each cost their request one standalone ack.
+TEST(Transport, AckStaysStandaloneWithoutAReplyToTheSender) {
+  Lan lan{3};
+  int passed_on = 0;
+  lan.transport(1).set_receiver(ports::kApp, [](NodeId, const Bytes&) {});
+  lan.transport(1).set_receiver(ports::kRpc, [&](NodeId, const Bytes& b) {
+    ASSERT_TRUE(lan.transport(1).send(lan.nodes[2], ports::kApp, b).is_ok());
+  });
+  lan.transport(2).set_receiver(ports::kApp, [&](NodeId, const Bytes&) { passed_on++; });
+  int acked = 0;
+  const auto count_ok = [&](Status s) { acked += s.is_ok() ? 1 : 0; };
+  ASSERT_TRUE(
+      lan.transport(0).send(lan.nodes[1], ports::kApp, to_bytes("silent"), count_ok).is_ok());
+  ASSERT_TRUE(
+      lan.transport(0).send(lan.nodes[1], ports::kRpc, to_bytes("onward"), count_ok).is_ok());
+  lan.sim.run_until(duration::seconds(1));
+
+  EXPECT_EQ(acked, 2);
+  EXPECT_EQ(passed_on, 1);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(lan.transport(i).stats().acks_piggybacked, 0u) << "node " << i;
+  }
+  EXPECT_EQ(lan.transport(1).stats().acks_sent, 2u);
+  EXPECT_EQ(lan.transport(2).stats().acks_sent, 1u);
+  // Two requests and their acks, the onward message and its ack.
+  EXPECT_EQ(lan.world.stats().frames_sent, 6u);
+}
+
+// Drops the first frame from `src` to `dst`, and nothing else.
+struct DropFirstFrame final : net::FaultInjector {
+  DropFirstFrame(NodeId from, NodeId to) : src(from), dst(to) {}
+  net::FaultDecision on_frame(NodeId from, NodeId to, MediumId, std::size_t) override {
+    net::FaultDecision decision;
+    if (!dropped && from == src && to == dst) {
+      decision.drop = true;
+      dropped = true;
+    }
+    return decision;
+  }
+  NodeId src;
+  NodeId dst;
+  bool dropped = false;
+};
+
+// The one frame that carries both the reply and the request's ack is lost.
+// The request is retransmitted and acked on its own as a duplicate, the
+// reply is retransmitted without the ack, and each side still delivers
+// exactly once.
+TEST(Transport, LostReplyCarryingTheAckIsRepairedByRetransmission) {
+  Lan lan{2};
+  DropFirstFrame drop{lan.nodes[1], lan.nodes[0]};
+  lan.world.set_fault_injector(&drop);
+  int requests = 0;
+  int replies = 0;
+  Status request_status{ErrorCode::kInternal, "never set"};
+  Status reply_status{ErrorCode::kInternal, "never set"};
+  lan.transport(1).set_receiver(ports::kApp, [&](NodeId src, const Bytes&) {
+    requests++;
+    ASSERT_TRUE(lan.transport(1)
+                    .send(src, ports::kApp, to_bytes("pong"),
+                          [&](Status s) { reply_status = s; })
+                    .is_ok());
+  });
+  lan.transport(0).set_receiver(ports::kApp, [&](NodeId, const Bytes&) { replies++; });
+  ASSERT_TRUE(lan.transport(0)
+                  .send(lan.nodes[1], ports::kApp, to_bytes("ping"),
+                        [&](Status s) { request_status = s; })
+                  .is_ok());
+  lan.sim.run_until(duration::seconds(5));
+  lan.world.set_fault_injector(nullptr);
+
+  EXPECT_TRUE(drop.dropped);
+  EXPECT_EQ(requests, 1);
+  EXPECT_EQ(replies, 1);
+  EXPECT_TRUE(request_status.is_ok());
+  EXPECT_TRUE(reply_status.is_ok());
+  const TransportStats& replier = lan.transport(1).stats();
+  EXPECT_EQ(replier.acks_piggybacked, 1u);    // on the lost frame
+  EXPECT_EQ(replier.duplicates_dropped, 1u);  // the retransmitted request...
+  EXPECT_EQ(replier.acks_sent, 1u);           // ...acked on its own
+  EXPECT_EQ(replier.retransmissions, 1u);     // the reply, now a plain fragment
+  EXPECT_EQ(lan.transport(0).stats().retransmissions, 1u);
+  EXPECT_EQ(lan.transport(0).stats().acks_sent, 1u);  // the reply's
+}
+
+// A carried ack that echoes a previous incarnation's epoch is dropped as
+// stale, exactly as a standalone one is, and acks nothing; the fragment it
+// rides on is handled on its own merits and delivered.
+TEST(Transport, StaleCarriedAckIsDroppedWhileItsFragmentIsDelivered) {
+  Lan lan{3};
+  const std::uint64_t old_epoch = lan.transport(1).trace_ids().epoch();
+  lan.sim.schedule_at(duration::millis(100), [&] { lan.runtime(1).crash(); });
+  lan.sim.schedule_at(duration::millis(200), [&] { lan.runtime(1).restart(); });
+  lan.sim.run_until(duration::millis(300));
+  ASSERT_GT(lan.transport(1).trace_ids().epoch(), old_epoch);
+  std::vector<std::string> got;
+  lan.transport(1).set_receiver(ports::kApp,
+                                [&](NodeId, const Bytes& b) { got.push_back(to_string(b)); });
+  // An open message, id 1 in the new incarnation as it was in the old one,
+  // that the stale ack must not complete: its peer is dead.
+  lan.world.kill(lan.nodes[2]);
+  ASSERT_TRUE(lan.transport(1).send(lan.nodes[2], ports::kApp, to_bytes("open")).is_ok());
+  ASSERT_EQ(lan.transport(1).outbox_size(), 1u);
+
+  serialize::Writer w;
+  w.u8(3);  // kAckedFragment
+  w.varint(old_epoch);
+  w.varint(1);  // acked msg id
+  w.varint(0);  // acked index
+  w.varint(lan.transport(0).trace_ids().epoch());
+  w.varint(1);  // msg id
+  w.u16(ports::kApp);
+  w.varint(0);
+  w.varint(1);
+  w.bytes(to_bytes("carried"));
+  obs::encode_trace(w, obs::TraceContext{});
+  ASSERT_TRUE(
+      lan.router(0).send(lan.nodes[1], net::Proto::kTransport, std::move(w).take()).is_ok());
+  lan.sim.run_until(lan.sim.now() + duration::millis(10));
+
+  const TransportStats& stats = lan.transport(1).stats();
+  EXPECT_EQ(stats.stale_epoch_dropped, 1u);
+  EXPECT_EQ(stats.malformed_dropped, 0u);
+  EXPECT_EQ(lan.transport(1).outbox_size(), 1u);
+  EXPECT_EQ(got, (std::vector<std::string>{"carried"}));
+}
+
+// A delivery nested in another's up-call (an up-call that pumps its stack)
+// holds its own ack and gives the outer one back when it returns, so each
+// reply carries its own request's ack and none is lost.
+TEST(Transport, NestedDeliveryKeepsTheOuterHeldAck) {
+  constexpr NodeId kSelf{1};
+  fuzz::FuzzStack stack{kSelf};
+  routing::FloodingRouter router{stack};
+  ReliableTransport tp{router};
+  // A one-fragment request from `peer`, in the direct frame its router
+  // would send.
+  const auto inject_request = [&](NodeId peer, Port port) {
+    serialize::Writer w;
+    w.u8(1);  // kFragment
+    w.varint(5);
+    w.varint(1);
+    w.u16(port);
+    w.varint(0);
+    w.varint(1);
+    w.bytes(to_bytes("request"));
+    obs::encode_trace(w, obs::TraceContext{});
+    routing::RoutingHeader h;
+    h.origin = peer;
+    h.dst = kSelf;
+    h.seq = 1;
+    h.ttl = routing::Router::kDefaultTtl;
+    h.upper = net::Proto::kTransport;
+    stack.inject(net::Proto::kRouting, peer, kSelf, routing::encode_routing(h, w.data()));
+  };
+  tp.set_receiver(ports::kRpc, [&](NodeId src, const Bytes&) {
+    ASSERT_TRUE(tp.send(src, ports::kRpc, to_bytes("inner reply")).is_ok());
+  });
+  tp.set_receiver(ports::kApp, [&](NodeId src, const Bytes&) {
+    inject_request(NodeId{3}, ports::kRpc);
+    ASSERT_TRUE(tp.send(src, ports::kApp, to_bytes("outer reply")).is_ok());
+  });
+  inject_request(NodeId{2}, ports::kApp);
+
+  EXPECT_EQ(tp.stats().messages_delivered, 2u);
+  EXPECT_EQ(tp.stats().acks_piggybacked, 2u);
+  EXPECT_EQ(tp.stats().acks_sent, 0u);
+  EXPECT_EQ(stack.frames_out(), 2u);
+  // The last frame out is the outer reply, and it carries the outer ack.
+  EXPECT_EQ(stack.last_dst(), NodeId{2});
+  routing::RoutingHeader h;
+  Bytes body;
+  ASSERT_TRUE(routing::decode_routing(stack.last_frame(), h, body));
+  ASSERT_FALSE(body.empty());
+  EXPECT_EQ(body[0], 3);  // kAckedFragment
+}
+
+// A one-fragment message goes straight from its frame to the receiver: no
+// reassembly entry and no reassembly GC timer. Scheduling that timer and
+// cancelling it within the delivery left a cancelled entry queued in the
+// simulator for reassembly_timeout.
+TEST(Transport, OneFragmentMessageSkipsReassembly) {
+  Lan lan{2};
+  bool delivered = false;
+  std::size_t reassembling = 99;
+  lan.transport(1).set_receiver(ports::kApp, [&](NodeId, const Bytes&) {
+    delivered = true;
+    reassembling = lan.transport(1).reassembly_count();
+  });
+  ASSERT_TRUE(lan.transport(0).send(lan.nodes[1], ports::kApp, to_bytes("whole")).is_ok());
+  std::size_t pending = 0;
+  std::size_t queued = 0;
+  while (!delivered) {
+    pending = lan.sim.pending();
+    queued = lan.sim.heap_depth();
+    ASSERT_TRUE(lan.sim.step());
+  }
+  // The delivery consumed its own event and put the ack on the wire.
+  EXPECT_EQ(lan.sim.pending(), pending);
+  EXPECT_EQ(lan.sim.heap_depth(), queued);
+  EXPECT_EQ(reassembling, 0u);
+  EXPECT_EQ(lan.transport(1).reassembly_count(), 0u);
+  lan.sim.run_until(duration::seconds(1));
+  EXPECT_EQ(lan.transport(0).outbox_size(), 0u);
 }
 
 }  // namespace

@@ -190,6 +190,7 @@ TEST(UdpStackTest, OneReliableMessageIsTwoDatagrams) {
   int delivered = 0;
   bool acked = false;
   t2.set_receiver(transport::ports::kApp, [&](NodeId, const Bytes&) { delivered++; });
+  const std::size_t receiver_timers = s2.pending_timers();
   ASSERT_TRUE(t1.send(ids[1], transport::ports::kApp, to_bytes("one fragment"),
                       [&](Status s) { acked = s.is_ok(); })
                   .is_ok());
@@ -201,6 +202,47 @@ TEST(UdpStackTest, OneReliableMessageIsTwoDatagrams) {
     EXPECT_EQ(r->stats().data_forwarded, 0u);
   }
   EXPECT_EQ(delivered, 1);
+  // A one-fragment message takes no reassembly entry and no GC timer.
+  EXPECT_EQ(s2.pending_timers(), receiver_timers);
+  EXPECT_EQ(t2.reassembly_count(), 0u);
+}
+
+// A request answered inside its up-call is three datagrams: the request,
+// the reply carrying the request's ack, and the reply's ack. With every
+// fragment acked on its own it was four.
+TEST(UdpStackTest, OneRequestReplyIsThreeDatagrams) {
+  const std::uint16_t base = next_port_base();
+  const std::vector<NodeId> ids{NodeId{1}, NodeId{2}, NodeId{3}};
+  net::UdpStack s1{ids[0], fleet_config(base, ids)};
+  net::UdpStack s2{ids[1], fleet_config(base, ids)};
+  net::UdpStack s3{ids[2], fleet_config(base, ids)};
+  routing::FloodingRouter r1{s1}, r2{s2}, r3{s3};
+  transport::TransportConfig cfg;
+  cfg.initial_rto = duration::seconds(10);  // no retransmission on a slow host
+  transport::ReliableTransport t1{r1, cfg}, t2{r2, cfg}, t3{r3, cfg};
+
+  bool request_acked = false;
+  bool reply_acked = false;
+  std::string reply;
+  t2.set_receiver(transport::ports::kApp, [&](NodeId src, const Bytes&) {
+    ASSERT_TRUE(t2.send(src, transport::ports::kApp, to_bytes("reply"),
+                        [&](Status s) { reply_acked = s.is_ok(); })
+                    .is_ok());
+  });
+  t1.set_receiver(transport::ports::kApp,
+                  [&](NodeId, const Bytes& b) { reply = to_string(b); });
+  ASSERT_TRUE(t1.send(ids[1], transport::ports::kApp, to_bytes("request"),
+                      [&](Status s) { request_acked = s.is_ok(); })
+                  .is_ok());
+  ASSERT_TRUE(pump({&s1, &s2, &s3}, [&] { return request_acked && reply_acked; }));
+  s3.run_for(duration::millis(20));  // anything node 3 would relay
+  EXPECT_EQ(reply, "reply");
+  EXPECT_EQ(s1.stats().datagrams_sent + s2.stats().datagrams_sent + s3.stats().datagrams_sent,
+            3u);
+  EXPECT_EQ(t2.stats().acks_piggybacked, 1u);
+  EXPECT_EQ(t2.stats().acks_sent, 0u);
+  EXPECT_EQ(t1.stats().acks_sent, 1u);
+  EXPECT_EQ(t1.stats().retransmissions + t2.stats().retransmissions, 0u);
 }
 
 // Satellite regression (DESIGN §15): datagrams that are not NDSM wire —
