@@ -122,8 +122,9 @@ BroadcastResult bench_broadcast(std::size_t n, std::size_t rounds) {
 
 // Reliable-transport ping-pong over two wireless nodes: serialized
 // round-trips, so throughput is dominated by the per-message stack cost —
-// fragment encode (incl. the unconditional trace-context trailer), id
-// allocation, ack handling, and ring recording when tracing is enabled.
+// fragment and routing-header encode (incl. the header's unconditional
+// trace-context trailer), id allocation, ack handling, and ring recording
+// when tracing is enabled.
 // This is the sub-bench behind the tracing-overhead gate in
 // run_benches.sh. `keep` (optional) receives the field so the caller can
 // read live rtt histograms before teardown.

@@ -1,5 +1,5 @@
 // Fuzz boundary: the versioned trace-context trailer riding at the end of
-// every transport fragment, ack, and discovery query/reply. Contract
+// every routing header, the one place a frame carries its context. Contract
 // under hostile bytes: decode_trace never fails hard — an exhausted
 // reader (legacy frame), flags==0, or a truncated v1 block all yield an
 // invalid context; any decoded context re-encodes into a trailer that

@@ -83,7 +83,8 @@ void value_decode() {
 
 void transport_frame() {
   // Fragment frame exactly as ReliableTransport::transmit_fragments
-  // writes it (kind, epoch, msg_id, port, index, count, data, trailer).
+  // writes it (kind, epoch, msg_id, port, index, count, data). Transport
+  // frames carry no trace context; the routing header holds the frame's.
   obs::TraceContext ctx;
   ctx.trace_id = 0x1111;
   ctx.span_id = 0x2222;
@@ -97,7 +98,6 @@ void transport_frame() {
     w.varint(0);
     w.varint(2);
     w.bytes(Bytes(96, 0xab));
-    obs::encode_trace(w, ctx);
     emit("transport_frame", "fragment.bin", std::move(w).take());
   }
   {
@@ -106,7 +106,6 @@ void transport_frame() {
     w.varint(7);
     w.varint(1);
     w.varint(0);
-    obs::encode_trace(w, ctx);
     emit("transport_frame", "ack.bin", std::move(w).take());
   }
   {
@@ -123,7 +122,6 @@ void transport_frame() {
     w.varint(0);
     w.varint(1);
     w.bytes(str_bytes("reply"));
-    obs::encode_trace(w, ctx);
     emit("transport_frame", "acked_fragment.bin", std::move(w).take());
   }
   {
@@ -147,7 +145,6 @@ void transport_frame() {
     w.varint(0);
     w.varint(1ULL << 60);
     w.bytes(str_bytes("overflow"));
-    obs::encode_trace(w, ctx);
     emit("transport_frame", "acked_hostile_count.bin", std::move(w).take());
   }
   {
@@ -159,7 +156,6 @@ void transport_frame() {
     w.varint(0);
     w.varint(1ULL << 60);
     w.bytes(str_bytes("overflow"));
-    obs::encode_trace(w, ctx);
     emit("transport_frame", "hostile_count.bin", std::move(w).take());
   }
   {
@@ -172,7 +168,6 @@ void transport_frame() {
     w.varint(0);
     w.varint(1);
     w.bytes(str_bytes("routed payload"));
-    obs::encode_trace(w, ctx);
     routing::RoutingHeader h;
     h.kind = routing::RoutingKind::kData;
     h.origin = NodeId{2};

@@ -147,12 +147,12 @@ def self_test():
          "node": 2, "trace": 7, "span": 9, "parent": 8},
         # directory queue + processing until t=1650
         {"t_us": 1650, "component": "discovery.directory", "name": "serve_query",
-         "node": 2, "trace": 7, "span": 10, "parent": 7},
+         "node": 2, "trace": 7, "span": 10, "parent": 9},
         # reply crosses back, delivered at t=1800
         {"t_us": 1800, "component": "transport.reliable", "name": "deliver",
          "node": 1, "trace": 7, "span": 11, "parent": 10},
         {"t_us": 1800, "component": "discovery.centralized",
-         "name": "query_answered", "node": 1, "trace": 7, "parent": 10},
+         "name": "query_answered", "node": 1, "trace": 7, "parent": 11},
     ]
     result = analyze(chain)
     b = result["breakdown"]

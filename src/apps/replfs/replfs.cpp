@@ -40,6 +40,12 @@ constexpr std::uint32_t kMaxWalFileRecord = 16u << 20;
 
 }  // namespace
 
+std::optional<std::uint64_t> make_commit_id(NodeId client, std::uint64_t seq) {
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 32;
+  if (client.value() >= kLimit || seq >= kLimit) return std::nullopt;
+  return (client.value() << 32) | seq;
+}
+
 // --- Server ----------------------------------------------------------------
 
 Server::Server(transport::ReliableTransport& transport, net::Stack& stack,
@@ -165,18 +171,23 @@ void Server::on_data_frame(const net::LinkFrame& frame) {
     return;
   }
   if (committed_.count(*commit_id) > 0 || pending_.count(*commit_id) > 0) return;
-  auto& blocks = staging_[*commit_id];
-  const auto idx = static_cast<std::uint32_t>(*index);
-  if (blocks.count(idx) == 0) {
+  stage_block(*commit_id, static_cast<std::uint32_t>(*index), std::move(*key),
+              std::move(*data));
+}
+
+void Server::stage_block(std::uint64_t commit_id, std::uint32_t index, std::string key,
+                         Bytes data) {
+  auto& blocks = staging_[commit_id];
+  if (blocks.count(index) == 0) {
     staged_blocks_++;
     stats_.blocks_staged++;
   }
-  blocks[idx] = StagedBlock{std::move(*key), std::move(*data)};
+  blocks[index] = StagedBlock{std::move(key), std::move(data)};
   // Hostile/stray traffic guard: bound staging memory by evicting the
   // oldest commit's blocks (never the one being filled right now).
   while (staged_blocks_ > config_.max_staged_blocks && staging_.size() > 1) {
     auto victim = staging_.begin();
-    if (victim->first == *commit_id) ++victim;
+    if (victim->first == commit_id) ++victim;
     staged_blocks_ -= victim->second.size();
     stats_.blocks_evicted += victim->second.size();
     staging_.erase(victim);
@@ -269,7 +280,6 @@ void Server::on_control(NodeId src, const Bytes& payload) {
         return;
       }
       if (committed_.count(*commit_id) > 0 || pending_.count(*commit_id) > 0) return;
-      auto& blocks = staging_[*commit_id];
       for (std::uint64_t n = 0; n < *count; ++n) {
         const auto index = r.varint();
         const auto key = r.str();
@@ -278,12 +288,8 @@ void Server::on_control(NodeId src, const Bytes& payload) {
           stats_.malformed_dropped++;
           return;
         }
-        const auto idx = static_cast<std::uint32_t>(*index);
-        if (blocks.count(idx) == 0) {
-          staged_blocks_++;
-          stats_.blocks_staged++;
-        }
-        blocks[idx] = StagedBlock{std::move(*key), std::move(*data)};
+        stage_block(*commit_id, static_cast<std::uint32_t>(*index), std::move(*key),
+                    std::move(*data));
       }
       return;
     }
@@ -402,10 +408,16 @@ Client::~Client() {
 }
 
 void Client::write(std::string key, Bytes value, WriteCallback done) {
+  const auto commit_id = make_commit_id(transport_.self(), next_seq_);
+  if (!commit_id) {
+    // Never reuse an id: a server answers a repeated one from its
+    // committed set, and the write would read as committed unapplied.
+    if (done) done(Status{ErrorCode::kResourceExhausted, "replfs: commit ids exhausted"});
+    return;
+  }
+  next_seq_++;
   WriteOp op;
-  // Unique across the fleet's clients: node id in the high bits, local
-  // sequence below — servers key all 2PC state by this one id.
-  op.commit_id = (transport_.self().value() << 20) | next_seq_++;
+  op.commit_id = *commit_id;
   op.key = std::move(key);
   op.checksum = fnv1a(value);
   op.done = std::move(done);

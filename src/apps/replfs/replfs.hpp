@@ -31,6 +31,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -69,6 +70,12 @@ struct ReplfsConfig {
   // in-memory StableStorage that covers in-process crash()/restart().
   std::string wal_file;
 };
+
+// The commit id of client node `client`'s write number `seq`: the node id
+// above bit 32, the sequence below, so no two clients' ids and no two of
+// one client's ids meet. Servers key all 2PC state by it. Nullopt when the
+// node id or the sequence does not fit in 32 bits.
+[[nodiscard]] std::optional<std::uint64_t> make_commit_id(NodeId client, std::uint64_t seq);
 
 struct ServerStats {
   std::uint64_t blocks_staged = 0;
@@ -121,6 +128,10 @@ class Server {
 
   void on_data_frame(const net::LinkFrame& frame);
   void on_control(NodeId src, const Bytes& payload);
+  // Stages block `index` of `commit_id`, the one staging rule of the
+  // multicast and repair paths: past max_staged_blocks it evicts the
+  // oldest other commits' blocks, never those of `commit_id`.
+  void stage_block(std::uint64_t commit_id, std::uint32_t index, std::string key, Bytes data);
   void replay_wal();
   void load_wal_file();
   void persist_wal_tail();
@@ -172,7 +183,9 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   // Queue a replicated write. `done` fires exactly once: kOk only after
-  // every replica acknowledged its commit.
+  // every replica acknowledged its commit. It fires at once with
+  // kResourceExhausted when this client has no commit id left for it
+  // (make_commit_id).
   void write(std::string key, Bytes value, WriteCallback done);
   // Read `key` from one replica (verification path).
   void read(NodeId server, std::string key, ReadCallback done);

@@ -119,7 +119,6 @@ void CentralizedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
   msg.reply_port = transport::ports::kDiscoveryReplyCent;
   msg.consumer = consumer;
   msg.max_results = max_results;
-  msg.trace = ctx;
 
   obs::Tracer& tracer = obs::Tracer::instance();
   if (tracer.enabled()) {
@@ -180,12 +179,13 @@ void CentralizedDiscovery::on_message(NodeId /*src*/, const Bytes& frame) {
       }
       obs::Tracer& tracer = obs::Tracer::instance();
       if (tracer.enabled() && qctx.valid()) {
-        // Parent on the directory's serve span when the reply carries it,
-        // else fall back to our own query span.
+        // Parent on the reply's delivery, which descends from the
+        // directory's serve span, else fall back to our own query span.
+        const obs::TraceContext delivery = obs::active_trace();
         tracer.event_traced("discovery.centralized", "query_answered",
                             static_cast<std::int64_t>(transport_.self().value()),
                             qctx.trace_id, qctx.span_id,
-                            reply->trace.valid() ? reply->trace.span_id : qctx.span_id,
+                            delivery.valid() ? delivery.span_id : qctx.span_id,
                             {{"query_id", std::to_string(reply->query_id)},
                              {"records", std::to_string(reply->records.size())}});
       }

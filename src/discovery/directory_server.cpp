@@ -1,10 +1,8 @@
 #include "discovery/directory_server.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "obs/trace.hpp"
-#include "qos/matcher.hpp"
 
 namespace ndsm::discovery {
 
@@ -84,22 +82,12 @@ void DirectoryServer::apply_unregister(ServiceId id, bool replicate_out) {
 
 std::vector<ServiceRecord> DirectoryServer::match(const qos::ConsumerQos& consumer,
                                                   std::uint32_t max_results) const {
-  std::vector<std::pair<double, const ServiceRecord*>> scored;
   const Time now = transport_.router().stack().now();
+  std::vector<const ServiceRecord*> live;
   for (const auto& [id, rec] : records_) {
-    if (rec.expired(now)) continue;
-    const auto eval = qos::Matcher::evaluate(consumer, rec.qos);
-    if (eval.feasible) scored.emplace_back(eval.score, &rec);
+    if (!rec.expired(now)) live.push_back(&rec);
   }
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second->id < b.second->id;
-  });
-  std::vector<ServiceRecord> out;
-  for (const auto& [score, rec] : scored) {
-    if (out.size() >= max_results) break;
-    out.push_back(*rec);
-  }
-  return out;
+  return best_matches(consumer, live, max_results);
 }
 
 void DirectoryServer::replicate(const ServiceRecord& record, bool removal) {
@@ -110,26 +98,25 @@ void DirectoryServer::replicate(const ServiceRecord& record, bool removal) {
   }
 }
 
-void DirectoryServer::serve_query(const QueryMessage& query) {
-  // The serve step gets its own span under the client's query span; the
-  // reply carries it so the client can attribute the answer. Queued
-  // queries kept their context in query_queue_, so the gap between this
-  // event and the query span start is the directory queueing delay.
-  obs::TraceContext ctx = query.trace;
+void DirectoryServer::serve_query(const QueryMessage& query, const obs::TraceContext& parent) {
+  // The serve step gets its own span under the delivery of the client's
+  // query, and the reply is sent under it. Queued queries kept their
+  // delivery context in query_queue_, so the gap between this event and
+  // the query span start is the directory queueing delay.
+  obs::TraceContext ctx = parent;
   ctx.span_id = transport_.trace_ids().next();
   if (ctx.trace_id == 0) ctx.trace_id = ctx.span_id;
   obs::Tracer& tracer = obs::Tracer::instance();
-  if (tracer.enabled() && query.trace.valid()) {
+  if (tracer.enabled() && parent.valid()) {
     tracer.event_traced("discovery.directory", "serve_query",
                         static_cast<std::int64_t>(node().value()), ctx.trace_id, ctx.span_id,
-                        query.trace.span_id,
+                        parent.span_id,
                         {{"query_id", std::to_string(query.query_id)},
                          {"records", std::to_string(records_.size())}});
   }
   QueryReply reply;
   reply.query_id = query.query_id;
   reply.records = match(query.consumer, query.max_results);
-  reply.trace = ctx;
   stats_.records_returned += reply.records.size();
   const obs::ScopedTrace scope(ctx);
   transport_.send(query.reply_to, query.reply_port, encode_query_reply(reply));
@@ -140,7 +127,7 @@ void DirectoryServer::drain_query_queue() {
   query_busy_ = true;
   transport_.router().stack().schedule_after(processing_time_, [this] {
     if (!query_queue_.empty()) {
-      serve_query(query_queue_.front());
+      serve_query(query_queue_.front().query, query_queue_.front().trace);
       query_queue_.pop_front();
     }
     query_busy_ = false;
@@ -187,9 +174,9 @@ void DirectoryServer::on_message(NodeId src, const Bytes& frame) {
       if (!query) return;
       stats_.queries++;
       if (processing_time_ <= 0) {
-        serve_query(*query);
+        serve_query(*query, obs::active_trace());
       } else {
-        query_queue_.push_back(std::move(*query));
+        query_queue_.push_back(QueuedQuery{std::move(*query), obs::active_trace()});
         drain_query_queue();
       }
       break;

@@ -64,7 +64,9 @@ class DirectoryServer {
 
  private:
   void on_message(NodeId src, const Bytes& frame);
-  void serve_query(const QueryMessage& query);
+  // Answers `query` under a span of its own whose parent is `parent`, the
+  // context the query's delivery ran under.
+  void serve_query(const QueryMessage& query, const obs::TraceContext& parent);
   void drain_query_queue();
   void sweep_leases();
   void replicate(const ServiceRecord& record, bool removal);
@@ -80,7 +82,13 @@ class DirectoryServer {
   std::vector<NodeId> mirrors_;
   DirectoryStats stats_;
   Time processing_time_ = 0;
-  std::deque<QueryMessage> query_queue_;
+  // A query waiting for the directory keeps the context its delivery ran
+  // under, which has ended by the time the query is served.
+  struct QueuedQuery {
+    QueryMessage query;
+    obs::TraceContext trace;
+  };
+  std::deque<QueuedQuery> query_queue_;
   bool query_busy_ = false;
   net::PeriodicTimer sweeper_;
 };

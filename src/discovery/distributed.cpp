@@ -1,9 +1,5 @@
 #include "discovery/distributed.hpp"
 
-#include <algorithm>
-
-#include "qos/matcher.hpp"
-
 namespace ndsm::discovery {
 
 DistributedDiscovery::DistributedDiscovery(transport::ReliableTransport& transport,
@@ -70,42 +66,23 @@ std::vector<ServiceRecord> DistributedDiscovery::match_local(
     const Time lease = local_lease_.at(id);
     rec.expires = lease == kTimeNever ? kTimeNever : now + lease;
   }
-  std::vector<std::pair<double, const ServiceRecord*>> scored;
+  std::vector<const ServiceRecord*> live;
   for (const auto& [id, rec] : local_) {
-    if (rec.expired(now)) continue;
-    const auto eval = qos::Matcher::evaluate(consumer, rec.qos);
-    if (eval.feasible) scored.emplace_back(eval.score, &rec);
+    if (!rec.expired(now)) live.push_back(&rec);
   }
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second->id < b.second->id;
-  });
-  std::vector<ServiceRecord> out;
-  for (const auto& [score, rec] : scored) {
-    if (out.size() >= max_results) break;
-    out.push_back(*rec);
-  }
-  return out;
+  return best_matches(consumer, live, max_results);
 }
 
 std::vector<ServiceRecord> DistributedDiscovery::match_cache(
     const qos::ConsumerQos& consumer, std::uint32_t max_results) const {
   const Time now = transport_.router().stack().now();
-  std::vector<std::pair<double, const ServiceRecord*>> scored;
+  std::vector<const ServiceRecord*> fresh;
   for (const auto& [id, rec] : cache_) {
     if (rec.expired(now)) continue;
     if (now - rec.registered > config_.cache_entry_ttl) continue;  // stale cache entry
-    const auto eval = qos::Matcher::evaluate(consumer, rec.qos);
-    if (eval.feasible) scored.emplace_back(eval.score, &rec);
+    fresh.push_back(&rec);
   }
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second->id < b.second->id;
-  });
-  std::vector<ServiceRecord> out;
-  for (const auto& [score, rec] : scored) {
-    if (out.size() >= max_results) break;
-    out.push_back(*rec);
-  }
-  return out;
+  return best_matches(consumer, fresh, max_results);
 }
 
 void DistributedDiscovery::advertise() {

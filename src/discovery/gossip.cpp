@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "qos/matcher.hpp"
-
 namespace ndsm::discovery {
 
 GossipDiscovery::GossipDiscovery(transport::ReliableTransport& transport,
@@ -119,25 +117,16 @@ void GossipDiscovery::on_gossip(NodeId src, const Bytes& frame) {
 std::vector<ServiceRecord> GossipDiscovery::match_known(const qos::ConsumerQos& consumer,
                                                         std::uint32_t max_results) {
   const Time now = transport_.router().stack().now();
-  std::vector<std::pair<double, const ServiceRecord*>> scored;
-  const auto consider = [&](const ServiceRecord& rec) {
-    if (rec.expired(now)) return;
-    const auto eval = qos::Matcher::evaluate(consumer, rec.qos);
-    if (eval.feasible) scored.emplace_back(eval.score, &rec);
-  };
-  for (const auto& [id, rec] : local_) consider(rec);
+  std::vector<const ServiceRecord*> known;
+  for (const auto& [id, rec] : local_) {
+    if (!rec.expired(now)) known.push_back(&rec);
+  }
   for (const auto& [id, rec] : cache_) {
-    if (now - rec.registered <= config_.cache_entry_ttl) consider(rec);
+    if (!rec.expired(now) && now - rec.registered <= config_.cache_entry_ttl) {
+      known.push_back(&rec);
+    }
   }
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second->id < b.second->id;
-  });
-  std::vector<ServiceRecord> out;
-  for (const auto& [score, rec] : scored) {
-    if (out.size() >= max_results) break;
-    out.push_back(*rec);
-  }
-  return out;
+  return best_matches(consumer, known, max_results);
 }
 
 void GossipDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback callback,

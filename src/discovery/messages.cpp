@@ -59,7 +59,6 @@ Bytes encode_query(const QueryMessage& query) {
   w.u16(query.reply_port);
   query.consumer.encode(w);
   w.u32(query.max_results);
-  obs::encode_trace(w, query.trace);
   return std::move(w).take();
 }
 
@@ -77,7 +76,6 @@ std::optional<QueryMessage> decode_query(serialize::Reader& r) {
   q.reply_port = *reply_port;
   q.consumer = std::move(*consumer);
   q.max_results = *max_results;
-  q.trace = obs::decode_trace(r);
   return q;
 }
 
@@ -85,7 +83,6 @@ Bytes encode_query_reply(const QueryReply& reply) {
   auto w = header(MsgKind::kQueryReply);
   w.varint(reply.query_id);
   encode_records(w, reply.records);
-  obs::encode_trace(w, reply.trace);
   return std::move(w).take();
 }
 
@@ -97,7 +94,6 @@ std::optional<QueryReply> decode_query_reply(serialize::Reader& r) {
   if (!records) return std::nullopt;
   reply.query_id = *id;
   reply.records = std::move(*records);
-  reply.trace = obs::decode_trace(r);
   return reply;
 }
 

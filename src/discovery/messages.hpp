@@ -1,10 +1,12 @@
 #pragma once
-// Discovery wire protocol, shared by every discovery mode.
+// Discovery wire protocol, shared by every discovery mode. Messages carry
+// no trace context: a handler reads the one its delivery runs under
+// (obs::active_trace()), which the routing header of the frame that
+// carried the message supplies.
 
 #include <optional>
 
 #include "discovery/record.hpp"
-#include "obs/trace_context.hpp"
 #include "qos/spec.hpp"
 
 namespace ndsm::discovery {
@@ -25,15 +27,11 @@ struct QueryMessage {
   std::uint16_t reply_port = 0;
   qos::ConsumerQos consumer;
   std::uint32_t max_results = 8;
-  // Causal context of the querying span; the responder continues it so
-  // query and reply land in one trace (versioned trailer on the wire).
-  obs::TraceContext trace;
 };
 
 struct QueryReply {
   std::uint64_t query_id = 0;
   std::vector<ServiceRecord> records;
-  obs::TraceContext trace;
 };
 
 [[nodiscard]] Bytes encode_register(const ServiceRecord& record);

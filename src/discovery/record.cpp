@@ -1,5 +1,10 @@
 #include "discovery/record.hpp"
 
+#include <algorithm>
+#include <utility>
+
+#include "qos/matcher.hpp"
+
 namespace ndsm::discovery {
 
 void ServiceRecord::encode(serialize::Writer& w) const {
@@ -46,6 +51,25 @@ std::optional<std::vector<ServiceRecord>> decode_records(serialize::Reader& r) {
     auto rec = ServiceRecord::decode(r);
     if (!rec) return std::nullopt;
     out.push_back(std::move(*rec));
+  }
+  return out;
+}
+
+std::vector<ServiceRecord> best_matches(const qos::ConsumerQos& consumer,
+                                        const std::vector<const ServiceRecord*>& candidates,
+                                        std::uint32_t max_results) {
+  std::vector<std::pair<double, const ServiceRecord*>> scored;
+  for (const ServiceRecord* rec : candidates) {
+    const auto eval = qos::Matcher::evaluate(consumer, rec->qos);
+    if (eval.feasible) scored.emplace_back(eval.score, rec);
+  }
+  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second->id < b.second->id;
+  });
+  std::vector<ServiceRecord> out;
+  for (const auto& [score, rec] : scored) {
+    if (out.size() >= max_results) break;
+    out.push_back(*rec);
   }
   return out;
 }

@@ -30,4 +30,12 @@ struct ServiceRecord {
 void encode_records(serialize::Writer& w, const std::vector<ServiceRecord>& records);
 std::optional<std::vector<ServiceRecord>> decode_records(serialize::Reader& r);
 
+// The records among `candidates` that `consumer` can use (qos::Matcher),
+// best first: score descending, then id ascending, at most `max_results`.
+// The order is total, so the result does not depend on candidate order.
+// Callers choose the candidates (lease, cache-age and refresh rules).
+[[nodiscard]] std::vector<ServiceRecord> best_matches(
+    const qos::ConsumerQos& consumer, const std::vector<const ServiceRecord*>& candidates,
+    std::uint32_t max_results);
+
 }  // namespace ndsm::discovery

@@ -10,8 +10,12 @@
 // randomness or wall clocks, so twin runs allocate identical ids and the
 // tracing-enabled run stays digest-identical to the disabled one.
 //
-// Wire format (appended at the *end* of every frame so legacy decoders
-// that stop early still parse):
+// On the wire the block ends every routing frame, after its body
+// (routing/router.cpp), so legacy decoders that stop early still parse.
+// It is the only place a frame carries a context: the transport,
+// discovery and transactions carry none of their own and read the one
+// their delivery runs under (active_trace() below), which the router
+// scopes to the header's. Wire format:
 //   u8  flags      0 = no context, 1 = context v1 follows
 //   u64 trace_id   (flags >= 1)
 //   u64 span_id    (flags >= 1)
@@ -80,10 +84,10 @@ class TraceIdAllocator {
 };
 
 // Ambient context for the currently-executing handler. The sim is
-// single-threaded run-to-completion, so a plain stack suffices: the
-// transport scopes delivery callbacks, and any send issued inside one
-// inherits the active context (continuing the trace instead of rooting a
-// new one).
+// single-threaded run-to-completion, so a plain stack suffices: the router
+// scopes each delivery to its frame's context, the transport re-scopes its
+// receivers to their deliver span, and any send issued inside one inherits
+// the active context (continuing the trace instead of rooting a new one).
 [[nodiscard]] TraceContext active_trace();
 
 class ScopedTrace {

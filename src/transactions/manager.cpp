@@ -154,9 +154,9 @@ void TransactionManager::on_bound(TransactionId id, NodeId supplier) {
   w.svarint(tx.spec.period);
   w.u32(tx.spec.samples_per_burst);
   w.str(tx.spec.consumer.service_type);
-  // Context trailer: the supplier stores it and threads every push of
-  // this flow back into the transaction's trace.
-  obs::encode_trace(w, tx.trace);
+  // Sent under the transaction's context: the supplier stores the context
+  // its delivery runs under and threads every push of this flow back into
+  // the transaction's trace.
   {
     const obs::ScopedTrace scope(tx.trace);
     transport_.send(supplier, transport::ports::kTransactions, std::move(w).take());
@@ -315,7 +315,6 @@ void TransactionManager::push_sample(std::uint64_t key) {
                   ? kTimeNever
                   : stack().now() + effective_period);
     w.bytes(data);
-    obs::encode_trace(w, sample_ctx);
     stats_.pushes_sent++;
     obs::Tracer& tracer = obs::Tracer::instance();
     if (tracer.enabled() && flow.trace.valid()) {
@@ -346,7 +345,7 @@ void TransactionManager::on_message(NodeId src, const Bytes& frame) {
       const auto burst = r.u32();
       const auto type = r.str();
       if (!tx || !tx_kind || !period || !burst || !type) return;
-      const obs::TraceContext start_ctx = obs::decode_trace(r);
+      const obs::TraceContext start_ctx = obs::active_trace();
       const std::uint64_t key = flow_key(src, *tx);
       // Replace any existing flow with the same key (consumer re-sent start).
       auto existing = flows_.find(key);
@@ -401,7 +400,7 @@ void TransactionManager::on_message(NodeId src, const Bytes& frame) {
       const auto next_predicted = r.svarint();
       const auto data = r.bytes();
       if (!tx || !seq || !produced || !next_predicted || !data) return;
-      const obs::TraceContext sample_ctx = obs::decode_trace(r);
+      const obs::TraceContext sample_ctx = obs::active_trace();
       auto it = consumers_.find(*tx);
       if (it == consumers_.end()) return;  // ended while data in flight
       ConsumerTx& ctx = it->second;
@@ -421,10 +420,9 @@ void TransactionManager::on_message(NodeId src, const Bytes& frame) {
                              {"seq", std::to_string(*seq)},
                              {"supplier", std::to_string(src.value())}});
       }
-      if (ctx.sink) {
-        const obs::ScopedTrace scope(sample_ctx);
-        ctx.sink(*data, src, *produced);
-      }
+      // The sink runs under the delivery's context, so what it sends
+      // continues the sample's trace.
+      if (ctx.sink) ctx.sink(*data, src, *produced);
       break;
     }
     case Kind::kStartAck:

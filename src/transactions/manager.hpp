@@ -129,8 +129,9 @@ class TransactionManager {
     std::string service_type;
     std::uint64_t seq = 0;
     EventId push_timer = EventId::invalid();
-    // Consumer's transaction context carried in kStart; every push
-    // continues it so the full flow is one causal graph.
+    // The context kStart's delivery ran under, which descends from the
+    // consumer's transaction span; every push continues it so the full
+    // flow is one causal graph.
     obs::TraceContext trace;
   };
 

@@ -155,9 +155,6 @@ void ReliableTransport::transmit_fragments(std::uint64_t msg_id, OutMessage& msg
     w.varint(i);
     w.varint(frags);
     w.bytes(std::span<const std::uint8_t>{msg.payload}.subspan(begin, end - begin));
-    // Context rides at the end of every fragment — unconditionally, so
-    // frame size (and thus delay/loss draws) never depends on tracing.
-    obs::encode_trace(w, msg.trace);
     stats_.fragments_sent++;
     if (only_unacked) {
       stats_.retransmissions++;
@@ -169,8 +166,9 @@ void ReliableTransport::transmit_fragments(std::uint64_t msg_id, OutMessage& msg
         ev->set_kv(2, "attempt", static_cast<std::uint64_t>(msg.attempts));
       }
     }
-    // Activate the message's context for the router so the routing header
-    // is stamped with the wire span (not whatever scope issued send()).
+    // Activate the message's context for the router so the routing header,
+    // the frame's only context, is stamped with the wire span (not
+    // whatever scope issued send()).
     const obs::ScopedTrace scope(msg.trace);
     router_.send(msg.dst, routing::Proto::kTransport, std::move(w).take());
   }
@@ -239,6 +237,9 @@ void ReliableTransport::on_frame(NodeId src, const Bytes& frame) {
   // come straight off a socket. Every malformed shape fails closed into
   // stats_.malformed_dropped; nothing in here may assert on wire content.
   // A frame is validated whole before either of its parts is acted on.
+  // Bytes after the last field are ignored, as the routing header ignores
+  // them, so a frame that still ends in the trace trailer older nodes
+  // wrote is handled as if it had none.
   serialize::Reader r{frame};
   const auto kind = r.u8();
   std::optional<AckRef> ack;
@@ -268,7 +269,9 @@ void ReliableTransport::on_frame(NodeId src, const Bytes& frame) {
     stats_.malformed_dropped++;
     return;
   }
-  const obs::TraceContext ctx = obs::decode_trace(r);
+  // The frame's context is its routing header's, which the router keeps
+  // active while it delivers the frame here.
+  const obs::TraceContext ctx = obs::active_trace();
   if (!fragment) {
     if (ack) on_ack(src, *ack, ctx);  // a standalone ack
     return;
@@ -327,14 +330,13 @@ void ReliableTransport::purge_inbox(NodeId src) {
 }
 
 void ReliableTransport::send_ack(NodeId dst, const AckRef& ack, const obs::TraceContext& ctx) {
-  // The ack echoes the fragment's context so the sender's on_ack can
-  // attribute it.
+  // The ack's routing header echoes the fragment's context so the
+  // sender's on_ack can attribute it.
   serialize::Writer w;
   w.u8(static_cast<std::uint8_t>(FrameKind::kAck));
   w.varint(ack.epoch);
   w.varint(ack.msg_id);
   w.varint(ack.index);
-  obs::encode_trace(w, ctx);
   stats_.acks_sent++;
   const obs::ScopedTrace scope(ctx);
   router_.send(dst, routing::Proto::kTransport, std::move(w).take());

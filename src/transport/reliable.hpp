@@ -36,6 +36,12 @@
 // leave their message incomplete are acked at once, and retransmissions
 // never carry an ack.
 //
+// Frames carry no trace context of their own. The routing header's is the
+// frame's context: the transport stamps it by sending under the message's
+// context, and reads it back as the context the router delivers the frame
+// under (obs::active_trace()). Receivers run under a `deliver` span that
+// descends from it.
+//
 // A one-fragment message is delivered straight from its frame: it takes
 // no reassembly entry and arms no reassembly GC timer. Multi-fragment
 // messages reassemble under the GC described at
@@ -151,7 +157,7 @@ class ReliableTransport {
 
  private:
   // kAckedFragment is an ack (epoch, msg id, index) followed by a
-  // kFragment body; the fragment's trace trailer serves both.
+  // kFragment body; the routing header's trace context serves both.
   enum class FrameKind : std::uint8_t { kFragment = 1, kAck = 2, kAckedFragment = 3 };
 
   // One fragment's acknowledgement: the epoch of the incarnation that sent
@@ -189,8 +195,8 @@ class ReliableTransport {
     Time sent_at = 0;  // first transmission, for the RTT histogram
     EventId timer = EventId::invalid();
     CompletionHandler done;
-    // Causal context carried by every fragment (span_id = this message's
-    // wire span) and the span that issued the send, if any.
+    // Causal context stamped on every fragment's routing header (span_id =
+    // this message's wire span) and the span that issued the send, if any.
     obs::TraceContext trace;
     std::uint64_t parent_span = 0;
   };

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "discovery/adaptive.hpp"
 #include "discovery/centralized.hpp"
 #include "discovery/directory_server.hpp"
@@ -105,6 +107,37 @@ TEST(Centralized, RegisterThenQuery) {
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].provider, setup.nodes[1]);
   EXPECT_EQ(found[0].qos.service_type, "temperature");
+}
+
+// A centralized lookup is one trace: following parent links from the
+// querier's query_answered event reaches its query span, through the
+// directory's serve span and each message's delivery, both when the
+// directory serves at once and when the query waits in its queue.
+TEST(Centralized, AnsweredQueryTracesBackToItsQuerySpan) {
+  for (const Time processing : {Time{0}, duration::millis(5)}) {
+    auto& tracer = obs::Tracer::instance();
+    tracer.clear();
+    CentralizedSetup setup{3};
+    setup.server->set_processing_time(processing);
+    setup.clients[0]->register_service(sensor_service(), duration::seconds(60));
+    setup.sim.run_until(duration::seconds(1));
+    std::size_t found = 0;
+    setup.clients[1]->query(wants(), [&](std::vector<ServiceRecord> recs) { found = recs.size(); },
+                            8, duration::seconds(2));
+    setup.sim.run_until(duration::seconds(3));
+    ASSERT_EQ(found, 1u);
+
+    const auto events = tracer.snapshot();
+    const auto answered = std::find_if(events.begin(), events.end(), [](const auto& e) {
+      return e.name == "query_answered";
+    });
+    ASSERT_NE(answered, events.end());
+    EXPECT_EQ(testing::trace_ancestry(events, *answered, "query"),
+              (std::vector<std::string>{"deliver", "message", "serve_query", "deliver",
+                                        "message", "query"}))
+        << "processing time " << processing;
+    tracer.clear();
+  }
 }
 
 TEST(Centralized, QueryNoMatchReturnsEmpty) {

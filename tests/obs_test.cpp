@@ -551,10 +551,13 @@ TEST(Trace, StaleEpochFramesDropAsAnnotatedEvents) {
   // A delayed pre-restart fragment (epoch 0, the seed incarnation's) now
   // arrives: it must drop, and the drop must carry the frame's trace
   // context so the pre-crash trace visibly *ends* instead of vanishing.
+  // Both ghost frames are sent under the ghost context, which their
+  // routing headers, the frames' only context, carry.
   obs::TraceContext ghost;
   ghost.trace_id = 0xDEAD;
   ghost.span_id = 0xBEEF;
   lan.sim.schedule_at(duration::seconds(5) + 1, [&] {
+    const obs::ScopedTrace scope(ghost);
     serialize::Writer w;
     w.u8(1);  // FrameKind::kFragment
     w.varint(0);  // epoch 0: strictly older than the restarted incarnation
@@ -563,17 +566,16 @@ TEST(Trace, StaleEpochFramesDropAsAnnotatedEvents) {
     w.varint(0);
     w.varint(1);
     w.bytes(Bytes(8, 0x3));
-    obs::encode_trace(w, ghost);
     lan.router(0).send(lan.nodes[1], routing::Proto::kTransport, std::move(w).take());
   });
   // An ack echoing a never-seen epoch is equally stale on the sender side.
   lan.sim.schedule_at(duration::seconds(5) + 2, [&] {
+    const obs::ScopedTrace scope(ghost);
     serialize::Writer w;
     w.u8(2);  // FrameKind::kAck
     w.varint(999);
     w.varint(1);
     w.varint(0);
-    obs::encode_trace(w, ghost);
     lan.router(0).send(lan.nodes[1], routing::Proto::kTransport, std::move(w).take());
   });
   lan.sim.run_until(duration::seconds(7));

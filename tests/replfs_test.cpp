@@ -37,6 +37,7 @@ namespace {
 // enum; tests forge messages to drive server paths directly).
 constexpr std::uint8_t kKindCommit = 4;
 constexpr std::uint8_t kKindCommitAck = 5;
+constexpr std::uint8_t kKindBlocks = 10;
 
 // N replicas (as Runtime services, so crash()/restart() rebuilds them on
 // surviving storage) plus one client node.
@@ -287,7 +288,45 @@ TEST(Replfs, HostileTrafficIsCountedAndStagingIsBounded) {
   lan.sim.run_until(duration::seconds(2));
   EXPECT_EQ(server.stats().blocks_staged, 30u);
   EXPECT_GE(server.stats().blocks_evicted, 22u);  // all but the cap's worth
-  EXPECT_TRUE(server.store().empty());            // nothing ever committed
+
+  // The repair path stages under the same cap: the same flood sent as
+  // reliable kBlocks messages, one block per commit, from any transport
+  // peer.
+  const ServerStats before = server.stats();
+  for (std::uint64_t commit = 101; commit <= 130; ++commit) {
+    serialize::Writer w;
+    w.u8(kKindBlocks);
+    w.varint(commit);
+    w.varint(1);  // block count
+    w.varint(0);  // block index
+    w.str("stray");
+    w.bytes(to_bytes("x"));
+    lan.transport(1).send(lan.nodes[0], transport::ports::kReplfs, std::move(w).take());
+  }
+  lan.sim.run_until(duration::seconds(3));
+  EXPECT_EQ(server.stats().blocks_staged - before.blocks_staged, 30u);
+  EXPECT_GE(server.stats().blocks_evicted - before.blocks_evicted, 22u);
+  EXPECT_LE(server.stats().blocks_staged - server.stats().blocks_evicted,
+            cfg.max_staged_blocks);
+  EXPECT_TRUE(server.store().empty());  // nothing ever committed
+}
+
+// Commit ids keep the client's node id and its write sequence apart. With
+// the node id at bit 20, client 4's write 2^22 + 1 would repeat its first
+// id and its write 2^20 would take node 5's first id; a server answers a
+// repeated id from its committed set, so the client would see a write
+// committed that no replica applied.
+TEST(Replfs, CommitIdsOfDistinctWritesNeverMeet) {
+  const auto first = make_commit_id(NodeId{4}, 1);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_NE(first, make_commit_id(NodeId{4}, (std::uint64_t{1} << 22) + 1));
+  const auto later = make_commit_id(NodeId{4}, std::uint64_t{1} << 20);
+  ASSERT_TRUE(later.has_value());
+  EXPECT_NE(later, make_commit_id(NodeId{5}, 0));
+  // Past 32 bits either way there is no id: write() fails instead.
+  EXPECT_TRUE(make_commit_id(NodeId{4}, (std::uint64_t{1} << 32) - 1).has_value());
+  EXPECT_FALSE(make_commit_id(NodeId{4}, std::uint64_t{1} << 32).has_value());
+  EXPECT_FALSE(make_commit_id(NodeId{std::uint64_t{1} << 32}, 1).has_value());
 }
 
 TEST(Replfs, WriteFailsCleanlyWhenAReplicaStaysDown) {

@@ -4,17 +4,49 @@
 // through runtime(i)/router(i)/transport(i) and can crash()/restart()
 // any node mid-test.
 
+#include <map>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/link_spec.hpp"
 #include "net/world.hpp"
 #include "node/runtime.hpp"
+#include "obs/trace.hpp"
 #include "routing/global.hpp"
 #include "sim/simulator.hpp"
 #include "transport/reliable.hpp"
 
 namespace ndsm::testing {
+
+// The names of `from`'s causal ancestors in `events`, nearest first. Each
+// step follows parent_span to the first recorded event with that span id.
+// The walk stops after an event named `root`, at a span no event has, or
+// at an event of another trace, which it names "<other trace>".
+inline std::vector<std::string> trace_ancestry(const std::vector<obs::TraceEvent>& events,
+                                               const obs::TraceEvent& from,
+                                               std::string_view root) {
+  std::map<std::uint64_t, const obs::TraceEvent*> by_span;
+  for (const auto& e : events) {
+    if (e.span_id != 0) by_span.emplace(e.span_id, &e);
+  }
+  std::vector<std::string> names;
+  std::uint64_t parent = from.parent_span;
+  while (names.size() < 32) {
+    const auto it = by_span.find(parent);
+    if (it == by_span.end()) break;
+    const obs::TraceEvent& e = *it->second;
+    if (e.trace_id != from.trace_id) {
+      names.emplace_back("<other trace>");
+      break;
+    }
+    names.push_back(e.name);
+    if (e.name == root) break;
+    parent = e.parent_span;
+  }
+  return names;
+}
 
 // A wired LAN: `n` mains-powered nodes on one ethernet segment, each
 // running a full stack (GlobalRouter + ReliableTransport) in a Runtime.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "discovery/directory_server.hpp"
 #include "discovery/centralized.hpp"
 #include "net/faults.hpp"
@@ -425,6 +427,32 @@ TEST(Manager, ContinuousFlowDeliversPeriodically) {
   setup.sim.run_until(duration::seconds(6));
   EXPECT_GE(samples, 8);  // ~10 samples in 5s at 500ms
   EXPECT_EQ(setup.manager(2).stats().bound, 1u);
+}
+
+// A continuous transaction is one trace: following parent links from a
+// data event on the consumer reaches the transaction's begin span, through
+// the supplier's push and kStart's delivery.
+TEST(Manager, DataEventTracesBackToItsBeginSpan) {
+  auto& tracer = obs::Tracer::instance();
+  tracer.clear();
+  ManagerSetup setup;
+  setup.manager(1).serve("temperature", [] { return to_bytes("21.0"); });
+  setup.disco(1).register_service(temp_service(), duration::seconds(300));
+  setup.sim.run_until(duration::seconds(1));
+  int samples = 0;
+  setup.manager(2).begin(continuous_spec(), [&](const Bytes&, NodeId, Time) { samples++; });
+  setup.sim.run_until(duration::seconds(2));
+  ASSERT_GE(samples, 1);
+
+  const auto events = tracer.snapshot();
+  const auto data = std::find_if(events.begin(), events.end(), [](const auto& e) {
+    return e.name == "data";
+  });
+  ASSERT_NE(data, events.end());
+  EXPECT_EQ(testing::trace_ancestry(events, *data, "begin"),
+            (std::vector<std::string>{"deliver", "message", "push", "deliver", "message",
+                                      "begin"}));
+  tracer.clear();
 }
 
 TEST(Manager, OnDemandPullsAtConsumerPace) {

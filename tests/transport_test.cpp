@@ -6,6 +6,7 @@
 
 #include "fuzz_stack.hpp"
 #include "net/faults.hpp"
+#include "obs/trace.hpp"
 #include "routing/flooding.hpp"
 #include "test_helpers.hpp"
 #include "transport/reliable.hpp"
@@ -213,7 +214,6 @@ TEST(Transport, FragmentWithAConflictingCountIsDroppedUnacked) {
     w.varint(index);
     w.varint(count);
     w.bytes(to_bytes("part"));
-    obs::encode_trace(w, obs::TraceContext{});
     ASSERT_TRUE(lan.router(0)
                     .send(lan.nodes[1], net::Proto::kTransport, std::move(w).take())
                     .is_ok());
@@ -457,7 +457,6 @@ TEST(Transport, SparseCompletionsBeyondDedupWindowStaySuppressed) {
     w.varint(0);
     w.varint(1);
     w.bytes(to_bytes(std::to_string(msg_id)));
-    obs::encode_trace(w, obs::TraceContext{});
     ASSERT_TRUE(a.router().send(b.id(), net::Proto::kTransport, std::move(w).take()).is_ok());
     sim.run_until(sim.now() + duration::millis(10));
   };
@@ -657,7 +656,6 @@ TEST(Transport, StaleCarriedAckIsDroppedWhileItsFragmentIsDelivered) {
   w.varint(0);
   w.varint(1);
   w.bytes(to_bytes("carried"));
-  obs::encode_trace(w, obs::TraceContext{});
   ASSERT_TRUE(
       lan.router(0).send(lan.nodes[1], net::Proto::kTransport, std::move(w).take()).is_ok());
   lan.sim.run_until(lan.sim.now() + duration::millis(10));
@@ -688,7 +686,6 @@ TEST(Transport, NestedDeliveryKeepsTheOuterHeldAck) {
     w.varint(0);
     w.varint(1);
     w.bytes(to_bytes("request"));
-    obs::encode_trace(w, obs::TraceContext{});
     routing::RoutingHeader h;
     h.origin = peer;
     h.dst = kSelf;
@@ -746,6 +743,101 @@ TEST(Transport, OneFragmentMessageSkipsReassembly) {
   EXPECT_EQ(lan.transport(1).reassembly_count(), 0u);
   lan.sim.run_until(duration::seconds(1));
   EXPECT_EQ(lan.transport(0).outbox_size(), 0u);
+}
+
+// A transport frame carries no trace context of its own: a fragment's body
+// ends at its data, and the routing header carries the sender's `message`
+// span.
+TEST(Transport, FragmentContextRidesOnlyInTheRoutingHeader) {
+  auto& tracer = obs::Tracer::instance();
+  tracer.clear();
+  fuzz::FuzzStack stack{NodeId{1}};
+  routing::FloodingRouter router{stack};
+  ReliableTransport tp{router};
+  ASSERT_TRUE(tp.send(NodeId{2}, ports::kApp, to_bytes("hello")).is_ok());
+  const Bytes frame = stack.last_frame();
+  routing::RoutingView view;
+  ASSERT_TRUE(routing::view_routing(frame, view));
+  serialize::Reader r{view.body.data(), view.body.size()};
+  EXPECT_EQ(r.u8(), 1);  // kFragment
+  EXPECT_EQ(r.varint(), fuzz::FuzzStack::kEpoch);
+  EXPECT_EQ(r.varint(), 1u);  // msg id
+  EXPECT_EQ(r.u16(), ports::kApp);
+  EXPECT_EQ(r.varint(), 0u);  // index
+  EXPECT_EQ(r.varint(), 1u);  // count
+  EXPECT_EQ(r.bytes(), to_bytes("hello"));
+  EXPECT_TRUE(r.exhausted());
+
+  // The peer's ack completes the message, which records its span.
+  serialize::Writer ack;
+  ack.u8(2);  // kAck
+  ack.varint(fuzz::FuzzStack::kEpoch);
+  ack.varint(1);
+  ack.varint(0);
+  routing::RoutingHeader h;
+  h.origin = NodeId{2};
+  h.dst = NodeId{1};
+  h.seq = 1;
+  h.ttl = routing::Router::kDefaultTtl;
+  h.upper = net::Proto::kTransport;
+  stack.inject(net::Proto::kRouting, NodeId{2}, NodeId{1}, routing::encode_routing(h, ack.data()));
+  ASSERT_EQ(tp.outbox_size(), 0u);
+  const auto events = tracer.snapshot();
+  const auto msg = std::find_if(events.begin(), events.end(), [](const obs::TraceEvent& e) {
+    return e.name == "message" && e.node == 1;
+  });
+  ASSERT_NE(msg, events.end());
+  EXPECT_EQ(view.header.trace.trace_id, msg->trace_id);
+  EXPECT_EQ(view.header.trace.span_id, msg->span_id);
+  tracer.clear();
+}
+
+// A fragment from a node that still ends its frames in an 18-byte trace
+// trailer is delivered once and acked: the trailing bytes are ignored.
+TEST(Transport, FragmentWithATraceTrailerIsStillDeliveredOnceAndAcked) {
+  fuzz::FuzzStack stack{NodeId{1}};
+  routing::FloodingRouter router{stack};
+  ReliableTransport tp{router};
+  std::vector<std::string> got;
+  tp.set_receiver(ports::kApp, [&](NodeId, const Bytes& b) { got.push_back(to_string(b)); });
+  obs::TraceContext trailer;
+  trailer.trace_id = 0x1111;
+  trailer.span_id = 0x2222;
+  serialize::Writer w;
+  w.u8(1);  // kFragment
+  w.varint(5);
+  w.varint(1);
+  w.u16(ports::kApp);
+  w.varint(0);
+  w.varint(1);
+  w.bytes(to_bytes("old format"));
+  obs::encode_trace(w, trailer);
+  ASSERT_EQ(w.data().size(), 18 + obs::kTraceWireMax);  // a 10-byte payload
+  routing::RoutingHeader h;
+  h.origin = NodeId{2};
+  h.dst = NodeId{1};
+  h.seq = 1;
+  h.ttl = routing::Router::kDefaultTtl;
+  h.upper = net::Proto::kTransport;
+  h.trace = trailer;
+  const Bytes frame = routing::encode_routing(h, w.data());
+  stack.inject(net::Proto::kRouting, NodeId{2}, NodeId{1}, frame);
+  h.seq = 2;  // a retransmission: the same fragment in a new routing frame
+  stack.inject(net::Proto::kRouting, NodeId{2}, NodeId{1}, routing::encode_routing(h, w.data()));
+
+  EXPECT_EQ(got, (std::vector<std::string>{"old format"}));
+  EXPECT_EQ(tp.stats().malformed_dropped, 0u);
+  EXPECT_EQ(tp.stats().duplicates_dropped, 1u);
+  EXPECT_EQ(tp.stats().acks_sent, 2u);
+  EXPECT_EQ(stack.last_dst(), NodeId{2});
+  routing::RoutingView ack;
+  ASSERT_TRUE(routing::view_routing(stack.last_frame(), ack));
+  serialize::Reader r{ack.body.data(), ack.body.size()};
+  EXPECT_EQ(r.u8(), 2);  // kAck
+  EXPECT_EQ(r.varint(), 5u);  // the fragment's epoch, msg id and index
+  EXPECT_EQ(r.varint(), 1u);
+  EXPECT_EQ(r.varint(), 0u);
+  EXPECT_TRUE(r.exhausted());
 }
 
 }  // namespace
