@@ -10,11 +10,9 @@ namespace ndsm::net {
 
 namespace {
 
-std::uint64_t cell_key(Vec2 p, double cell_m) {
-  const auto cx = static_cast<std::int64_t>(std::floor(p.x / cell_m));
-  const auto cy = static_cast<std::int64_t>(std::floor(p.y / cell_m));
-  return (static_cast<std::uint64_t>(cx) << 32) ^
-         (static_cast<std::uint64_t>(cy) & 0xffffffffULL);
+// Range-sized cell coordinate of `v`: floor(v / range_m).
+std::int64_t cell_of(double v, double range_m) {
+  return static_cast<std::int64_t>(std::floor(v / range_m));
 }
 
 }  // namespace
@@ -22,7 +20,71 @@ std::uint64_t cell_key(Vec2 p, double cell_m) {
 ShardedWorld::ShardedWorld(ShardedWorldConfig config) : config_(config) {
   NDSM_INVARIANT(config_.shards >= 1, "ShardedWorld needs at least one shard");
   NDSM_INVARIANT(config_.workers >= 1, "ShardedWorld needs at least one worker");
-  fault_seed_ = splitmix64(config_.seed ^ 0xfa117ab1e5ULL);
+  const std::uint64_t fault_seed = splitmix64(config_.seed ^ 0xfa117ab1e5ULL);
+  for (std::uint64_t tag = kDrawLoss; tag <= kDrawRxKey; ++tag) {
+    seeds_[tag] = splitmix64(fault_seed ^ tag);
+  }
+}
+
+void ShardedWorld::CellIndex::freeze(double range_m) {
+  range_m_ = range_m;
+  NDSM_INVARIANT(members_.size() < UINT32_MAX, "too many members for one cell index");
+  struct Keyed {
+    std::int64_t row;
+    std::int64_t col;
+    Member m;
+  };
+  std::vector<Keyed> keyed;
+  keyed.reserve(members_.size());
+  for (const Member& m : members_) {
+    keyed.push_back({cell_of(m.pos.y, range_m), cell_of(m.pos.x, range_m), m});
+  }
+  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+    if (a.row != b.row) return a.row < b.row;
+    if (a.col != b.col) return a.col < b.col;
+    return a.m.id < b.m.id;
+  });
+  members_.clear();
+  for (const Keyed& k : keyed) {
+    const bool new_row = rows_.empty() || rows_.back().row != k.row;
+    if (new_row) rows_.push_back({k.row, static_cast<std::uint32_t>(cells_.size())});
+    if (new_row || cells_.back().col != k.col) {
+      cells_.push_back({k.col, static_cast<std::uint32_t>(members_.size())});
+    }
+    members_.push_back(k.m);
+  }
+  rows_.push_back({INT64_MAX, static_cast<std::uint32_t>(cells_.size())});
+  cells_.push_back({INT64_MAX, static_cast<std::uint32_t>(members_.size())});
+  members_.shrink_to_fit();
+  rows_.shrink_to_fit();
+  cells_.shrink_to_fit();
+}
+
+void ShardedWorld::CellIndex::gather(Vec2 center, NodeId exclude,
+                                     std::vector<NodeId>& out) const {
+  const std::int64_t row = cell_of(center.y, range_m_);
+  const std::int64_t col = cell_of(center.x, range_m_);
+  auto r = std::lower_bound(rows_.begin(), rows_.end(), row - 1,
+                            [](const Row& x, std::int64_t v) { return x.row < v; });
+  for (; r->row <= row + 1; ++r) {
+    // Cells col-1..col+1 of a row are adjacent, so their members form one
+    // run: from the first of them to the next cell, or the row's end.
+    const auto row_end = cells_.begin() + (r + 1)->first;
+    auto cell = std::lower_bound(cells_.begin() + r->first, row_end, col - 1,
+                                 [](const Cell& c, std::int64_t v) { return c.col < v; });
+    const std::uint32_t first = cell->first;
+    while (cell != row_end && cell->col <= col + 1) ++cell;
+    // About a third of a run is in range, in no predictable pattern, so
+    // write every member and keep the ones in range rather than branch.
+    std::size_t n = out.size();
+    out.resize(n + (cell->first - first));
+    for (std::uint32_t i = first; i < cell->first; ++i) {
+      const Member& m = members_[i];
+      out[n] = m.id;
+      n += static_cast<std::size_t>((m.id != exclude) & !(distance(center, m.pos) > range_m_));
+    }
+    out.resize(n);
+  }
 }
 
 ShardedWorld::NodeRec& ShardedWorld::rec(NodeId id) {
@@ -54,7 +116,9 @@ NodeId ShardedWorld::add_node(Vec2 position) {
 void ShardedWorld::attach(NodeId node, MediumId medium) {
   NDSM_INVARIANT(!sealed(), "attach() after seal()");
   NDSM_INVARIANT(medium.value() < media_.size(), "attach() to an unknown medium");
-  rec(node).media.push_back(medium);
+  NodeRec& n = rec(node);
+  if (std::find(n.media.begin(), n.media.end(), medium) != n.media.end()) return;
+  n.media.push_back(medium);
 }
 
 void ShardedWorld::set_handler(NodeId node, Handler handler) {
@@ -132,15 +196,15 @@ void ShardedWorld::seal() {
       .seed = config_.seed,
   });
 
-  grids_.assign(map_->shards(), std::vector<Grid>(media_.size()));
-  shard_stats_.assign(map_->shards(), ShardStats{});
+  shards_.resize(map_->shards());
+  for (Shard& sh : shards_) sh.cells.resize(media_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     NodeRec& n = nodes_[i];
     n.shard = static_cast<std::uint32_t>(map_->shard_of(n.pos));
-    for (const MediumId m : n.media) {
-      Grid& g = grids_[n.shard][m.value()];
-      g.cells[cell_key(n.pos, media_[m.value()].range_m)].push_back(NodeId{i});
-    }
+    for (const MediumId m : n.media) shards_[n.shard].cells[m.value()].add(NodeId{i}, n.pos);
+  }
+  for (Shard& sh : shards_) {
+    for (std::size_t m = 0; m < media_.size(); ++m) sh.cells[m].freeze(media_[m].range_m);
   }
 
   for (PendingEvent& p : pending_) {
@@ -195,7 +259,7 @@ void ShardedWorld::deliver(NodeRec& n, const ShardFrame& frame, std::uint64_t tx
   n.digest = fnv_fold(n.digest, frame.src.value());
   n.digest = fnv_fold(n.digest, tx_uid);
   n.digest = fnv_fold(n.digest, frame.payload().size());
-  shard_stats_[n.shard].t.frames_delivered++;
+  shards_[n.shard].t.frames_delivered++;
   if (n.handler) n.handler(frame);
 }
 
@@ -226,80 +290,90 @@ void ShardedWorld::process_tx(std::uint32_t shard, NodeId src, std::uint64_t tx_
                               const std::shared_ptr<const Bytes>& buf) {
   const LinkSpec& spec = media_[medium.value()];
   const Vec2 src_pos = rec(src).pos;  // positions are immutable after seal
-  const Grid& grid = grids_[shard][medium.value()];
-  ShardStats& stats = shard_stats_[shard];
+  Shard& sh = shards_[shard];
 
-  // 3x3 cell neighborhood of the sender inside this shard's grid, sorted
-  // by id so the per-receiver decision sequence is position-bucket-free.
-  std::vector<NodeId> candidates;
-  const auto ccx = static_cast<std::int64_t>(std::floor(src_pos.x / spec.range_m));
-  const auto ccy = static_cast<std::int64_t>(std::floor(src_pos.y / spec.range_m));
-  for (std::int64_t dx = -1; dx <= 1; ++dx) {
-    for (std::int64_t dy = -1; dy <= 1; ++dy) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(ccx + dx) << 32) ^
-          (static_cast<std::uint64_t>(ccy + dy) & 0xffffffffULL);
-      const auto it = grid.cells.find(key);
-      if (it == grid.cells.end()) continue;
-      for (const NodeId id : it->second) {
-        if (id != src) candidates.push_back(id);
-      }
-    }
+  // The in-range receivers in this shard, sorted by id so the
+  // per-receiver decision sequence is free of cells and stripes.
+  std::vector<NodeId>& receivers = sh.receivers;
+  receivers.clear();
+  sh.cells[medium.value()].gather(src_pos, src, receivers);
+  std::sort(receivers.begin(), receivers.end());
+  // The receivers' records are scattered over the node table and read one
+  // by one below: start every load now.
+  for (const NodeId id : receivers) __builtin_prefetch(&nodes_[id.value()]);
+#if NDSM_AUDIT_ENABLED
+  if (++sh.fanouts % kFanoutAuditSample == 0) {
+    audit_verify_receivers(shard, src, medium, receivers);
   }
-  std::sort(candidates.begin(), candidates.end());
+#endif
 
   const double loss_p = loss_probability(spec, wire_bytes, sent_at);
-  const std::uint64_t seed_loss = splitmix64(fault_seed_ ^ kDrawLoss);
-  const std::uint64_t seed_dup = splitmix64(fault_seed_ ^ kDrawDuplicate);
-  const std::uint64_t seed_jgate = splitmix64(fault_seed_ ^ kDrawJitterGate);
-  const std::uint64_t seed_jamt = splitmix64(fault_seed_ ^ kDrawJitterAmount);
-  const std::uint64_t seed_rxkey = splitmix64(fault_seed_ ^ kDrawRxKey);
-
-  for (const NodeId dst_id : candidates) {
+  // Every undelayed receiver gets this one frame; a jittered or duplicate
+  // delivery carries a copy with its own time.
+  const ShardFrame frame{src, kBroadcast, medium, at, buf};
+  for (const NodeId dst_id : receivers) {
     NodeRec& dst = rec(dst_id);
     if (!dst.alive) continue;
-    if (distance(src_pos, dst.pos) > spec.range_m) continue;
     if (partitioned(src_pos, dst.pos, sent_at)) {
-      stats.t.fault_drops++;
+      sh.t.fault_drops++;
       continue;
     }
     // Counter-based draws: each decision is a pure function of the frame
     // identity (src, tx_seq, dst), so the loss/duplicate/jitter pattern is
     // bit-identical no matter how the world is partitioned or scheduled.
     if (loss_p > 0 &&
-        hash_uniform(seed_loss, src.value(), tx_seq, dst_id.value()) < loss_p) {
-      stats.t.frames_lost++;
+        hash_uniform(seeds_[kDrawLoss], src.value(), tx_seq, dst_id.value()) < loss_p) {
+      sh.t.frames_lost++;
       continue;
     }
     Time deliver_at = at;
     if (faults_.jitter_max > 0 &&
-        hash_uniform(seed_jgate, src.value(), tx_seq, dst_id.value()) < faults_.jitter_p) {
-      const double u = hash_uniform(seed_jamt, src.value(), tx_seq, dst_id.value());
+        hash_uniform(seeds_[kDrawJitterGate], src.value(), tx_seq, dst_id.value()) <
+            faults_.jitter_p) {
+      const double u = hash_uniform(seeds_[kDrawJitterAmount], src.value(), tx_seq, dst_id.value());
       deliver_at += 1 + static_cast<Time>(u * static_cast<double>(faults_.jitter_max - 1));
-      stats.t.fault_delays++;
+      sh.t.fault_delays++;
     }
-    const ShardFrame frame{src, kBroadcast, medium, deliver_at, buf};
     if (deliver_at == at) {
       // Undelayed receivers are handled inline: the tx event itself is
       // keyed (kTx, src, tx_seq), which orders the whole fan-out.
       deliver(dst, frame, tx_seq);
     } else {
+      ShardFrame late = frame;
+      late.at = deliver_at;
       const std::uint64_t rx_key =
-          hash_u64(seed_rxkey, src.value(), tx_seq, dst_id.value() * 2);
+          hash_u64(seeds_[kDrawRxKey], src.value(), tx_seq, dst_id.value() * 2);
       engine_->schedule(shard, deliver_at, key_hi(kKindRx, dst_id), rx_key,
-                        [this, dst_id, frame, tx_seq] { deliver(rec(dst_id), frame, tx_seq); });
+                        [this, dst_id, late, tx_seq] { deliver(rec(dst_id), late, tx_seq); });
     }
     if (faults_.duplicate_p > 0 &&
-        hash_uniform(seed_dup, src.value(), tx_seq, dst_id.value()) < faults_.duplicate_p) {
-      stats.t.fault_duplicates++;
+        hash_uniform(seeds_[kDrawDuplicate], src.value(), tx_seq, dst_id.value()) <
+            faults_.duplicate_p) {
+      sh.t.fault_duplicates++;
       ShardFrame dup = frame;
       dup.at = deliver_at + faults_.duplicate_extra_delay;
       const std::uint64_t rx_key =
-          hash_u64(seed_rxkey, src.value(), tx_seq, dst_id.value() * 2 + 1);
+          hash_u64(seeds_[kDrawRxKey], src.value(), tx_seq, dst_id.value() * 2 + 1);
       engine_->schedule(shard, dup.at, key_hi(kKindRx, dst_id), rx_key,
                         [this, dst_id, dup, tx_seq] { deliver(rec(dst_id), dup, tx_seq); });
     }
   }
+}
+
+void ShardedWorld::audit_verify_receivers(std::uint32_t shard, NodeId src, MediumId medium,
+                                          const std::vector<NodeId>& receivers) const {
+  const Vec2 src_pos = rec(src).pos;
+  const double range_m = media_[medium.value()].range_m;
+  std::vector<NodeId> expected;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const NodeRec& n = nodes_[i];
+    if (n.shard != shard || NodeId{i} == src) continue;
+    if (std::find(n.media.begin(), n.media.end(), medium) == n.media.end()) continue;
+    if (distance(src_pos, n.pos) > range_m) continue;
+    expected.push_back(NodeId{i});
+  }
+  NDSM_INVARIANT(receivers == expected,
+                 "cell index fan-out differs from a brute-force range scan");
 }
 
 Status ShardedWorld::broadcast(NodeId src, Bytes payload, MediumId medium) {
@@ -316,11 +390,11 @@ Status ShardedWorld::broadcast(NodeId src, Bytes payload, MediumId medium) {
     const std::size_t wire_bytes = buf->size() + spec.header_bytes;
     const std::uint64_t tx_seq = s.tx_seq++;
     const Time at = now + tx_delay(spec, buf->size());
-    shard_stats_[s.shard].t.frames_sent++;
+    shards_[s.shard].t.frames_sent++;
 
     // One tx event per shard the transmission can touch: the sender's own
     // stripe locally, each adjacent stripe via the ordered mailbox. Every
-    // shard computes its own receivers from its own grid; the shared key
+    // shard computes its own receivers from its own index; the shared key
     // (kTx, src, tx_seq) keeps the fan-outs aligned across shardings.
     const auto tx = [this, src, tx_seq, m, now, at, wire_bytes, buf](std::uint32_t shard) {
       return [this, shard, src, tx_seq, m, now, at, wire_bytes, buf] {
@@ -334,7 +408,7 @@ Status ShardedWorld::broadcast(NodeId src, Bytes payload, MediumId medium) {
       if (!map_->reaches(s.pos, spec.range_m, static_cast<std::size_t>(nbr))) continue;
       engine_->post(s.shard, static_cast<std::uint32_t>(nbr), at, key_hi(kKindTx, src),
                     tx_seq, tx(static_cast<std::uint32_t>(nbr)));
-      shard_stats_[s.shard].t.cross_shard_transmissions++;
+      shards_[s.shard].t.cross_shard_transmissions++;
     }
   }
   return Status::ok();
@@ -362,33 +436,28 @@ Status ShardedWorld::send(NodeId src, NodeId dst, Bytes payload) {
   const Time now = engine_->now(s.shard);
   const std::size_t wire_bytes = payload.size() + spec.header_bytes;
   const std::uint64_t tx_seq = s.tx_seq++;
-  ShardStats& stats = shard_stats_[s.shard];
-  stats.t.frames_sent++;
+  Totals& stats = shards_[s.shard].t;
+  stats.frames_sent++;
 
   if (partitioned(s.pos, d.pos, now)) {
-    stats.t.fault_drops++;
+    stats.fault_drops++;
     return Status::ok();  // silently dropped; reliability is transport's job
   }
   const double loss_p = loss_probability(spec, wire_bytes, now);
-  const std::uint64_t seed_loss = splitmix64(fault_seed_ ^ kDrawLoss);
-  if (loss_p > 0 && hash_uniform(seed_loss, src.value(), tx_seq, dst.value()) < loss_p) {
-    stats.t.frames_lost++;
+  if (loss_p > 0 && hash_uniform(seeds_[kDrawLoss], src.value(), tx_seq, dst.value()) < loss_p) {
+    stats.frames_lost++;
     return Status::ok();
   }
 
   Time at = now + tx_delay(spec, payload.size());
-  if (faults_.jitter_max > 0) {
-    const std::uint64_t seed_jgate = splitmix64(fault_seed_ ^ kDrawJitterGate);
-    if (hash_uniform(seed_jgate, src.value(), tx_seq, dst.value()) < faults_.jitter_p) {
-      const std::uint64_t seed_jamt = splitmix64(fault_seed_ ^ kDrawJitterAmount);
-      const double u = hash_uniform(seed_jamt, src.value(), tx_seq, dst.value());
-      at += 1 + static_cast<Time>(u * static_cast<double>(faults_.jitter_max - 1));
-      stats.t.fault_delays++;
-    }
+  if (faults_.jitter_max > 0 &&
+      hash_uniform(seeds_[kDrawJitterGate], src.value(), tx_seq, dst.value()) < faults_.jitter_p) {
+    const double u = hash_uniform(seeds_[kDrawJitterAmount], src.value(), tx_seq, dst.value());
+    at += 1 + static_cast<Time>(u * static_cast<double>(faults_.jitter_max - 1));
+    stats.fault_delays++;
   }
 
   const auto buf = std::make_shared<const Bytes>(std::move(payload));
-  const std::uint64_t seed_rxkey = splitmix64(fault_seed_ ^ kDrawRxKey);
   const auto schedule_rx = [this, &s, dst](Time when, std::uint64_t rx_key,
                                            ShardFrame frame, std::uint64_t uid) {
     const std::uint32_t home = rec(dst).shard;
@@ -397,20 +466,19 @@ Status ShardedWorld::send(NodeId src, NodeId dst, Bytes payload) {
       engine_->schedule(home, when, key_hi(kKindRx, dst), rx_key, std::move(fn));
     } else {
       engine_->post(s.shard, home, when, key_hi(kKindRx, dst), rx_key, std::move(fn));
-      shard_stats_[s.shard].t.cross_shard_transmissions++;
+      shards_[s.shard].t.cross_shard_transmissions++;
     }
   };
-  schedule_rx(at, hash_u64(seed_rxkey, src.value(), tx_seq, dst.value() * 2),
+  schedule_rx(at, hash_u64(seeds_[kDrawRxKey], src.value(), tx_seq, dst.value() * 2),
               ShardFrame{src, dst, chosen, at, buf}, tx_seq);
 
-  if (faults_.duplicate_p > 0) {
-    const std::uint64_t seed_dup = splitmix64(fault_seed_ ^ kDrawDuplicate);
-    if (hash_uniform(seed_dup, src.value(), tx_seq, dst.value()) < faults_.duplicate_p) {
-      stats.t.fault_duplicates++;
-      const Time dup_at = at + faults_.duplicate_extra_delay;
-      schedule_rx(dup_at, hash_u64(seed_rxkey, src.value(), tx_seq, dst.value() * 2 + 1),
-                  ShardFrame{src, dst, chosen, dup_at, buf}, tx_seq);
-    }
+  if (faults_.duplicate_p > 0 &&
+      hash_uniform(seeds_[kDrawDuplicate], src.value(), tx_seq, dst.value()) <
+          faults_.duplicate_p) {
+    stats.fault_duplicates++;
+    const Time dup_at = at + faults_.duplicate_extra_delay;
+    schedule_rx(dup_at, hash_u64(seeds_[kDrawRxKey], src.value(), tx_seq, dst.value() * 2 + 1),
+                ShardFrame{src, dst, chosen, dup_at, buf}, tx_seq);
   }
   return Status::ok();
 }
@@ -436,7 +504,7 @@ std::uint64_t ShardedWorld::shard_digest(std::size_t s) const {
 
 ShardedWorld::Totals ShardedWorld::totals() const {
   Totals out;
-  for (const ShardStats& s : shard_stats_) {
+  for (const Shard& s : shards_) {
     out.frames_sent += s.t.frames_sent;
     out.frames_delivered += s.t.frames_delivered;
     out.frames_lost += s.t.frames_lost;
@@ -461,10 +529,10 @@ void ShardedWorld::register_metrics() {
                  [this] { return static_cast<double>(nodes_.size()); });
   // Per-shard delivery series, labelled by shard index: partition skew is
   // visible as divergence between the series.
-  for (std::size_t s = 0; s < shard_stats_.size(); ++s) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
     metrics_.set_labels("net.sharded", static_cast<std::int64_t>(s));
     metrics_.counter_fn("net.sharded.shard_frames_delivered",
-                        [this, s] { return shard_stats_[s].t.frames_delivered; });
+                        [this, s] { return shards_[s].t.frames_delivered; });
   }
   metrics_.set_labels("net.sharded");
 }

@@ -4,11 +4,20 @@
 //
 // The world is split into ShardMap stripes; each shard owns the nodes in
 // its stripe — their liveness, handlers, per-node counters and digests —
-// plus a per-medium spatial grid over exactly those nodes, and runs on
-// its own timeline of a sharded sim::Simulator. A transmission near a cut
+// plus a per-medium cell index over exactly those nodes, and runs on its
+// own timeline of a sharded sim::Simulator. A transmission near a cut
 // line is forwarded to the (at most two) adjacent shards through the
 // engine's ordered mailboxes; each shard then computes the receivers that
-// fall in its own stripe from its own grid.
+// fall in its own stripe from its own index.
+//
+// Geometry is frozen at seal(), so the cell index is built once there:
+// the shard's members on a medium sorted by (cell row, cell column, id)
+// with their positions inline, plus the occupied rows and cells in the
+// same order (range-sized cells, O(members) memory whatever the layout's
+// bounding box). A transmission's 3x3 cell neighbourhood is then three
+// contiguous member runs; the range test reads the inline positions, and
+// only the in-range receivers are sorted by id, in a scratch buffer the
+// shard reuses, so a fan-out allocates nothing per receiver.
 //
 // Determinism contract (stronger than the engine's): the per-node
 // delivery order and the merged digest() are bit-identical for ANY shard
@@ -19,6 +28,9 @@
 //     receiver) — so a decision is a pure function of the frame
 //     identity, not of how many draws some sequential stream served
 //     before it (a per-shard stream would re-order with the partition).
+//   * A fan-out visits its in-range receivers in id order, so the order
+//     its deliveries run in does not depend on cell size, stripe cuts or
+//     the index's layout.
 //   * Same-instant events are keyed by simulation identities: a
 //     transmission processes as (kind, src, tx_seq), so two broadcasts
 //     landing on one receiver in the same microsecond deliver in (src,
@@ -34,10 +46,10 @@
 // Simulator::current_shard). The full node::Runtime middleware stack
 // still runs on the single-threaded World (DESIGN §13).
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -196,16 +208,52 @@ class ShardedWorld {
     std::uint64_t delivered = 0;
   };
 
-  struct Grid {  // one per (shard, medium): cells over the shard's nodes
-    std::unordered_map<std::uint64_t, std::vector<NodeId>> cells;
+  // The frozen cell index of one (shard, medium); see the file comment.
+  // Cells are range_m wide, so the 3x3 neighbourhood of a sender's cell
+  // holds every node in its range.
+  class CellIndex {
+   public:
+    void add(NodeId id, Vec2 pos) { members_.push_back({pos, id}); }
+    // Sort the members and list the occupied rows and cells; called once,
+    // at seal.
+    void freeze(double range_m);
+    // Append every member within range of `center` except `exclude`, in
+    // (cell row, cell column, id) order.
+    void gather(Vec2 center, NodeId exclude, std::vector<NodeId>& out) const;
+
+   private:
+    struct Member {
+      Vec2 pos;
+      NodeId id;
+    };
+    struct Row {
+      std::int64_t row;
+      std::uint32_t first;  // index of the row's first cell
+    };
+    struct Cell {
+      std::int64_t col;
+      std::uint32_t first;  // index of the cell's first member
+    };
+    double range_m_ = 0;
+    std::vector<Member> members_;
+    // The occupied rows, and each row's occupied cells, in ascending
+    // order; each ends in a sentinel whose `first` closes the last run.
+    std::vector<Row> rows_;
+    std::vector<Cell> cells_;
   };
 
-  // Mutated only by the owning shard's worker during a run; padded so
-  // two shards' hot counters never share a cache line.
-  struct alignas(64) ShardStats {
+  // One shard's link-layer state. Mutated only by the owning shard's
+  // worker during a run; padded so two shards' hot counters never share a
+  // cache line.
+  struct alignas(64) Shard {
     Totals t;
-    std::uint64_t events = 0;
+    std::vector<CellIndex> cells;   // per medium, frozen at seal
+    std::vector<NodeId> receivers;  // process_tx scratch, reused
+    std::uint64_t fanouts = 0;      // counted in NDSM_AUDIT builds only
   };
+  // NDSM_AUDIT builds cross-check every kFanoutAuditSample-th fan-out of
+  // a shard against a brute-force range scan.
+  static constexpr std::uint64_t kFanoutAuditSample = 64;
 
   struct PendingEvent {  // schedule()/kill_at() calls buffered pre-seal
     NodeId node;
@@ -224,10 +272,16 @@ class ShardedWorld {
                       std::function<void()> fn);
   void assert_owner_context(const NodeRec& n, const char* what) const;
   // Process one transmission inside shard `shard`: gather the shard's
-  // candidates, take the counter-hashed per-receiver decisions, deliver.
+  // in-range receivers, take the counter-hashed per-receiver decisions,
+  // deliver.
   void process_tx(std::uint32_t shard, NodeId src, std::uint64_t tx_seq, MediumId medium,
                   Time sent_at, Time at, std::size_t wire_bytes,
                   const std::shared_ptr<const Bytes>& buf);
+  // The brute-force check behind the NDSM_AUDIT sampling: `receivers`
+  // must be exactly the nodes of `shard` on `medium`, other than `src`,
+  // within range of it.
+  void audit_verify_receivers(std::uint32_t shard, NodeId src, MediumId medium,
+                              const std::vector<NodeId>& receivers) const;
   void deliver(NodeRec& n, const ShardFrame& frame, std::uint64_t tx_uid);
   void mix_control(NodeRec& n, Time at, std::uint64_t tag);
   [[nodiscard]] double loss_probability(const LinkSpec& spec, std::size_t wire_bytes,
@@ -238,14 +292,15 @@ class ShardedWorld {
 
   ShardedWorldConfig config_;
   ShardedFaultPlan faults_;
-  std::uint64_t fault_seed_ = 0;
+  // One seed per DrawTag, indexed by it: fixed per world, so derived once
+  // in the constructor, never per transmission.
+  std::array<std::uint64_t, kDrawRxKey + 1> seeds_{};
   std::vector<NodeRec> nodes_;
   std::vector<LinkSpec> media_;
   std::vector<PendingEvent> pending_;
   std::unique_ptr<ShardMap> map_;
   std::unique_ptr<sim::Simulator> engine_;
-  std::vector<std::vector<Grid>> grids_;  // [shard][medium]
-  std::vector<ShardStats> shard_stats_;
+  std::vector<Shard> shards_;
   obs::MetricGroup metrics_;
 };
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <fstream>
 #include <iomanip>
-#include <unordered_set>
 
 #include "obs/json.hpp"
 
@@ -118,17 +117,28 @@ Histogram* MetricsRegistry::add_histogram(std::string name, MetricLabels labels,
 }
 
 void MetricsRegistry::remove_all(const std::vector<MetricId>& ids) {
-  if (ids.empty()) return;
-  const std::unordered_set<MetricId> doomed(ids.begin(), ids.end());
-  metrics_.erase(std::remove_if(metrics_.begin(), metrics_.end(),
-                                [&doomed](const Metric& m) { return doomed.count(m.id) > 0; }),
-                 metrics_.end());
+  for (const MetricId id : ids) {
+    const auto it = std::lower_bound(metrics_.begin(), metrics_.end(), id,
+                                     [](const Metric& m, MetricId v) { return m.id < v; });
+    if (it == metrics_.end() || it->id != id || it->removed) continue;
+    *it = Metric{};
+    it->id = id;
+    it->removed = true;
+    removed_++;
+  }
+  if (removed_ * 2 > metrics_.size()) {
+    metrics_.erase(std::remove_if(metrics_.begin(), metrics_.end(),
+                                  [](const Metric& m) { return m.removed; }),
+                   metrics_.end());
+    removed_ = 0;
+  }
 }
 
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
   std::vector<MetricSample> out;
-  out.reserve(metrics_.size());
+  out.reserve(size());
   for (const Metric& m : metrics_) {
+    if (m.removed) continue;
     MetricSample s;
     s.kind = m.kind;
     s.name = m.name;

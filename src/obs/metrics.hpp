@@ -120,11 +120,14 @@ class MetricsRegistry {
   Histogram* add_histogram(std::string name, MetricLabels labels,
                            std::vector<double> upper_bounds, MetricId* id_out = nullptr);
 
-  // Single-pass removal; what MetricGroup uses so tearing down a 400-node
-  // World is O(registry) rather than O(registry * group).
+  // Removes the given metrics (what MetricGroup::clear uses). Each id is
+  // found by binary search and left as a tombstone; the tombstones are
+  // swept out, keeping registration order, once they outnumber the live
+  // metrics. Removing k metrics costs O(k log n) plus sweeps that
+  // amortize to O(1) per metric, not a scan of the registry per group.
   void remove_all(const std::vector<MetricId>& ids);
 
-  [[nodiscard]] std::size_t size() const { return metrics_.size(); }
+  [[nodiscard]] std::size_t size() const { return metrics_.size() - removed_; }
 
   // All metrics, sampled now, sorted by (name, component, node).
   [[nodiscard]] std::vector<MetricSample> snapshot() const;
@@ -146,6 +149,7 @@ class MetricsRegistry {
  private:
   struct Metric {
     MetricId id = 0;
+    bool removed = false;  // a tombstone: id kept, everything else released
     MetricKind kind = MetricKind::kCounter;
     std::string name;
     MetricLabels labels;
@@ -156,7 +160,8 @@ class MetricsRegistry {
   };
 
   MetricId next_id_ = 1;
-  std::vector<Metric> metrics_;
+  std::vector<Metric> metrics_;  // registration order, hence ascending id
+  std::size_t removed_ = 0;      // tombstones in metrics_
 };
 
 // RAII bundle of registrations: everything added through a group is

@@ -7,9 +7,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "milan/engine.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
@@ -94,6 +98,68 @@ TEST(Metrics, GroupUnregistersOnDestruction) {
   }
   EXPECT_EQ(reg.size(), 0u);
   EXPECT_TRUE(reg.snapshot().empty());
+}
+
+// Groups torn down in random order, with registrations in between, leave
+// exactly the survivors: size() and a snapshot that match, element for
+// element, a registry that only ever held them, registered in the same
+// order (ties in the snapshot's (name, component, node) order included).
+TEST(Metrics, GroupsRemovedInRandomOrderLeaveExactlyTheSurvivors) {
+  struct Registration {
+    std::size_t group;
+    std::string name;
+    std::int64_t node;
+    std::uint64_t* value;
+  };
+  // Each metric reads its own value, so tied samples stay distinguishable.
+  std::vector<std::uint64_t> values(1000);
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = i;
+  std::size_t used = 0;
+  MetricsRegistry reg;
+  std::vector<std::unique_ptr<MetricGroup>> groups;
+  std::vector<Registration> registered;  // registration order
+  const auto add_group = [&] {
+    const std::size_t g = groups.size();
+    auto group = std::make_unique<MetricGroup>(reg);
+    const auto node = static_cast<std::int64_t>(g % 3);  // groups share labels
+    group->set_labels("test", node);
+    for (std::size_t k = 0; k <= g % 4; ++k) {
+      const std::string name = k % 2 == 0 ? "test.even" : "test.odd";
+      group->counter(name, &values[used]);
+      registered.push_back({g, name, node, &values[used]});
+      used++;
+    }
+    groups.push_back(std::move(group));
+  };
+  const std::size_t initial = 60;
+  for (std::size_t g = 0; g < initial; ++g) add_group();
+  std::vector<std::size_t> order(initial);
+  for (std::size_t i = 0; i < initial; ++i) order[i] = i;
+  Rng rng(11);
+  for (std::size_t i = initial - 1; i > 0; --i) {
+    std::swap(order[i], order[static_cast<std::size_t>(
+                            rng.uniform_int(0, static_cast<std::int64_t>(i)))]);
+  }
+
+  std::set<std::size_t> removed;
+  for (std::size_t step = 0; step < initial; ++step) {
+    groups[order[step]].reset();
+    removed.insert(order[step]);
+    if (step % 10 == 9) add_group();
+    MetricsRegistry survivors;
+    for (const Registration& r : registered) {
+      if (removed.count(r.group) == 0) survivors.add_counter(r.name, {"test", r.node}, r.value);
+    }
+    ASSERT_EQ(reg.size(), survivors.size()) << "step " << step;
+    const auto got = reg.snapshot();
+    const auto want = survivors.snapshot();
+    ASSERT_EQ(got.size(), want.size()) << "step " << step;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].name, want[i].name) << "step " << step << " row " << i;
+      EXPECT_EQ(got[i].labels.node, want[i].labels.node) << "step " << step << " row " << i;
+      EXPECT_EQ(got[i].value, want[i].value) << "step " << step << " row " << i;
+    }
+  }
 }
 
 TEST(Metrics, HistogramBucketsAndOverflow) {

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "net/shard_map.hpp"
 #include "net/sharded_world.hpp"
 #include "sim/simulator.hpp"
@@ -327,6 +329,121 @@ TEST(GoldenDigest, ShardedChaosLattice) {
       const RunOutcome r = run_lattice(10, 10, shards, workers, true);
       EXPECT_EQ(r.digest, 0x58dd23556838623aULL) << "shards=" << shards << " workers=" << workers;
       EXPECT_EQ(r.totals.frames_delivered, 1059u) << "shards=" << shards << " workers=" << workers;
+    }
+  }
+}
+
+// --- fan-out property ----------------------------------------------------------
+
+// A random layout for the fan-out property. Each cluster is 600 m square
+// and centred on its origin, so half its coordinates are negative. Half
+// the nodes sit on a 5 m lattice: on cell edges of both media (cells are
+// range-sized, 25 m and 60 m) and, for odd layouts, on every stripe edge
+// (anchors at x = +-300 make the extent 600 m, so 4 and 8 stripes cut at
+// multiples of 75 m). A partner placed at an exact-range offset from a
+// lattice node makes receivers at exactly range_m. Even layouts add a
+// second cluster 1e7 m away on both axes, about 1e11 cells from the first.
+struct FanoutLayout {
+  static constexpr std::array<double, 2> kRanges{25.0, 60.0};
+  std::vector<Vec2> pos;
+  std::vector<std::vector<std::size_t>> media;  // medium indices, per node
+  std::vector<bool> killed;
+};
+
+FanoutLayout make_fanout_layout(std::uint64_t seed) {
+  FanoutLayout l;
+  Rng rng(seed);
+  const bool far_cluster = seed % 2 == 0;
+  const std::array<Vec2, 7> exact_offsets{
+      {{25, 0}, {0, -25}, {15, 20}, {-20, -15}, {60, 0}, {36, 48}, {-48, 36}}};
+  const auto place_cluster = [&](Vec2 origin) {
+    l.pos.push_back(origin + Vec2{-300, 0});
+    l.pos.push_back(origin + Vec2{300, 0});
+    for (int i = 0; i < 100; ++i) {
+      if (rng.bernoulli(0.5)) {
+        l.pos.push_back(origin + Vec2{rng.uniform(-300, 300), rng.uniform(-300, 300)});
+        continue;
+      }
+      const Vec2 lattice{5.0 * static_cast<double>(rng.uniform_int(-50, 50)),
+                         5.0 * static_cast<double>(rng.uniform_int(-50, 50))};
+      l.pos.push_back(origin + lattice);
+      if (rng.bernoulli(0.5)) {
+        const auto k = static_cast<std::size_t>(rng.uniform_int(0, exact_offsets.size() - 1));
+        l.pos.push_back(origin + lattice + exact_offsets[k]);
+      }
+    }
+  };
+  place_cluster({0, 0});
+  if (far_cluster) place_cluster({1e7, -1e7});
+  for (std::size_t i = 0; i < l.pos.size(); ++i) {
+    std::vector<std::size_t> attached;
+    if (rng.bernoulli(0.7)) attached.push_back(0);
+    if (rng.bernoulli(0.5)) attached.push_back(1);
+    l.media.push_back(attached);
+    l.killed.push_back(rng.bernoulli(0.1));
+  }
+  return l;
+}
+
+using Reception = std::tuple<std::uint64_t, std::size_t, std::uint64_t>;  // src, medium, dst
+
+// Every node broadcasts once on all its media; returns what arrived.
+std::vector<Reception> run_fanout(const FanoutLayout& l, std::size_t shards, std::size_t& got) {
+  net::ShardedWorld w({.shards = shards, .workers = shards > 1 ? 2u : 1u, .seed = 17});
+  std::vector<MediumId> media;
+  for (const double range : FanoutLayout::kRanges) {
+    media.push_back(w.add_medium(net::wifi80211(range, 0.0)));
+  }
+  // One log per receiver: a receiver's handler runs only on its owner
+  // shard, so no two workers ever append to the same log.
+  std::vector<std::vector<Reception>> logs(l.pos.size());
+  for (std::size_t i = 0; i < l.pos.size(); ++i) {
+    const NodeId id = w.add_node(l.pos[i]);
+    for (const std::size_t m : l.media[i]) w.attach(id, media[m]);
+    w.set_handler(id, [&logs, id](const net::ShardFrame& f) {
+      logs[id.value()].emplace_back(f.src.value(), f.medium.value(), id.value());
+    });
+    if (l.killed[i]) w.kill_at(id, duration::millis(1));
+    w.schedule(id, duration::millis(2) + static_cast<Time>(i) * 10,
+               [&w, id] { (void)w.broadcast(id, Bytes{0x5}); });
+  }
+  w.run_until(duration::millis(10));
+  got = w.shard_count();
+  std::vector<Reception> all;
+  for (const auto& log : logs) all.insert(all.end(), log.begin(), log.end());
+  std::sort(all.begin(), all.end());
+  return all;
+}
+
+// Every broadcast reaches exactly the alive nodes within range on each of
+// the sender's media, as a brute-force scan finds them, whatever the
+// layout (make_fanout_layout) and the shard count.
+TEST(ShardedWorld, BroadcastReachesExactlyTheNodesInRange) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const FanoutLayout l = make_fanout_layout(seed);
+    std::vector<Reception> expected;
+    std::size_t at_exact_range = 0;
+    for (std::size_t s = 0; s < l.pos.size(); ++s) {
+      if (l.killed[s]) continue;
+      for (const std::size_t m : l.media[s]) {
+        const double range = FanoutLayout::kRanges[m];
+        for (std::size_t d = 0; d < l.pos.size(); ++d) {
+          if (d == s || l.killed[d]) continue;
+          if (std::find(l.media[d].begin(), l.media[d].end(), m) == l.media[d].end()) continue;
+          const double dist = distance(l.pos[s], l.pos[d]);
+          if (dist > range) continue;
+          expected.emplace_back(s, m, d);
+          if (dist == range) at_exact_range++;
+        }
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    ASSERT_GT(at_exact_range, 0u) << "seed " << seed;
+    for (const std::size_t shards : {1u, 4u, 8u}) {
+      std::size_t got_shards = 0;
+      const std::vector<Reception> got = run_fanout(l, shards, got_shards);
+      EXPECT_EQ(got_shards, shards) << "seed " << seed;
+      EXPECT_EQ(got, expected) << "seed " << seed << " shards " << shards;
     }
   }
 }
