@@ -1,12 +1,12 @@
 #pragma once
 // NDSM_AUDIT invariant layer. Configuring with -DNDSM_AUDIT=ON compiles
 // in debug invariant hooks across the stack: slab/heap consistency checks
-// in sim::Simulator, sampled spatial-grid-vs-brute-force cross-checks in
-// net::World, port-registry and node::Runtime lifecycle state-machine
-// assertions. The checks fire in every build type (they do not ride on
-// assert(), which RelWithDebInfo strips via NDEBUG) — an audited binary
-// aborts with a file:line diagnostic the moment an invariant breaks, no
-// matter how it was compiled.
+// in sim::Simulator, sampled cell-index-vs-brute-force cross-checks in
+// net::World and net::ShardedWorld, port-registry and node::Runtime
+// lifecycle state-machine assertions. The checks fire in every build
+// type (they do not ride on assert(), which RelWithDebInfo strips via
+// NDEBUG) — an audited binary aborts with a file:line diagnostic the
+// moment an invariant breaks, no matter how it was compiled.
 //
 // The verifier bodies (Simulator::audit_verify, World::audit_verify_grid,
 // ...) are compiled unconditionally so tests can invoke them directly in

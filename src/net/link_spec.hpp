@@ -3,6 +3,7 @@
 // one broadcast domain of a given technology; nodes may attach interfaces
 // to several media, and the middleware runs unchanged over any of them.
 
+#include <cmath>
 #include <string>
 
 #include "common/time.hpp"
@@ -20,6 +21,26 @@ struct LinkSpec {
   std::size_t header_bytes = 16;  // per-frame overhead on the wire
   std::size_t mtu_bytes = 1500;   // maximum frame payload; transport fragments above this
 };
+
+// The link physics both simulated worlds share. A frame of
+// `payload_bytes` arrives after the propagation delay plus the time to
+// serialize it and its header.
+[[nodiscard]] inline Time transmission_delay(const LinkSpec& spec, std::size_t payload_bytes) {
+  const double bits = static_cast<double>(payload_bytes + spec.header_bytes) * 8.0;
+  return spec.propagation_delay + from_seconds(bits / spec.bandwidth_bps);
+}
+
+// Per-frame loss probability combining the flat loss and the BER term
+// (also used by tests and for analytical sizing of transport parameters).
+[[nodiscard]] inline double frame_loss_probability(const LinkSpec& spec, std::size_t wire_bytes) {
+  double p = spec.loss_probability;
+  if (spec.bit_error_rate > 0) {
+    const double bits = static_cast<double>(wire_bytes) * 8.0;
+    const double survive = std::pow(1.0 - spec.bit_error_rate, bits);
+    p = 1.0 - (1.0 - p) * survive;
+  }
+  return p;
+}
 
 // Presets modelled on the technologies the paper names (§3.2): "local
 // ethernet and ATM backbones ... Bluetooth, IEEE 802.11". Rates are

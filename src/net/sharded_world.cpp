@@ -1,21 +1,11 @@
 #include "net/sharded_world.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/audit.hpp"
 #include "common/rng.hpp"
 
 namespace ndsm::net {
-
-namespace {
-
-// Range-sized cell coordinate of `v`: floor(v / range_m).
-std::int64_t cell_of(double v, double range_m) {
-  return static_cast<std::int64_t>(std::floor(v / range_m));
-}
-
-}  // namespace
 
 ShardedWorld::ShardedWorld(ShardedWorldConfig config) : config_(config) {
   NDSM_INVARIANT(config_.shards >= 1, "ShardedWorld needs at least one shard");
@@ -23,67 +13,6 @@ ShardedWorld::ShardedWorld(ShardedWorldConfig config) : config_(config) {
   const std::uint64_t fault_seed = splitmix64(config_.seed ^ 0xfa117ab1e5ULL);
   for (std::uint64_t tag = kDrawLoss; tag <= kDrawRxKey; ++tag) {
     seeds_[tag] = splitmix64(fault_seed ^ tag);
-  }
-}
-
-void ShardedWorld::CellIndex::freeze(double range_m) {
-  range_m_ = range_m;
-  NDSM_INVARIANT(members_.size() < UINT32_MAX, "too many members for one cell index");
-  struct Keyed {
-    std::int64_t row;
-    std::int64_t col;
-    Member m;
-  };
-  std::vector<Keyed> keyed;
-  keyed.reserve(members_.size());
-  for (const Member& m : members_) {
-    keyed.push_back({cell_of(m.pos.y, range_m), cell_of(m.pos.x, range_m), m});
-  }
-  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
-    if (a.row != b.row) return a.row < b.row;
-    if (a.col != b.col) return a.col < b.col;
-    return a.m.id < b.m.id;
-  });
-  members_.clear();
-  for (const Keyed& k : keyed) {
-    const bool new_row = rows_.empty() || rows_.back().row != k.row;
-    if (new_row) rows_.push_back({k.row, static_cast<std::uint32_t>(cells_.size())});
-    if (new_row || cells_.back().col != k.col) {
-      cells_.push_back({k.col, static_cast<std::uint32_t>(members_.size())});
-    }
-    members_.push_back(k.m);
-  }
-  rows_.push_back({INT64_MAX, static_cast<std::uint32_t>(cells_.size())});
-  cells_.push_back({INT64_MAX, static_cast<std::uint32_t>(members_.size())});
-  members_.shrink_to_fit();
-  rows_.shrink_to_fit();
-  cells_.shrink_to_fit();
-}
-
-void ShardedWorld::CellIndex::gather(Vec2 center, NodeId exclude,
-                                     std::vector<NodeId>& out) const {
-  const std::int64_t row = cell_of(center.y, range_m_);
-  const std::int64_t col = cell_of(center.x, range_m_);
-  auto r = std::lower_bound(rows_.begin(), rows_.end(), row - 1,
-                            [](const Row& x, std::int64_t v) { return x.row < v; });
-  for (; r->row <= row + 1; ++r) {
-    // Cells col-1..col+1 of a row are adjacent, so their members form one
-    // run: from the first of them to the next cell, or the row's end.
-    const auto row_end = cells_.begin() + (r + 1)->first;
-    auto cell = std::lower_bound(cells_.begin() + r->first, row_end, col - 1,
-                                 [](const Cell& c, std::int64_t v) { return c.col < v; });
-    const std::uint32_t first = cell->first;
-    while (cell != row_end && cell->col <= col + 1) ++cell;
-    // About a third of a run is in range, in no predictable pattern, so
-    // write every member and keep the ones in range rather than branch.
-    std::size_t n = out.size();
-    out.resize(n + (cell->first - first));
-    for (std::uint32_t i = first; i < cell->first; ++i) {
-      const Member& m = members_[i];
-      out[n] = m.id;
-      n += static_cast<std::size_t>((m.id != exclude) & !(distance(center, m.pos) > range_m_));
-    }
-    out.resize(n);
   }
 }
 
@@ -160,11 +89,6 @@ void ShardedWorld::revive_at(NodeId node, Time at) {
   schedule_keyed(node, at, kKindControl, n.control_seq++, [this, node] { revive(node); });
 }
 
-Time ShardedWorld::tx_delay(const LinkSpec& spec, std::size_t payload_bytes) const {
-  const double bits = static_cast<double>(payload_bytes + spec.header_bytes) * 8.0;
-  return spec.propagation_delay + from_seconds(bits / spec.bandwidth_bps);
-}
-
 void ShardedWorld::seal() {
   NDSM_INVARIANT(!sealed(), "seal() called twice");
   NDSM_INVARIANT(!media_.empty(), "seal() needs at least one medium (lookahead source)");
@@ -184,7 +108,7 @@ void ShardedWorld::seal() {
   Time lookahead = kTimeNever;
   for (const LinkSpec& m : media_) {
     max_range = std::max(max_range, m.range_m);
-    lookahead = std::min(lookahead, tx_delay(m, 0));
+    lookahead = std::min(lookahead, transmission_delay(m, 0));
   }
   lookahead = std::max<Time>(lookahead, 1);
 
@@ -236,7 +160,7 @@ void ShardedWorld::assert_owner_context(const NodeRec& n, const char* what) cons
 
 double ShardedWorld::loss_probability(const LinkSpec& spec, std::size_t wire_bytes,
                                       Time sent_at) const {
-  double p = World::frame_loss_probability(spec, wire_bytes);
+  double p = frame_loss_probability(spec, wire_bytes);
   for (const ShardedFaultPlan::LossWindow& w : faults_.loss_windows) {
     if (sent_at >= w.start && sent_at < w.end) p += w.extra_loss;
   }
@@ -389,7 +313,7 @@ Status ShardedWorld::broadcast(NodeId src, Bytes payload, MediumId medium) {
     const LinkSpec& spec = media_[m.value()];
     const std::size_t wire_bytes = buf->size() + spec.header_bytes;
     const std::uint64_t tx_seq = s.tx_seq++;
-    const Time at = now + tx_delay(spec, buf->size());
+    const Time at = now + transmission_delay(spec, buf->size());
     shards_[s.shard].t.frames_sent++;
 
     // One tx event per shard the transmission can touch: the sender's own
@@ -449,7 +373,7 @@ Status ShardedWorld::send(NodeId src, NodeId dst, Bytes payload) {
     return Status::ok();
   }
 
-  Time at = now + tx_delay(spec, payload.size());
+  Time at = now + transmission_delay(spec, payload.size());
   if (faults_.jitter_max > 0 &&
       hash_uniform(seeds_[kDrawJitterGate], src.value(), tx_seq, dst.value()) < faults_.jitter_p) {
     const double u = hash_uniform(seeds_[kDrawJitterAmount], src.value(), tx_seq, dst.value());

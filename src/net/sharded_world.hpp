@@ -10,14 +10,13 @@
 // engine's ordered mailboxes; each shard then computes the receivers that
 // fall in its own stripe from its own index.
 //
-// Geometry is frozen at seal(), so the cell index is built once there:
-// the shard's members on a medium sorted by (cell row, cell column, id)
-// with their positions inline, plus the occupied rows and cells in the
-// same order (range-sized cells, O(members) memory whatever the layout's
-// bounding box). A transmission's 3x3 cell neighbourhood is then three
+// Geometry is frozen at seal(), so each shard's net::CellIndex over its
+// members on a medium (net/cell_index.hpp, the index World uses too) is
+// built once there. A transmission's 3x3 cell neighbourhood is then three
 // contiguous member runs; the range test reads the inline positions, and
 // only the in-range receivers are sorted by id, in a scratch buffer the
-// shard reuses, so a fan-out allocates nothing per receiver.
+// shard reuses, so a fan-out allocates nothing per receiver. Delay and
+// loss come from the link physics in net/link_spec.hpp, as in World.
 //
 // Determinism contract (stronger than the engine's): the per-node
 // delivery order and the merged digest() are bit-identical for ANY shard
@@ -56,9 +55,10 @@
 #include "common/ids.hpp"
 #include "common/status.hpp"
 #include "common/vec2.hpp"
+#include "net/cell_index.hpp"
+#include "net/frame.hpp"
 #include "net/link_spec.hpp"
 #include "net/shard_map.hpp"
-#include "net/world.hpp"  // kBroadcast, frame_loss_probability
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
@@ -208,40 +208,6 @@ class ShardedWorld {
     std::uint64_t delivered = 0;
   };
 
-  // The frozen cell index of one (shard, medium); see the file comment.
-  // Cells are range_m wide, so the 3x3 neighbourhood of a sender's cell
-  // holds every node in its range.
-  class CellIndex {
-   public:
-    void add(NodeId id, Vec2 pos) { members_.push_back({pos, id}); }
-    // Sort the members and list the occupied rows and cells; called once,
-    // at seal.
-    void freeze(double range_m);
-    // Append every member within range of `center` except `exclude`, in
-    // (cell row, cell column, id) order.
-    void gather(Vec2 center, NodeId exclude, std::vector<NodeId>& out) const;
-
-   private:
-    struct Member {
-      Vec2 pos;
-      NodeId id;
-    };
-    struct Row {
-      std::int64_t row;
-      std::uint32_t first;  // index of the row's first cell
-    };
-    struct Cell {
-      std::int64_t col;
-      std::uint32_t first;  // index of the cell's first member
-    };
-    double range_m_ = 0;
-    std::vector<Member> members_;
-    // The occupied rows, and each row's occupied cells, in ascending
-    // order; each ends in a sentinel whose `first` closes the last run.
-    std::vector<Row> rows_;
-    std::vector<Cell> cells_;
-  };
-
   // One shard's link-layer state. Mutated only by the owning shard's
   // worker during a run; padded so two shards' hot counters never share a
   // cache line.
@@ -287,7 +253,6 @@ class ShardedWorld {
   [[nodiscard]] double loss_probability(const LinkSpec& spec, std::size_t wire_bytes,
                                         Time sent_at) const;
   [[nodiscard]] bool partitioned(Vec2 a, Vec2 b, Time sent_at) const;
-  [[nodiscard]] Time tx_delay(const LinkSpec& spec, std::size_t payload_bytes) const;
   void register_metrics();
 
   ShardedWorldConfig config_;

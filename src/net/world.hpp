@@ -5,24 +5,27 @@
 // this interface, which is all the "network independence" layer (§3.2)
 // assumes of an underlying network.
 //
-// Hot-path design: every wireless medium keeps a uniform-grid spatial
-// index (cell size = communication range) maintained by attach/
-// set_position/move_linear, so broadcast and neighbor queries scan only
-// the 3x3 cell neighborhood instead of every member. Broadcast payloads
-// are carried as one immutable shared buffer per transmission; the N
-// receivers of a fan-out share it instead of each copying the Bytes.
+// Hot-path design: every wireless medium keeps a net::CellIndex (range-
+// sized cells; net/cell_index.hpp, the index ShardedWorld uses too), so
+// broadcast and neighbor queries scan only the 3x3 cells around the
+// sender instead of every member. The index is rebuilt from scratch by
+// the first query after a member attaches or moves or the range changes.
+// Broadcast payloads are carried as one immutable shared buffer per
+// transmission; the N receivers of a fan-out share it instead of each
+// copying the Bytes. Delay and loss come from the link physics in
+// net/link_spec.hpp, shared with ShardedWorld.
 
 #include <cmath>
 #include <functional>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
 #include "common/status.hpp"
 #include "common/vec2.hpp"
+#include "net/cell_index.hpp"
 #include "net/energy.hpp"
 #include "net/frame.hpp"
 #include "net/link_spec.hpp"
@@ -44,9 +47,9 @@ struct WorldStats {
   std::uint64_t frames_delivered = 0;
   std::uint64_t frames_lost = 0;
   std::uint64_t bytes_on_wire = 0;  // payload + header, per delivery attempt
-  // Spatial-index effectiveness (how much work the grid saves).
-  std::uint64_t grid_cells_scanned = 0;     // cells visited by grid queries
-  std::uint64_t grid_candidates = 0;        // membership entries examined
+  // Spatial-index effectiveness (how much work the cell index saves).
+  std::uint64_t grid_cells_scanned = 0;     // cells visited by index queries (9 each)
+  std::uint64_t grid_candidates = 0;        // other members in those cells
   std::uint64_t payload_copies_avoided = 0; // receivers sharing a broadcast buffer
   // Injected-fault outcomes (bumped when a FaultInjector is attached).
   std::uint64_t fault_drops = 0;       // frames the injector swallowed
@@ -98,7 +101,7 @@ class World {
   [[nodiscard]] const LinkSpec& medium_spec(MediumId medium) const;
   // Adjust a wireless medium's communication range (e.g. to model higher
   // transmit power). Affects future reachability checks and sends; the
-  // medium's spatial index is rebuilt with the new cell size.
+  // next query rebuilds the medium's cell index with the new cell size.
   void set_medium_range(MediumId medium, double range_m);
   [[nodiscard]] std::vector<MediumId> media_of(NodeId node) const;
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
@@ -162,17 +165,12 @@ class World {
   void set_fault_injector(FaultInjector* injector) { faults_ = injector; }
   [[nodiscard]] FaultInjector* fault_injector() const { return faults_; }
 
-  // Per-frame loss probability combining the flat loss and the BER term
-  // (exposed for tests and analytical sizing of transport parameters).
-  [[nodiscard]] static double frame_loss_probability(const LinkSpec& spec,
-                                                     std::size_t wire_bytes);
-
-  // Spatial-index consistency verifier (the NDSM_AUDIT hook; callable
-  // from any build): every member of a wireless medium sits in exactly
-  // the grid bucket its position maps to, and the per-node cached cell
-  // keys agree. Aborts with a diagnostic on violation. NDSM_AUDIT builds
-  // additionally cross-check sampled grid queries against a brute-force
-  // range scan (every kGridAuditSample-th query).
+  // Spatial-index consistency verifier (callable from any build): the
+  // medium's cell index, brought up to date as a query would, holds
+  // exactly the medium's members at their current positions, each in the
+  // cell its position maps to, frozen for the current range. Aborts with
+  // a diagnostic on violation. NDSM_AUDIT builds also cross-check every
+  // kGridAuditSample-th index query against a brute-force range scan.
   void audit_verify_grid(MediumId medium) const;
 
   static constexpr std::uint64_t kGridAuditSample = 64;
@@ -183,9 +181,6 @@ class World {
     Battery battery;
     bool alive = true;
     std::vector<MediumId> media;
-    // Grid cell currently occupied on each attached medium (parallel to
-    // `media`; unused for wired entries).
-    std::vector<std::uint64_t> cell_keys;
     std::map<Proto, LinkHandler> handlers;
     NodeStats stats;
     EventId motion = EventId::invalid();
@@ -194,10 +189,11 @@ class World {
   struct Medium {
     LinkSpec spec;
     std::vector<NodeId> members;
-    // Uniform grid over positions (wireless only): cell size = range, so
-    // any node in range of a sender lies in the sender's 3x3 neighborhood.
-    double cell_m = 0.0;
-    std::unordered_map<std::uint64_t, std::vector<NodeId>> cells;
+    // Wireless only: the members' cell index, stale from the moment a
+    // member attaches or moves or the range changes until the next query
+    // rebuilds it (mutable: const queries rebuild it too).
+    mutable CellIndex index;
+    mutable bool index_stale = true;
   };
 
   [[nodiscard]] Node& node(NodeId id);
@@ -209,27 +205,20 @@ class World {
   [[nodiscard]] std::optional<MediumId> shared_medium(NodeId a, NodeId b) const;
   [[nodiscard]] static bool reachable_on(const Medium& m, const Node& a, const Node& b);
 
-  // --- spatial index --------------------------------------------------------
-  [[nodiscard]] static std::uint64_t cell_key(Vec2 p, double cell_m);
-  static void grid_insert(Medium& m, NodeId id, std::uint64_t key);
-  static void grid_erase(Medium& m, NodeId id, std::uint64_t key);
-  // Re-bucket `id` on every attached wireless medium after a position change.
-  void update_cells(NodeId id);
-  void rebuild_grid(MediumId id);
-  // Alive nodes (except `exclude`) in the 3x3 cell neighborhood around
-  // `center` — the superset of nodes possibly in range. Sorted by id so
-  // delivery order is independent of grid bucket internals. Appends to
-  // `out` and bumps the grid counters.
-  void gather_grid_candidates(const Medium& m, Vec2 center, NodeId exclude,
-                              std::vector<NodeId>& out) const;
+  // The medium's cell index, rebuilt first if it is stale.
+  [[nodiscard]] const CellIndex& fresh_index(const Medium& m) const;
+  // Append the members of `m` other than `src` that a frame from `src`
+  // reaches, dead or alive: on a wireless medium those in range, in id
+  // order (bumping the index counters); on a wired segment every member,
+  // in attach order.
+  void reached_members(const Medium& m, NodeId src, std::vector<NodeId>& out) const;
 
-  [[nodiscard]] Time transmission_delay(const LinkSpec& spec, std::size_t payload_bytes) const;
-  void deliver(NodeId dst, LinkFrame frame, Time delay, std::size_t wire_bytes);
-  // All receivers of one broadcast transmission arrive at the same instant;
-  // one simulator event delivers to all of them in (sorted) order — same
-  // sequence the per-receiver events produced, at 1/N the scheduling cost.
-  void deliver_broadcast(std::vector<NodeId> receivers, LinkFrame frame, Time delay,
-                         std::size_t wire_bytes);
+  // One reception: liveness, rx energy, counters, then the handler.
+  void receive(NodeId dst, const LinkFrame& frame, std::size_t wire_bytes);
+  // Schedule one receiver's reception `delay` from now, delayed further
+  // by `fault`, and its duplicate after it if `fault` asks for one.
+  void deliver(NodeId dst, LinkFrame frame, Time delay, std::size_t wire_bytes,
+               const FaultDecision& fault);
   bool charge_tx(NodeId src, const LinkSpec& spec, std::size_t wire_bytes, double distance_m);
   void charge_rx(NodeId dst, const LinkSpec& spec, std::size_t wire_bytes);
   void register_metrics();
@@ -240,13 +229,12 @@ class World {
   EnergyModel energy_;
   std::vector<Node> nodes_;
   std::vector<Medium> media_;
-  // mutable: const queries (neighbors) still record grid scan counters.
+  // mutable: const queries (neighbors) still record index counters.
   mutable WorldStats stats_;
   mutable std::uint64_t audit_grid_queries_ = 0;  // sampling counter (NDSM_AUDIT)
-  std::uint64_t audit_moves_ = 0;                 // sampling counter (NDSM_AUDIT)
   FaultInjector* faults_ = nullptr;
   DeathHandler on_death_;
-  mutable std::vector<NodeId> scratch_;  // candidate buffer for grid queries
+  mutable std::vector<NodeId> scratch_;  // receiver buffer for index queries
   // Declared last: the registry views point at stats_/nodes_ above.
   obs::MetricGroup metrics_;
 };

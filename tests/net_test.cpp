@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "net/link_spec.hpp"
 #include "net/world.hpp"
 #include "sim/simulator.hpp"
@@ -272,33 +278,91 @@ TEST_F(NetTest, ReviveRestoresDelivery) {
   EXPECT_EQ(received, 1);
 }
 
-// Brute-force reachability reference: the grid index must agree with an
-// all-pairs scan, including after mobility re-buckets nodes.
+// Brute-force reachability reference: the cell index must agree with an
+// all-pairs scan, for neighbors() and for the receivers of a loss-free
+// broadcast, after a late attach, after a range change and under
+// mobility. Besides random nodes (negative coordinates included), nodes
+// on a 5 m lattice sit on cell edges at both ranges (35 and 50 m), each
+// with a partner at exactly one of the ranges, in two clusters 1e7 m
+// apart; two nodes are dead.
 TEST(SpatialIndex, NeighborsMatchBruteForceUnderMobility) {
   sim::Simulator sim{11};
   World world{sim};
   const MediumId m = world.add_medium(wifi80211(/*range_m=*/35, /*loss=*/0));
   Rng rng{77};
   std::vector<NodeId> nodes;
-  for (int i = 0; i < 60; ++i) {
-    const NodeId id = world.add_node({rng.uniform(-120, 120), rng.uniform(-120, 120)});
-    world.attach(id, m);
+  std::vector<std::pair<NodeId, NodeId>> heard;  // (sender, receiver)
+  const auto add = [&](Vec2 pos) {
+    const NodeId id = world.add_node(pos);
+    world.set_handler(id, Proto::kApp,
+                      [&heard, id](const LinkFrame& f) { heard.emplace_back(f.src, id); });
     nodes.push_back(id);
+    return id;
+  };
+  for (int i = 0; i < 60; ++i) {
+    world.attach(add({rng.uniform(-120, 120), rng.uniform(-120, 120)}), m);
   }
+  const std::array<Vec2, 6> exact{{{35, 0}, {0, -35}, {-21, 28}, {50, 0}, {30, -40}, {-40, -30}}};
+  for (const Vec2 origin : {Vec2{0, 0}, Vec2{1e7, -1e7}}) {
+    for (std::size_t i = 0; i < 20; ++i) {
+      const Vec2 lattice = origin + Vec2{5.0 * static_cast<double>(rng.uniform_int(-20, 20)),
+                                         5.0 * static_cast<double>(rng.uniform_int(-20, 20))};
+      world.attach(add(lattice), m);
+      world.attach(add(lattice + exact[i % exact.size()]), m);
+    }
+  }
+  world.kill(nodes[3]);
+  world.kill(nodes[70]);
+
+  const auto attached = [&](NodeId n) { return !world.media_of(n).empty(); };
   auto brute_neighbors = [&](NodeId a) {
     std::vector<NodeId> out;
+    if (!attached(a)) return out;
     for (const NodeId b : nodes) {
-      if (b == a || !world.alive(b)) continue;
-      if (distance(world.position(a), world.position(b)) <= 35.0) out.push_back(b);
+      if (b == a || !world.alive(b) || !attached(b)) continue;
+      if (distance(world.position(a), world.position(b)) <= world.medium_spec(m).range_m) {
+        out.push_back(b);
+      }
     }
     return out;  // already sorted: nodes is in id order
   };
-  for (int round = 0; round < 5; ++round) {
-    for (const NodeId id : nodes) {
-      EXPECT_EQ(world.neighbors(id), brute_neighbors(id)) << "round " << round;
+  // Returns how many of the expected receptions are at exactly the range.
+  const auto check = [&](const std::string& when) -> std::size_t {
+    SCOPED_TRACE(when);
+    std::vector<std::pair<NodeId, NodeId>> expected;
+    std::size_t at_exact_range = 0;
+    for (const NodeId a : nodes) {
+      const std::vector<NodeId> brute = brute_neighbors(a);
+      EXPECT_EQ(world.neighbors(a), brute);
+      if (!world.alive(a) || !attached(a)) continue;
+      for (const NodeId b : brute) {
+        expected.emplace_back(a, b);
+        if (distance(world.position(a), world.position(b)) == world.medium_spec(m).range_m) {
+          at_exact_range++;
+        }
+      }
     }
-    // Teleport a third of the nodes (exercises cell re-bucketing), walk
-    // another third across cell boundaries.
+    heard.clear();
+    for (const NodeId a : nodes) {
+      if (world.alive(a) && attached(a)) {
+        EXPECT_TRUE(world.link_broadcast(a, Proto::kApp, {}).is_ok());
+      }
+    }
+    sim.run_until(sim.now() + duration::millis(1));
+    std::sort(heard.begin(), heard.end());
+    EXPECT_EQ(heard, expected);  // expected is built in (sender, receiver) order
+    return at_exact_range;
+  };
+
+  EXPECT_GT(check("first query"), 0u);
+  // Attached after the index was first built, 5 m from a lattice node.
+  world.attach(add(world.position(nodes[60]) + Vec2{3, 4}), m);
+  check("late attach");
+  world.set_medium_range(m, 50);
+  EXPECT_GT(check("range change"), 0u);
+  for (int round = 0; round < 5; ++round) {
+    // Teleport a third of the nodes, walk another third across cell
+    // boundaries.
     for (std::size_t i = 0; i < nodes.size(); i += 3) {
       world.set_position(nodes[i], {rng.uniform(-120, 120), rng.uniform(-120, 120)});
     }
@@ -306,6 +370,7 @@ TEST(SpatialIndex, NeighborsMatchBruteForceUnderMobility) {
       world.move_linear(nodes[i], {rng.uniform(-120, 120), rng.uniform(-120, 120)}, 40.0);
     }
     sim.run_until(sim.now() + duration::seconds(1));
+    check("round " + std::to_string(round));
   }
   EXPECT_GT(world.stats().grid_cells_scanned, 0u);
 }
@@ -353,9 +418,9 @@ TEST(SpatialIndex, BroadcastSharesOnePayloadBuffer) {
 }
 
 TEST(SpatialIndex, AuditVerifyGridThroughMobilityChurn) {
-  // Teleports, cell-boundary walks and range rebuilds, each followed by a
-  // full grid audit: every member bucketed under its current cell key,
-  // cached keys in sync, no empty buckets retained (the verifier aborts
+  // Teleports and range changes, each followed by a full index audit: the
+  // index holds every member at its current position, in the cell that
+  // position maps to, frozen for the current range (the verifier aborts
   // on any violation).
   sim::Simulator sim{11};
   World world{sim};
@@ -436,11 +501,76 @@ TEST(Determinism, TwinMobileBroadcastRuns) {
   EXPECT_GT(a.stats.payload_copies_avoided, 0u);
 }
 
+// Absolute pin of a mobile run on two wireless media, recorded while the
+// World still kept a hash grid per medium: staggered broadcasts while half
+// the nodes move, a range change mid-run, a few nodes teleported 100 km
+// away and a final neighbors() sweep. Every loss draw, delivery, event
+// and WorldStats counter must survive a change of spatial index.
+TEST(GoldenDigest, MobileWirelessBroadcast) {
+  sim::Simulator sim{20261018};
+  World world{sim};
+  const MediumId wifi = world.add_medium(wifi80211(/*range_m=*/50, /*loss=*/0.1));
+  const MediumId bt = world.add_medium(bluetooth(/*range_m=*/20, /*loss=*/0.05));
+  std::uint64_t deliveries = kFnvBasis;  // (receiver, sender, time) of each
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 200; ++i) {
+    const NodeId id =
+        world.add_node({sim.rng().uniform(0, 400), sim.rng().uniform(0, 400)}, Battery{5.0});
+    world.attach(id, wifi);
+    if (i % 3 == 0) world.attach(id, bt);
+    world.set_handler(id, Proto::kApp, [&deliveries, &sim, id](const LinkFrame& f) {
+      deliveries = fnv_fold(deliveries, id.value());
+      deliveries = fnv_fold(deliveries, f.src.value());
+      deliveries = fnv_fold(deliveries, static_cast<std::uint64_t>(sim.now()));
+    });
+    if (i % 2 == 0) {
+      world.move_linear(id, {sim.rng().uniform(0, 400), sim.rng().uniform(0, 400)},
+                        sim.rng().uniform(1.0, 15.0));
+    }
+    nodes.push_back(id);
+  }
+  for (int round = 0; round < 4; ++round) {
+    for (const NodeId id : nodes) {
+      const Time at = duration::seconds(round) + duration::millis(sim.rng().uniform_int(0, 900));
+      sim.schedule_at(at, [&world, id] {
+        (void)world.link_broadcast(id, Proto::kApp, to_bytes("beacon"));
+      });
+    }
+  }
+  sim.schedule_at(duration::millis(1500), [&world, wifi] { world.set_medium_range(wifi, 70); });
+  sim.schedule_at(duration::millis(2500), [&world, &nodes] {
+    for (std::size_t i = 1; i < nodes.size(); i += 40) {
+      world.set_position(nodes[i], {100e3 + static_cast<double>(i), 100e3});
+    }
+  });
+  sim.run_until(duration::seconds(4));
+
+  std::uint64_t sweep = kFnvBasis;
+  for (const NodeId id : nodes) {
+    for (const NodeId peer : world.neighbors(id)) sweep = fnv_fold(sweep, peer.value());
+    sweep = fnv_fold(sweep, id.value());
+  }
+  EXPECT_EQ(sim.digest(), 0x97d0a66bdcbff9b1ULL);
+  EXPECT_EQ(deliveries, 0xcd2cb082014f4368ULL);
+  EXPECT_EQ(sweep, 0xe259bf5af8956fbcULL);
+  const WorldStats& s = world.stats();
+  EXPECT_EQ(s.frames_sent, 1068u);
+  EXPECT_EQ(s.frames_delivered, 10053u);
+  EXPECT_EQ(s.frames_lost, 1117u);
+  EXPECT_EQ(s.bytes_on_wire, 36020u);
+  EXPECT_EQ(s.grid_cells_scanned, 12015u);
+  EXPECT_EQ(s.grid_candidates, 36128u);
+  EXPECT_EQ(s.payload_copies_avoided, 9136u);
+  EXPECT_EQ(s.fault_drops, 0u);
+  EXPECT_EQ(s.fault_duplicates, 0u);
+  EXPECT_EQ(s.fault_delays, 0u);
+}
+
 TEST(LossModel, BitErrorRateScalesWithFrameLength) {
   LinkSpec spec;
   spec.bit_error_rate = 1e-4;
-  const double short_frame = World::frame_loss_probability(spec, 32);
-  const double long_frame = World::frame_loss_probability(spec, 1500);
+  const double short_frame = frame_loss_probability(spec, 32);
+  const double long_frame = frame_loss_probability(spec, 1500);
   EXPECT_GT(long_frame, short_frame);
   EXPECT_NEAR(short_frame, 1.0 - std::pow(1.0 - 1e-4, 32 * 8), 1e-12);
   EXPECT_GT(long_frame, 0.69);  // 12000 bits at 1e-4 -> ~70% loss
@@ -450,9 +580,9 @@ TEST(LossModel, FlatAndBerCombine) {
   LinkSpec spec;
   spec.loss_probability = 0.5;
   spec.bit_error_rate = 0.0;
-  EXPECT_DOUBLE_EQ(World::frame_loss_probability(spec, 100), 0.5);
+  EXPECT_DOUBLE_EQ(frame_loss_probability(spec, 100), 0.5);
   spec.bit_error_rate = 1e-3;
-  const double combined = World::frame_loss_probability(spec, 100);
+  const double combined = frame_loss_probability(spec, 100);
   EXPECT_GT(combined, 0.5);
   EXPECT_LT(combined, 1.0);
 }
