@@ -9,8 +9,8 @@ Each input line is one BENCH_JSON object keyed by its "bench" field.
 Numeric fields present in both files are diffed; a change worse than
 --threshold percent (default 10) in the bad direction is a regression and
 makes the script exit 1. Throughput-style fields (*_per_s, *_ops, *_gain,
-*_throughput, *_ratio) are higher-better; everything else (latencies,
-counts of lost frames, ...) is treated as lower-better.
+*_throughput, *_ratio, *_wps and goodput*) are higher-better; everything
+else (latencies, counts of lost frames, ...) is treated as lower-better.
 
 Equality-gated fields are checked exactly, never by percentage:
   * boolean fields (digest_match, all_deterministic, ...) are invariants:
@@ -36,11 +36,12 @@ import argparse
 import json
 import sys
 
-HIGHER_BETTER_SUFFIXES = ("_per_s", "_ops", "_gain", "_throughput", "_ratio")
+HIGHER_BETTER_SUFFIXES = ("_per_s", "_ops", "_gain", "_throughput", "_ratio", "_wps")
+HIGHER_BETTER_PREFIXES = ("goodput",)
 
 
 def higher_is_better(field: str) -> bool:
-    return field.endswith(HIGHER_BETTER_SUFFIXES)
+    return field.endswith(HIGHER_BETTER_SUFFIXES) or field.startswith(HIGHER_BETTER_PREFIXES)
 
 
 def is_digest_field(field: str) -> bool:

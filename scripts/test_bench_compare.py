@@ -92,6 +92,22 @@ class BenchCompareExitCodes(unittest.TestCase):
         write_jsonl(current, [{"bench": "tput", "msgs_per_s": 1200.0}])
         self.assertEqual(run_compare(baseline, current).returncode, 0)
 
+    def test_goodput_fields_are_higher_better(self):
+        # E18's writes per second and E13's delivered share: a 20% drop is
+        # a regression, a 20% gain is not.
+        baseline, current = self.path("base.jsonl"), self.path("current.jsonl")
+        for field in ("goodput_calm_wps", "goodput_severe_wps", "goodput_clean",
+                      "goodput_severe"):
+            with self.subTest(field=field):
+                write_jsonl(baseline, [{"bench": "apps", field: 2.5}])
+                write_jsonl(current, [{"bench": "apps", field: 2.0}])
+                result = run_compare(baseline, current)
+                self.assertEqual(result.returncode, 1, result.stdout)
+                self.assertIn(f"apps.{field}", result.stderr)
+                write_jsonl(current, [{"bench": "apps", field: 3.0}])
+                result = run_compare(baseline, current)
+                self.assertEqual(result.returncode, 0, result.stderr)
+
     def test_custom_threshold_is_respected(self):
         baseline, current = self.path("base.jsonl"), self.path("current.jsonl")
         write_jsonl(baseline, [{"bench": "hot", "lat_us": 100.0}])

@@ -5,14 +5,52 @@
 
 #include "common/audit.hpp"
 #include "common/log.hpp"
+#include "net/world.hpp"
 #include "obs/trace.hpp"
 
 namespace ndsm::net {
 
+DrawSeeds draw_seeds(std::uint64_t world_seed) {
+  const std::uint64_t fault_seed = splitmix64(world_seed ^ 0xfa117ab1e5ULL);
+  DrawSeeds seeds{};
+  for (std::uint64_t tag = kDrawLoss; tag < seeds.size(); ++tag) {
+    seeds[tag] = splitmix64(fault_seed ^ tag);
+  }
+  return seeds;
+}
+
+// --- channel faults ------------------------------------------------------------
+
+bool ChannelFaults::separated(NodeId a, NodeId b, Time at) const {
+  for (const Partition& p : partitions) {
+    if (at < p.start || at >= p.end) continue;
+    const bool a_in = std::binary_search(p.island.begin(), p.island.end(), a);
+    const bool b_in = std::binary_search(p.island.begin(), p.island.end(), b);
+    if (a_in != b_in) return true;
+  }
+  return false;
+}
+
+double ChannelFaults::step_burst(const DrawSeeds& seeds, const Transmission& tx,
+                                 BurstStates& bad) const {
+  const auto spec = bursts.find(tx.medium);
+  if (spec == bursts.end()) return 0.0;
+  const std::pair<NodeId, MediumId> chain{tx.src, tx.medium};
+  const bool was_bad = bad.count(chain) > 0;
+  const double u = hash_uniform(seeds[kDrawBurstChain] ^ salt, tx.src.value(), tx.seq);
+  const bool is_bad = was_bad ? u >= spec->second.p_bad_to_good : u < spec->second.p_good_to_bad;
+  if (is_bad && !was_bad) bad.insert(chain);
+  if (!is_bad && was_bad) bad.erase(chain);
+  return is_bad ? spec->second.loss_bad : spec->second.loss_good;
+}
+
+// --- the plan on a World -------------------------------------------------------
+
 FaultPlan::FaultPlan(World& world, std::uint64_t fault_seed)
-    : world_(world), rng_(world.sim().rng().fork(fault_seed)) {
+    : world_(world), seeds_(draw_seeds(world.sim().seed())) {
   NDSM_INVARIANT(world_.fault_injector() == nullptr,
                  "a World supports at most one attached FaultPlan");
+  channel_.salt = fault_seed;
   world_.set_fault_injector(this);
   register_metrics();
 }
@@ -41,26 +79,26 @@ void FaultPlan::register_metrics() {
                  [this] { return static_cast<double>(active_partitions()); });
 }
 
-EventId FaultPlan::schedule(Time after, std::function<void()> fn) {
-  const EventId id = world_.sim().schedule_after(after, std::move(fn));
-  scheduled_.push_back(id);
-  return id;
+void FaultPlan::schedule(Time after, std::function<void()> fn) {
+  scheduled_.push_back(world_.sim().schedule_after(after, std::move(fn)));
 }
 
 void FaultPlan::partition(Time at, std::vector<NodeId> island, Time heal_after) {
   std::sort(island.begin(), island.end());
   island.erase(std::unique(island.begin(), island.end()), island.end());
-  partitions_.push_back(Partition{std::move(island), false});
-  const std::size_t index = partitions_.size() - 1;
+  const Time start = world_.sim().now() + at;
+  channel_.partitions.push_back({std::move(island), start, start + heal_after});
+  const std::size_t index = channel_.partitions.size() - 1;
+  // The window alone decides every drop; these events count and trace
+  // its edges.
   schedule(at, [this, index, heal_after] {
-    partitions_[index].active = true;
     stats_.partitions_started++;
     NDSM_INFO("faults", "partition " << index << " started ("
-                                     << partitions_[index].island.size() << "-node island)");
+                                     << channel_.partitions[index].island.size()
+                                     << "-node island)");
     obs::Tracer::instance().event("net.faults", "partition_start",
                                   static_cast<std::int64_t>(index), {});
     schedule(heal_after, [this, index] {
-      partitions_[index].active = false;
       stats_.partitions_healed++;
       NDSM_INFO("faults", "partition " << index << " healed");
       obs::Tracer::instance().event("net.faults", "partition_heal",
@@ -71,11 +109,14 @@ void FaultPlan::partition(Time at, std::vector<NodeId> island, Time heal_after) 
 
 void FaultPlan::pause(Time at, NodeId node, Time resume_after) {
   schedule(at, [this, node, resume_after] {
-    if (world_.alive(node)) {
-      world_.kill(node);
-      stats_.pauses++;
-    }
-    schedule(resume_after, [this, node] {
+    if (!world_.alive(node)) return;  // down already: nothing to pause or resume
+    world_.kill(node);
+    paused_[node] = world_.sim().now() + resume_after;
+    stats_.pauses++;
+    schedule(resume_after, [this, node, until = paused_[node]] {
+      const auto held = paused_.find(node);
+      if (held == paused_.end() || held->second != until) return;
+      paused_.erase(held);
       world_.revive(node);
       if (world_.alive(node)) stats_.resumes++;
     });
@@ -86,6 +127,7 @@ void FaultPlan::crash(Time at, NodeId node, Time restart_after) {
   schedule(at, [this, node, restart_after] {
     NDSM_INVARIANT(crash_hook_ && restart_hook_,
                    "FaultPlan::crash needs set_lifecycle_hooks() wired to node runtimes");
+    paused_.erase(node);  // a pause's resume must not revive a crashed node
     crash_hook_(node);
     stats_.crashes++;
     schedule(restart_after, [this, node] {
@@ -103,74 +145,44 @@ void FaultPlan::set_lifecycle_hooks(LifecycleHook crash_hook, LifecycleHook rest
 void FaultPlan::burst_loss(MediumId medium, BurstLossSpec spec) {
   assert(spec.p_good_to_bad >= 0 && spec.p_good_to_bad <= 1);
   assert(spec.p_bad_to_good >= 0 && spec.p_bad_to_good <= 1);
-  channels_[medium] = GeChannel{spec, false};
+  channel_.bursts[medium] = spec;
 }
 
 void FaultPlan::duplication(double probability, Time max_extra_delay) {
   assert(probability >= 0 && probability <= 1);
   assert(max_extra_delay >= 0);
-  dup_probability_ = probability;
-  dup_max_delay_ = max_extra_delay;
+  channel_.duplicate_p = probability;
+  channel_.duplicate_max = max_extra_delay;
 }
 
 void FaultPlan::jitter(double probability, Time max_extra_delay) {
   assert(probability >= 0 && probability <= 1);
   assert(max_extra_delay >= 0);
-  jitter_probability_ = probability;
-  jitter_max_delay_ = max_extra_delay;
+  channel_.jitter_p = probability;
+  channel_.jitter_max = max_extra_delay;
 }
 
 std::size_t FaultPlan::active_partitions() const {
+  const Time now = world_.sim().now();
   std::size_t n = 0;
-  for (const Partition& p : partitions_) n += p.active ? 1 : 0;
+  for (const ChannelFaults::Partition& p : channel_.partitions) n += p.start <= now && now < p.end;
   return n;
 }
 
-bool FaultPlan::separated(NodeId a, NodeId b) const {
-  for (const Partition& p : partitions_) {
-    if (!p.active) continue;
-    const bool a_in = std::binary_search(p.island.begin(), p.island.end(), a);
-    const bool b_in = std::binary_search(p.island.begin(), p.island.end(), b);
-    if (a_in != b_in) return true;
-  }
-  return false;
+void FaultPlan::on_transmit(Transmission& tx) {
+  if (channel_.bursts.empty()) return;
+  const std::size_t bad_before = bursting_.size();
+  tx.burst_loss = channel_.step_burst(seeds_, tx, bursting_);
+  stats_.bursts_entered += bursting_.size() > bad_before ? 1 : 0;
 }
 
-FaultDecision FaultPlan::on_frame(NodeId src, NodeId dst, MediumId medium,
-                                  std::size_t /*wire_bytes*/) {
-  FaultDecision d;
-  // Partition drops are deterministic (no draw): an active partition
-  // separating the endpoints swallows the frame outright.
-  if (separated(src, dst)) {
-    stats_.partition_drops++;
-    d.drop = true;
-    return d;
+FaultDecision FaultPlan::on_frame(const Transmission& tx, NodeId dst) {
+  const FaultDecision d = channel_.decide(seeds_, tx, dst);
+  if (d.drop) {
+    (channel_.separated(tx.src, dst, tx.sent_at) ? stats_.partition_drops : stats_.burst_drops)++;
   }
-  const auto channel = channels_.find(medium);
-  if (channel != channels_.end()) {
-    GeChannel& ge = channel->second;
-    if (ge.bad) {
-      if (rng_.bernoulli(ge.spec.p_bad_to_good)) ge.bad = false;
-    } else if (rng_.bernoulli(ge.spec.p_good_to_bad)) {
-      ge.bad = true;
-      stats_.bursts_entered++;
-    }
-    if (rng_.bernoulli(ge.bad ? ge.spec.loss_bad : ge.spec.loss_good)) {
-      stats_.burst_drops++;
-      d.drop = true;
-      return d;
-    }
-  }
-  if (jitter_probability_ > 0 && jitter_max_delay_ > 0 &&
-      rng_.bernoulli(jitter_probability_)) {
-    d.extra_delay = rng_.uniform_int(1, jitter_max_delay_);
-    stats_.frames_jittered++;
-  }
-  if (dup_probability_ > 0 && rng_.bernoulli(dup_probability_)) {
-    d.duplicate = true;
-    d.duplicate_extra_delay = dup_max_delay_ > 0 ? rng_.uniform_int(0, dup_max_delay_) : 0;
-    stats_.duplicates_injected++;
-  }
+  stats_.frames_jittered += d.extra_delay > 0 ? 1 : 0;
+  stats_.duplicates_injected += d.duplicate ? 1 : 0;
   return d;
 }
 

@@ -7,13 +7,10 @@
 
 namespace ndsm::net {
 
-ShardedWorld::ShardedWorld(ShardedWorldConfig config) : config_(config) {
+ShardedWorld::ShardedWorld(ShardedWorldConfig config)
+    : config_(config), seeds_(draw_seeds(config.seed)) {
   NDSM_INVARIANT(config_.shards >= 1, "ShardedWorld needs at least one shard");
   NDSM_INVARIANT(config_.workers >= 1, "ShardedWorld needs at least one worker");
-  const std::uint64_t fault_seed = splitmix64(config_.seed ^ 0xfa117ab1e5ULL);
-  for (std::uint64_t tag = kDrawLoss; tag <= kDrawRxKey; ++tag) {
-    seeds_[tag] = splitmix64(fault_seed ^ tag);
-  }
 }
 
 ShardedWorld::NodeRec& ShardedWorld::rec(NodeId id) {
@@ -55,11 +52,9 @@ void ShardedWorld::set_handler(NodeId node, Handler handler) {
   rec(node).handler = std::move(handler);
 }
 
-void ShardedWorld::set_faults(ShardedFaultPlan plan) {
+void ShardedWorld::set_faults(ChannelFaults faults) {
   NDSM_INVARIANT(!sealed(), "set_faults() after seal()");
-  NDSM_INVARIANT(plan.duplicate_extra_delay >= 1,
-                 "a duplicate must trail its original by at least one tick");
-  faults_ = std::move(plan);
+  faults_ = std::move(faults);
 }
 
 void ShardedWorld::schedule_keyed(NodeId node, Time at, std::uint64_t kind,
@@ -158,24 +153,6 @@ void ShardedWorld::assert_owner_context(const NodeRec& n, const char* what) cons
   NDSM_INVARIANT(engine_->current_shard() == n.shard, what);
 }
 
-double ShardedWorld::loss_probability(const LinkSpec& spec, std::size_t wire_bytes,
-                                      Time sent_at) const {
-  double p = frame_loss_probability(spec, wire_bytes);
-  for (const ShardedFaultPlan::LossWindow& w : faults_.loss_windows) {
-    if (sent_at >= w.start && sent_at < w.end) p += w.extra_loss;
-  }
-  return std::min(p, 1.0);
-}
-
-bool ShardedWorld::partitioned(Vec2 a, Vec2 b, Time sent_at) const {
-  for (const ShardedFaultPlan::Partition& w : faults_.partitions) {
-    if (sent_at >= w.start && sent_at < w.end && (a.x < w.cut_x) != (b.x < w.cut_x)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void ShardedWorld::deliver(NodeRec& n, const ShardFrame& frame, std::uint64_t tx_uid) {
   if (!n.alive) return;
   n.delivered++;
@@ -208,78 +185,90 @@ void ShardedWorld::revive(NodeId node) {
   mix_control(n, engine_->now(n.shard), 2);
 }
 
-void ShardedWorld::process_tx(std::uint32_t shard, NodeId src, std::uint64_t tx_seq,
-                              MediumId medium, Time sent_at, Time at,
-                              std::size_t wire_bytes,
-                              const std::shared_ptr<const Bytes>& buf) {
-  const LinkSpec& spec = media_[medium.value()];
-  const Vec2 src_pos = rec(src).pos;  // positions are immutable after seal
+Transmission ShardedWorld::transmit(NodeRec& s, NodeId src, MediumId medium) {
+  Transmission tx{src, s.tx_seq++, medium, engine_->now(s.shard)};
+  tx.burst_loss = faults_.step_burst(seeds_, tx, shards_[s.shard].bursting);
+  shards_[s.shard].t.frames_sent++;
+  return tx;
+}
+
+// Inline: it runs for every receiver of every fan-out.
+inline std::optional<FaultDecision> ShardedWorld::fate(Shard& sh, const Transmission& tx,
+                                                       NodeId dst, double loss_p) const {
+  if (channel_lost(seeds_, tx, dst, loss_p)) {
+    sh.t.frames_lost++;
+    return std::nullopt;
+  }
+  const FaultDecision d = faults_.decide(seeds_, tx, dst);
+  if (d.drop) {
+    sh.t.fault_drops++;
+    return std::nullopt;
+  }
+  if (d.extra_delay > 0) sh.t.fault_delays++;
+  if (d.duplicate) sh.t.fault_duplicates++;
+  return d;
+}
+
+void ShardedWorld::schedule_rx(std::uint32_t from, NodeId dst, std::uint64_t copy,
+                               ShardFrame frame, Time at, std::uint64_t tx_seq) {
+  const std::uint32_t home = rec(dst).shard;
+  frame.at = at;
+  const std::uint64_t rx_key =
+      hash_u64(seeds_[kDrawRxKey], frame.src.value(), tx_seq, dst.value() * 2 + copy);
+  auto fn = [this, dst, frame = std::move(frame), tx_seq] { deliver(rec(dst), frame, tx_seq); };
+  if (home == from) {
+    engine_->schedule(home, at, key_hi(kKindRx, dst), rx_key, std::move(fn));
+    return;
+  }
+  engine_->post(from, home, at, key_hi(kKindRx, dst), rx_key, std::move(fn));
+  shards_[from].t.cross_shard_transmissions++;
+}
+
+void ShardedWorld::process_tx(std::uint32_t shard, const Transmission& tx, Time at,
+                              double loss_p, const std::shared_ptr<const Bytes>& buf) {
+  const Vec2 src_pos = rec(tx.src).pos;  // positions are immutable after seal
   Shard& sh = shards_[shard];
 
   // The in-range receivers in this shard, sorted by id so the
   // per-receiver decision sequence is free of cells and stripes.
   std::vector<NodeId>& receivers = sh.receivers;
   receivers.clear();
-  sh.cells[medium.value()].gather(src_pos, src, receivers);
+  sh.cells[tx.medium.value()].gather(src_pos, tx.src, receivers);
   std::sort(receivers.begin(), receivers.end());
   // The receivers' records are scattered over the node table and read one
   // by one below: start every load now.
   for (const NodeId id : receivers) __builtin_prefetch(&nodes_[id.value()]);
 #if NDSM_AUDIT_ENABLED
   if (++sh.fanouts % kFanoutAuditSample == 0) {
-    audit_verify_receivers(shard, src, medium, receivers);
+    audit_verify_receivers(shard, tx.src, tx.medium, receivers);
   }
 #endif
 
-  const double loss_p = loss_probability(spec, wire_bytes, sent_at);
   // Every undelayed receiver gets this one frame; a jittered or duplicate
   // delivery carries a copy with its own time.
-  const ShardFrame frame{src, kBroadcast, medium, at, buf};
+  const ShardFrame frame{tx.src, kBroadcast, tx.medium, at, buf};
+  // A transmission no loss or fault can touch skips the per-receiver
+  // decisions.
+  const bool spared = loss_p == 0 && faults_.spares(tx);
   for (const NodeId dst_id : receivers) {
     NodeRec& dst = rec(dst_id);
     if (!dst.alive) continue;
-    if (partitioned(src_pos, dst.pos, sent_at)) {
-      sh.t.fault_drops++;
+    if (spared) {
+      deliver(dst, frame, tx.seq);
       continue;
     }
-    // Counter-based draws: each decision is a pure function of the frame
-    // identity (src, tx_seq, dst), so the loss/duplicate/jitter pattern is
-    // bit-identical no matter how the world is partitioned or scheduled.
-    if (loss_p > 0 &&
-        hash_uniform(seeds_[kDrawLoss], src.value(), tx_seq, dst_id.value()) < loss_p) {
-      sh.t.frames_lost++;
-      continue;
-    }
-    Time deliver_at = at;
-    if (faults_.jitter_max > 0 &&
-        hash_uniform(seeds_[kDrawJitterGate], src.value(), tx_seq, dst_id.value()) <
-            faults_.jitter_p) {
-      const double u = hash_uniform(seeds_[kDrawJitterAmount], src.value(), tx_seq, dst_id.value());
-      deliver_at += 1 + static_cast<Time>(u * static_cast<double>(faults_.jitter_max - 1));
-      sh.t.fault_delays++;
-    }
-    if (deliver_at == at) {
+    const std::optional<FaultDecision> d = fate(sh, tx, dst_id, loss_p);
+    if (!d) continue;
+    const Time late_at = at + d->extra_delay;
+    if (late_at == at) {
       // Undelayed receivers are handled inline: the tx event itself is
       // keyed (kTx, src, tx_seq), which orders the whole fan-out.
-      deliver(dst, frame, tx_seq);
+      deliver(dst, frame, tx.seq);
     } else {
-      ShardFrame late = frame;
-      late.at = deliver_at;
-      const std::uint64_t rx_key =
-          hash_u64(seeds_[kDrawRxKey], src.value(), tx_seq, dst_id.value() * 2);
-      engine_->schedule(shard, deliver_at, key_hi(kKindRx, dst_id), rx_key,
-                        [this, dst_id, late, tx_seq] { deliver(rec(dst_id), late, tx_seq); });
+      schedule_rx(shard, dst_id, 0, frame, late_at, tx.seq);
     }
-    if (faults_.duplicate_p > 0 &&
-        hash_uniform(seeds_[kDrawDuplicate], src.value(), tx_seq, dst_id.value()) <
-            faults_.duplicate_p) {
-      sh.t.fault_duplicates++;
-      ShardFrame dup = frame;
-      dup.at = deliver_at + faults_.duplicate_extra_delay;
-      const std::uint64_t rx_key =
-          hash_u64(seeds_[kDrawRxKey], src.value(), tx_seq, dst_id.value() * 2 + 1);
-      engine_->schedule(shard, dup.at, key_hi(kKindRx, dst_id), rx_key,
-                        [this, dst_id, dup, tx_seq] { deliver(rec(dst_id), dup, tx_seq); });
+    if (d->duplicate) {
+      schedule_rx(shard, dst_id, 1, frame, late_at + d->duplicate_extra_delay, tx.seq);
     }
   }
 }
@@ -306,32 +295,28 @@ Status ShardedWorld::broadcast(NodeId src, Bytes payload, MediumId medium) {
   if (!s.alive) return Status{ErrorCode::kResourceExhausted, "sender is dead"};
   if (s.media.empty()) return Status{ErrorCode::kUnreachable, "sender has no interface"};
 
-  const Time now = engine_->now(s.shard);
   const auto buf = std::make_shared<const Bytes>(std::move(payload));
   for (const MediumId m : s.media) {
     if (medium.valid() && m != medium) continue;
     const LinkSpec& spec = media_[m.value()];
-    const std::size_t wire_bytes = buf->size() + spec.header_bytes;
-    const std::uint64_t tx_seq = s.tx_seq++;
-    const Time at = now + transmission_delay(spec, buf->size());
-    shards_[s.shard].t.frames_sent++;
+    const Transmission tx = transmit(s, src, m);
+    const Time at = tx.sent_at + transmission_delay(spec, buf->size());
+    const double loss_p = frame_loss_probability(spec, buf->size() + spec.header_bytes);
 
     // One tx event per shard the transmission can touch: the sender's own
     // stripe locally, each adjacent stripe via the ordered mailbox. Every
     // shard computes its own receivers from its own index; the shared key
     // (kTx, src, tx_seq) keeps the fan-outs aligned across shardings.
-    const auto tx = [this, src, tx_seq, m, now, at, wire_bytes, buf](std::uint32_t shard) {
-      return [this, shard, src, tx_seq, m, now, at, wire_bytes, buf] {
-        process_tx(shard, src, tx_seq, m, now, at, wire_bytes, buf);
-      };
+    const auto fan_out = [this, tx, at, loss_p, buf](std::uint32_t shard) {
+      return [this, shard, tx, at, loss_p, buf] { process_tx(shard, tx, at, loss_p, buf); };
     };
-    engine_->schedule(s.shard, at, key_hi(kKindTx, src), tx_seq, tx(s.shard));
+    engine_->schedule(s.shard, at, key_hi(kKindTx, src), tx.seq, fan_out(s.shard));
     for (int d = -1; d <= 1; d += 2) {
       const std::int64_t nbr = static_cast<std::int64_t>(s.shard) + d;
       if (nbr < 0 || nbr >= static_cast<std::int64_t>(map_->shards())) continue;
       if (!map_->reaches(s.pos, spec.range_m, static_cast<std::size_t>(nbr))) continue;
       engine_->post(s.shard, static_cast<std::uint32_t>(nbr), at, key_hi(kKindTx, src),
-                    tx_seq, tx(static_cast<std::uint32_t>(nbr)));
+                    tx.seq, fan_out(static_cast<std::uint32_t>(nbr)));
       shards_[s.shard].t.cross_shard_transmissions++;
     }
   }
@@ -357,52 +342,16 @@ Status ShardedWorld::send(NodeId src, NodeId dst, Bytes payload) {
   if (!chosen.valid()) return Status{ErrorCode::kUnreachable, "no shared in-range medium"};
 
   const LinkSpec& spec = media_[chosen.value()];
-  const Time now = engine_->now(s.shard);
-  const std::size_t wire_bytes = payload.size() + spec.header_bytes;
-  const std::uint64_t tx_seq = s.tx_seq++;
-  Totals& stats = shards_[s.shard].t;
-  stats.frames_sent++;
+  const Transmission tx = transmit(s, src, chosen);
+  const std::optional<FaultDecision> fault = fate(
+      shards_[s.shard], tx, dst, frame_loss_probability(spec, payload.size() + spec.header_bytes));
+  if (!fault) return Status::ok();  // silently lost; reliability is transport's job
 
-  if (partitioned(s.pos, d.pos, now)) {
-    stats.fault_drops++;
-    return Status::ok();  // silently dropped; reliability is transport's job
-  }
-  const double loss_p = loss_probability(spec, wire_bytes, now);
-  if (loss_p > 0 && hash_uniform(seeds_[kDrawLoss], src.value(), tx_seq, dst.value()) < loss_p) {
-    stats.frames_lost++;
-    return Status::ok();
-  }
-
-  Time at = now + transmission_delay(spec, payload.size());
-  if (faults_.jitter_max > 0 &&
-      hash_uniform(seeds_[kDrawJitterGate], src.value(), tx_seq, dst.value()) < faults_.jitter_p) {
-    const double u = hash_uniform(seeds_[kDrawJitterAmount], src.value(), tx_seq, dst.value());
-    at += 1 + static_cast<Time>(u * static_cast<double>(faults_.jitter_max - 1));
-    stats.fault_delays++;
-  }
-
-  const auto buf = std::make_shared<const Bytes>(std::move(payload));
-  const auto schedule_rx = [this, &s, dst](Time when, std::uint64_t rx_key,
-                                           ShardFrame frame, std::uint64_t uid) {
-    const std::uint32_t home = rec(dst).shard;
-    auto fn = [this, dst, frame = std::move(frame), uid] { deliver(rec(dst), frame, uid); };
-    if (home == s.shard) {
-      engine_->schedule(home, when, key_hi(kKindRx, dst), rx_key, std::move(fn));
-    } else {
-      engine_->post(s.shard, home, when, key_hi(kKindRx, dst), rx_key, std::move(fn));
-      shards_[s.shard].t.cross_shard_transmissions++;
-    }
-  };
-  schedule_rx(at, hash_u64(seeds_[kDrawRxKey], src.value(), tx_seq, dst.value() * 2),
-              ShardFrame{src, dst, chosen, at, buf}, tx_seq);
-
-  if (faults_.duplicate_p > 0 &&
-      hash_uniform(seeds_[kDrawDuplicate], src.value(), tx_seq, dst.value()) <
-          faults_.duplicate_p) {
-    stats.fault_duplicates++;
-    const Time dup_at = at + faults_.duplicate_extra_delay;
-    schedule_rx(dup_at, hash_u64(seeds_[kDrawRxKey], src.value(), tx_seq, dst.value() * 2 + 1),
-                ShardFrame{src, dst, chosen, dup_at, buf}, tx_seq);
+  const Time at = tx.sent_at + transmission_delay(spec, payload.size()) + fault->extra_delay;
+  const ShardFrame frame{src, dst, chosen, at, std::make_shared<const Bytes>(std::move(payload))};
+  schedule_rx(s.shard, dst, 0, frame, at, tx.seq);
+  if (fault->duplicate) {
+    schedule_rx(s.shard, dst, 1, frame, at + fault->duplicate_extra_delay, tx.seq);
   }
   return Status::ok();
 }

@@ -18,15 +18,23 @@
 // shard reuses, so a fan-out allocates nothing per receiver. Delay and
 // loss come from the link physics in net/link_spec.hpp, as in World.
 //
+// Faults: set_faults() takes the net::ChannelFaults a FaultPlan scripts
+// on a World (FaultPlan::channel()), and evaluates it the same way: with
+// equal seeds the two worlds take every loss, drop, jitter and duplicate
+// decision alike. Node lifecycles are scripted with kill_at/revive_at.
+//
 // Determinism contract (stronger than the engine's): the per-node
 // delivery order and the merged digest() are bit-identical for ANY shard
 // count and ANY worker count, because nothing observable depends on
 // either:
-//   * Every random draw (loss, duplication, jitter) is counter-based —
-//     hash_uniform over (seed, sender, per-sender transmission seq,
-//     receiver) — so a decision is a pure function of the frame
-//     identity, not of how many draws some sequential stream served
-//     before it (a per-shard stream would re-order with the partition).
+//   * Every random draw (loss and the net::ChannelFaults decisions) is
+//     counter-based — hash_uniform over (seed, sender, per-sender
+//     transmission seq, receiver), as World draws them — so a decision
+//     is a pure function of the frame identity, not of how many draws
+//     some sequential stream served before it (a per-shard stream would
+//     re-order with the partition). A sender's burst chain is stepped on
+//     its own shard when it transmits, and the transmission carries the
+//     result to every shard that evaluates it.
 //   * A fan-out visits its in-range receivers in id order, so the order
 //     its deliveries run in does not depend on cell size, stripe cuts or
 //     the index's layout.
@@ -45,10 +53,10 @@
 // Simulator::current_shard). The full node::Runtime middleware stack
 // still runs on the single-threaded World (DESIGN §13).
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -56,6 +64,7 @@
 #include "common/status.hpp"
 #include "common/vec2.hpp"
 #include "net/cell_index.hpp"
+#include "net/faults.hpp"
 #include "net/frame.hpp"
 #include "net/link_spec.hpp"
 #include "net/shard_map.hpp"
@@ -78,29 +87,6 @@ struct ShardFrame {
   }
 };
 
-// Deterministic fault script for the sharded world (the chaos-soak knobs
-// from net::FaultPlan that make sense receiver-side). All decisions are
-// counter-hashed per (transmission, receiver) — twin runs and differently
-// sharded runs take byte-identical fault paths.
-struct ShardedFaultPlan {
-  struct LossWindow {  // extra frame loss while start <= send time < end
-    Time start = 0;
-    Time end = 0;
-    double extra_loss = 0.0;
-  };
-  struct Partition {  // frames crossing x = cut_x dropped while active
-    Time start = 0;
-    Time end = 0;
-    double cut_x = 0.0;
-  };
-  std::vector<LossWindow> loss_windows;
-  std::vector<Partition> partitions;
-  double duplicate_p = 0.0;         // extra copy per (frame, receiver)
-  Time duplicate_extra_delay = 1;   // copy trails the original (> 0)
-  double jitter_p = 0.0;            // per-receiver delivery jitter ...
-  Time jitter_max = 0;              // ... uniform in [1, jitter_max]
-};
-
 struct ShardedWorldConfig {
   std::size_t shards = 1;   // requested; ShardMap may reduce (range bound)
   std::size_t workers = 1;  // executor threads (1 = serial, no threads)
@@ -121,7 +107,9 @@ class ShardedWorld {
   NodeId add_node(Vec2 position);
   void attach(NodeId node, MediumId medium);
   void set_handler(NodeId node, Handler handler);
-  void set_faults(ShardedFaultPlan plan);
+  // The channel faults every transmission is evaluated against, as World
+  // evaluates a FaultPlan's (FaultPlan::channel()).
+  void set_faults(ChannelFaults faults);
   // Script a fail-stop crash / revival on the node's own timeline.
   void kill_at(NodeId node, Time at);
   void revive_at(NodeId node, Time at);
@@ -168,7 +156,7 @@ class ShardedWorld {
     std::uint64_t frames_sent = 0;        // link-layer transmissions
     std::uint64_t frames_delivered = 0;   // handler-visible receptions
     std::uint64_t frames_lost = 0;        // per-receiver channel loss
-    std::uint64_t fault_drops = 0;        // loss windows + partitions
+    std::uint64_t fault_drops = 0;        // partitions + burst loss
     std::uint64_t fault_duplicates = 0;
     std::uint64_t fault_delays = 0;
     std::uint64_t cross_shard_transmissions = 0;  // forwarded to neighbors
@@ -186,15 +174,6 @@ class ShardedWorld {
     kKindTx = 3,
     kKindRx = 4,
   };
-  // Sub-draw tags for counter-hashed randomness.
-  enum DrawTag : std::uint64_t {
-    kDrawLoss = 1,
-    kDrawDuplicate = 2,
-    kDrawJitterGate = 3,
-    kDrawJitterAmount = 4,
-    kDrawRxKey = 5,
-  };
-
   struct NodeRec {
     Vec2 pos;
     bool alive = true;
@@ -215,6 +194,7 @@ class ShardedWorld {
     Totals t;
     std::vector<CellIndex> cells;   // per medium, frozen at seal
     std::vector<NodeId> receivers;  // process_tx scratch, reused
+    BurstStates bursting;           // bad burst chains of the nodes it owns
     std::uint64_t fanouts = 0;      // counted in NDSM_AUDIT builds only
   };
   // NDSM_AUDIT builds cross-check every kFanoutAuditSample-th fan-out of
@@ -237,12 +217,22 @@ class ShardedWorld {
   void schedule_keyed(NodeId node, Time at, std::uint64_t kind, std::uint64_t key_lo,
                       std::function<void()> fn);
   void assert_owner_context(const NodeRec& n, const char* what) const;
+  // Number a transmission of `s` on `medium`, on its own shard, and step
+  // its burst chain there.
+  Transmission transmit(NodeRec& s, NodeId src, MediumId medium);
+  // The channel's verdict on one (transmission, receiver) pair, counted
+  // in `sh`; none if the frame is lost or dropped.
+  std::optional<FaultDecision> fate(Shard& sh, const Transmission& tx, NodeId dst,
+                                    double loss_p) const;
   // Process one transmission inside shard `shard`: gather the shard's
   // in-range receivers, take the counter-hashed per-receiver decisions,
   // deliver.
-  void process_tx(std::uint32_t shard, NodeId src, std::uint64_t tx_seq, MediumId medium,
-                  Time sent_at, Time at, std::size_t wire_bytes,
+  void process_tx(std::uint32_t shard, const Transmission& tx, Time at, double loss_p,
                   const std::shared_ptr<const Bytes>& buf);
+  // Schedule a late reception of `frame` at `at` on `dst`'s owner shard,
+  // from an event of shard `from`. Copy 1 is a duplicate.
+  void schedule_rx(std::uint32_t from, NodeId dst, std::uint64_t copy, ShardFrame frame, Time at,
+                   std::uint64_t tx_seq);
   // The brute-force check behind the NDSM_AUDIT sampling: `receivers`
   // must be exactly the nodes of `shard` on `medium`, other than `src`,
   // within range of it.
@@ -250,16 +240,13 @@ class ShardedWorld {
                               const std::vector<NodeId>& receivers) const;
   void deliver(NodeRec& n, const ShardFrame& frame, std::uint64_t tx_uid);
   void mix_control(NodeRec& n, Time at, std::uint64_t tag);
-  [[nodiscard]] double loss_probability(const LinkSpec& spec, std::size_t wire_bytes,
-                                        Time sent_at) const;
-  [[nodiscard]] bool partitioned(Vec2 a, Vec2 b, Time sent_at) const;
   void register_metrics();
 
   ShardedWorldConfig config_;
-  ShardedFaultPlan faults_;
-  // One seed per DrawTag, indexed by it: fixed per world, so derived once
-  // in the constructor, never per transmission.
-  std::array<std::uint64_t, kDrawRxKey + 1> seeds_{};
+  ChannelFaults faults_;
+  // Fixed per world, so derived once in the constructor, never per
+  // transmission.
+  DrawSeeds seeds_;
   std::vector<NodeRec> nodes_;
   std::vector<LinkSpec> media_;
   std::vector<PendingEvent> pending_;

@@ -122,8 +122,8 @@ void World::reached_members(const Medium& m, NodeId src, std::vector<NodeId>& ou
   // the 3x3 cells is a candidate.
   stats_.grid_candidates += fresh_index(m).gather(center, src, out) - 1;
   stats_.grid_cells_scanned += 9;
-  // The index lists by cell; sort so delivery order and loss draws are a
-  // function of the receiver set alone.
+  // The index lists by cell; sort so delivery order is a function of the
+  // receiver set alone.
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(before), out.end());
 #if NDSM_AUDIT_ENABLED
   // Sampled cross-check against a brute-force range scan. Counter-based
@@ -273,6 +273,28 @@ void World::charge_rx(NodeId dst, const LinkSpec& spec, std::size_t wire_bytes) 
   if (!n.battery.consume(energy_.rx_cost(wire_bytes * 8))) kill(dst);
 }
 
+Transmission World::transmit(Node& sender, NodeId src, MediumId medium,
+                              std::size_t payload_bytes, std::size_t wire_bytes) {
+  sender.stats.frames_sent++;
+  sender.stats.bytes_sent += payload_bytes;
+  stats_.frames_sent++;
+  stats_.bytes_on_wire += wire_bytes;
+  Transmission tx{src, sender.tx_seq++, medium, sim_.now()};
+  if (faults_ != nullptr) faults_->on_transmit(tx);
+  return tx;
+}
+
+// Inline: it runs for every receiver of every fan-out.
+inline std::optional<FaultDecision> World::fate(const Transmission& tx, NodeId dst, double loss_p) {
+  if (!channel_lost(seeds_, tx, dst, loss_p)) {
+    const FaultDecision fault = faults_ != nullptr ? faults_->on_frame(tx, dst) : FaultDecision{};
+    if (!fault.drop) return fault;
+    stats_.fault_drops++;
+  }
+  stats_.frames_lost++;
+  return std::nullopt;
+}
+
 void World::receive(NodeId dst, const LinkFrame& frame, std::size_t wire_bytes) {
   Node& receiver = node(dst);
   if (!receiver.alive) return;  // may have died in flight (or mid-batch)
@@ -326,30 +348,20 @@ Status World::link_send(NodeId src, NodeId dst, Proto proto, Bytes payload) {
   const std::size_t wire_bytes = payload.size() + m.spec.header_bytes;
   const double dist = distance(sender.position, node(dst).position);
 
-  sender.stats.frames_sent++;
-  sender.stats.bytes_sent += payload.size();
-  stats_.frames_sent++;
-  stats_.bytes_on_wire += wire_bytes;
+  const Transmission tx = transmit(sender, src, *m_id, payload.size(), wire_bytes);
 
   if (!charge_tx(src, m.spec, wire_bytes, m.spec.wireless ? dist : 0.0)) {
     return Status{ErrorCode::kResourceExhausted, "battery exhausted during tx"};
   }
-  if (rng_.bernoulli(frame_loss_probability(m.spec, wire_bytes))) {
+  const std::optional<FaultDecision> fault =
+      fate(tx, dst, frame_loss_probability(m.spec, wire_bytes));
+  if (!fault) {
     sender.stats.frames_dropped++;
-    stats_.frames_lost++;
     return Status::ok();  // silently lost; reliability is transport's job
-  }
-  const FaultDecision fault =
-      faults_ != nullptr ? faults_->on_frame(src, dst, *m_id, wire_bytes) : FaultDecision{};
-  if (fault.drop) {
-    sender.stats.frames_dropped++;
-    stats_.frames_lost++;
-    stats_.fault_drops++;
-    return Status::ok();
   }
   const Time delay = transmission_delay(m.spec, payload.size());
   deliver(dst, LinkFrame{src, dst, *m_id, proto, std::make_shared<const Bytes>(std::move(payload))},
-          delay, wire_bytes, fault);
+          delay, wire_bytes, *fault);
   return Status::ok();
 }
 
@@ -364,11 +376,7 @@ Status World::link_broadcast(NodeId src, Proto proto, Bytes payload, MediumId me
     if (medium_filter.valid() && m_id != medium_filter) continue;
     const Medium& m = medium(m_id);
     const std::size_t wire_bytes = buf->size() + m.spec.header_bytes;
-
-    sender.stats.frames_sent++;
-    sender.stats.bytes_sent += buf->size();
-    stats_.frames_sent++;
-    stats_.bytes_on_wire += wire_bytes;
+    const Transmission tx = transmit(sender, src, m_id, buf->size(), wire_bytes);
     // Broadcast transmits at full range power.
     if (!charge_tx(src, m.spec, wire_bytes, m.spec.wireless ? m.spec.range_m : 0.0)) {
       return Status{ErrorCode::kResourceExhausted, "battery exhausted during tx"};
@@ -380,26 +388,19 @@ Status World::link_broadcast(NodeId src, Proto proto, Bytes payload, MediumId me
     scratch_.clear();
     reached_members(m, src, scratch_);
     const double loss_p = frame_loss_probability(m.spec, wire_bytes);
+    // Without loss or an injector every alive member receives.
+    const bool spared = loss_p == 0 && faults_ == nullptr;
     std::vector<NodeId> receivers;
     receivers.reserve(scratch_.size());
     for (const NodeId member : scratch_) {
       if (!node(member).alive) continue;
-      if (rng_.bernoulli(loss_p)) {
-        stats_.frames_lost++;
+      const std::optional<FaultDecision> fault =
+          spared ? FaultDecision{} : fate(tx, member, loss_p);
+      if (!fault) continue;
+      if (fault->extra_delay > 0 || fault->duplicate) {
+        // Jittered or duplicated receivers leave the batched fan-out.
+        deliver(member, LinkFrame{src, kBroadcast, m_id, proto, buf}, delay, wire_bytes, *fault);
         continue;
-      }
-      if (faults_ != nullptr) {
-        const FaultDecision fault = faults_->on_frame(src, member, m_id, wire_bytes);
-        if (fault.drop) {
-          stats_.frames_lost++;
-          stats_.fault_drops++;
-          continue;
-        }
-        if (fault.extra_delay > 0 || fault.duplicate) {
-          // Jittered or duplicated receivers leave the batched fan-out.
-          deliver(member, LinkFrame{src, kBroadcast, m_id, proto, buf}, delay, wire_bytes, fault);
-          continue;
-        }
       }
       receivers.push_back(member);
     }

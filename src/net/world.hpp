@@ -14,6 +14,12 @@
 // transmission; the N receivers of a fan-out share it instead of each
 // copying the Bytes. Delay and loss come from the link physics in
 // net/link_spec.hpp, shared with ShardedWorld.
+//
+// Every loss and fault draw is keyed by the frame's identity (sender, the
+// sender's transmission counter, receiver) and the simulator's seed, not
+// taken from a stream (net/faults.hpp), so one extra frame redraws no
+// other decision. An attached FaultPlan's channel decisions are the ones
+// ShardedWorld takes for the same script.
 
 #include <cmath>
 #include <functional>
@@ -27,6 +33,7 @@
 #include "common/vec2.hpp"
 #include "net/cell_index.hpp"
 #include "net/energy.hpp"
+#include "net/faults.hpp"
 #include "net/frame.hpp"
 #include "net/link_spec.hpp"
 #include "obs/metrics.hpp"
@@ -57,34 +64,12 @@ struct WorldStats {
   std::uint64_t fault_delays = 0;      // deliveries the injector jittered
 };
 
-// Per-(frame, receiver) verdict from an attached fault injector. The
-// duplicate copy is always scheduled after the original with a
-// non-negative extra delay, so a duplicate can never overtake the frame
-// it copies.
-struct FaultDecision {
-  bool drop = false;
-  bool duplicate = false;
-  Time extra_delay = 0;            // added to the medium's transmission delay
-  Time duplicate_extra_delay = 0;  // duplicate's delay beyond the original's
-};
-
-// Seam for deterministic fault injection (net::FaultPlan). Consulted once
-// per (frame, receiver) pair — after the medium's own loss draw, never for
-// loopback — in the same deterministic receiver order the World already
-// guarantees, so any randomness the injector uses stays reproducible.
-class FaultInjector {
- public:
-  virtual ~FaultInjector() = default;
-  virtual FaultDecision on_frame(NodeId src, NodeId dst, MediumId medium,
-                                 std::size_t wire_bytes) = 0;
-};
-
 class World {
  public:
   using LinkHandler = std::function<void(const LinkFrame&)>;
   using DeathHandler = std::function<void(NodeId)>;
 
-  explicit World(sim::Simulator& sim) : sim_(sim), rng_(sim.rng().fork(0x9e11d)) {
+  explicit World(sim::Simulator& sim) : sim_(sim), seeds_(draw_seeds(sim.seed())) {
     register_metrics();
   }
 
@@ -184,6 +169,7 @@ class World {
     std::map<Proto, LinkHandler> handlers;
     NodeStats stats;
     EventId motion = EventId::invalid();
+    std::uint64_t tx_seq = 0;  // numbers its transmissions (net/faults.hpp)
   };
 
   struct Medium {
@@ -213,6 +199,14 @@ class World {
   // in attach order.
   void reached_members(const Medium& m, NodeId src, std::vector<NodeId>& out) const;
 
+  // Count a transmission of `sender` on `medium`, number it and step the
+  // sender's burst chain there.
+  [[nodiscard]] Transmission transmit(Node& sender, NodeId src, MediumId medium,
+                                      std::size_t payload_bytes, std::size_t wire_bytes);
+  // The channel's verdict on one (transmission, receiver) pair, counted in
+  // stats_; none if the frame is lost or dropped.
+  [[nodiscard]] std::optional<FaultDecision> fate(const Transmission& tx, NodeId dst,
+                                                  double loss_p);
   // One reception: liveness, rx energy, counters, then the handler.
   void receive(NodeId dst, const LinkFrame& frame, std::size_t wire_bytes);
   // Schedule one receiver's reception `delay` from now, delayed further
@@ -225,7 +219,7 @@ class World {
   void register_node_metrics(NodeId id);
 
   sim::Simulator& sim_;
-  Rng rng_;
+  DrawSeeds seeds_;
   EnergyModel energy_;
   std::vector<Node> nodes_;
   std::vector<Medium> media_;

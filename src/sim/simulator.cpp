@@ -41,7 +41,7 @@ Simulator::Simulator(std::uint64_t seed) : Simulator(SimulatorConfig{.seed = see
 }
 
 Simulator::Simulator(SimulatorConfig config)
-    : rng_(config.seed), lookahead_(config.lookahead), shards_(config.shards) {
+    : seed_(config.seed), rng_(config.seed), lookahead_(config.lookahead), shards_(config.shards) {
   NDSM_INVARIANT(config.shards >= 1, "Simulator needs at least one shard");
   NDSM_INVARIANT(lookahead_ >= 1, "lookahead must be at least one time tick");
   while ((std::size_t{1} << shard_bits_) < shards_.size()) shard_bits_++;

@@ -95,6 +95,9 @@ class Simulator {
   // --- single timeline: shard 0, the whole timeline of a one-shard engine ---
   [[nodiscard]] Time now() const { return shards_[0].now; }
   [[nodiscard]] Rng& rng() { return rng_; }
+  // The seed the engine was built with: layered code that keys its own
+  // draws by it (net::World) derives them from the seed, not from rng().
+  [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   // Schedule `fn` at absolute time `at` (>= now). Returns an id usable
   // with cancel().
@@ -278,6 +281,7 @@ class Simulator {
     return n;
   }
 
+  std::uint64_t seed_;
   Rng rng_;
   Time lookahead_;
   std::vector<Shard> shards_;

@@ -28,6 +28,7 @@
 #include "net/world_stack.hpp"
 #include "serialize/codec.hpp"
 #include "sim/simulator.hpp"
+#include "test_helpers.hpp"
 
 namespace ndsm::apps::mazewar {
 namespace {
@@ -296,12 +297,21 @@ struct SoakReport {
   std::uint64_t confirmed = 0;
   std::uint64_t suffered = 0;
   std::uint64_t states = 0;
+  std::uint64_t stale = 0;  // stale states rejected
+  net::FaultStats faults;
 };
 
-// One full soak under a composed fault plan; returns the digest dump that
-// must be byte-identical across twin runs with the same seed.
-std::string mazewar_chaos_run(std::uint64_t seed, SoakReport* report = nullptr) {
-  constexpr std::size_t kPlayers = 100;
+constexpr std::size_t kSoakPlayers = 100;
+constexpr Time kSoakQuiesce = duration::seconds(15);
+
+// Arms a soak's fault plan over its simulator, the players' medium and ids.
+using MazeFaults = std::function<void(sim::Simulator&, net::FaultPlan&, MediumId,
+                                      const std::vector<NodeId>&)>;
+
+// One full soak under the plan `script` arms; returns the digest dump that
+// must be byte-identical across twin runs with the same seed. Checks the
+// invariants every plan must keep once its partitions and pauses heal.
+std::string mazewar_soak(std::uint64_t seed, const MazeFaults& script, SoakReport& report) {
   sim::Simulator sim(seed);
   net::World world(sim);
   const MediumId medium = world.add_medium(net::ethernet100());
@@ -314,7 +324,7 @@ std::string mazewar_chaos_run(std::uint64_t seed, SoakReport* report = nullptr) 
   std::vector<NodeId> ids;
   std::vector<std::unique_ptr<net::WorldStack>> stacks;
   std::vector<std::unique_ptr<Player>> players;
-  for (std::size_t i = 0; i < kPlayers; ++i) {
+  for (std::size_t i = 0; i < kSoakPlayers; ++i) {
     const NodeId id = world.add_node(Vec2{static_cast<double>(i % 10) * 3.0,
                                           static_cast<double>(i / 10) * 3.0});
     world.attach(id, medium);
@@ -324,17 +334,9 @@ std::string mazewar_chaos_run(std::uint64_t seed, SoakReport* report = nullptr) 
   }
 
   net::FaultPlan faults{world, seed ^ 0xfa157};
-  faults.burst_loss(medium, net::BurstLossSpec{0.01, 0.2, 0.0, 0.5});
-  faults.duplication(0.05, duration::millis(50));
-  faults.jitter(0.10, duration::millis(50));
-  faults.partition(duration::seconds(3), {ids.begin(), ids.begin() + 15},
-                   duration::seconds(2));
-  faults.partition(duration::seconds(8), {ids.begin() + 50, ids.begin() + 70},
-                   duration::seconds(2));
-  faults.pause(duration::seconds(5), ids[7], duration::seconds(2));
-  faults.pause(duration::seconds(10), ids[42], duration::millis(1500));
+  script(sim, faults, medium, ids);
 
-  sim.run_until(duration::seconds(15));
+  sim.run_until(kSoakQuiesce);
   // Quiesce: all faults healed; cease fire (autopilots keep gossiping but
   // stop shooting — a live match never runs out of in-flight claims), then
   // drain outstanding hit claims (bounded).
@@ -349,17 +351,18 @@ std::string mazewar_chaos_run(std::uint64_t seed, SoakReport* report = nullptr) 
     sim.run_until(sim.now() + duration::seconds(1));
   }
 
-  std::uint64_t confirmed = 0, suffered = 0, states = 0, malformed = 0, stale = 0;
+  std::uint64_t malformed = 0;
   std::ostringstream dump;
   dump << sim.digest() << ":" << sim.now();
   for (const auto& p : players) {
     dump << "|" << p->digest();
-    confirmed += p->stats().hits_confirmed;
-    suffered += p->stats().hits_suffered;
-    states += p->stats().states_received;
+    report.confirmed += p->stats().hits_confirmed;
+    report.suffered += p->stats().hits_suffered;
+    report.states += p->stats().states_received;
+    report.stale += p->stats().stale_states_dropped;
     malformed += p->stats().malformed_dropped;
-    stale += p->stats().stale_states_dropped;
   }
+  report.faults = faults.stats();
   dump << "|f:" << faults.stats().burst_drops << "," << faults.stats().partition_drops
        << "," << faults.stats().duplicates_injected << "," << faults.stats().frames_jittered;
 
@@ -369,20 +372,38 @@ std::string mazewar_chaos_run(std::uint64_t seed, SoakReport* report = nullptr) 
     EXPECT_EQ(p->self_state().score,
               kHitReward * static_cast<std::int64_t>(p->stats().hits_confirmed) -
                   kHitPenalty * static_cast<std::int64_t>(p->stats().hits_suffered));
-    EXPECT_EQ(p->peers().size(), kPlayers - 1);  // everyone is back after heal
+    EXPECT_EQ(p->peers().size(), kSoakPlayers - 1);  // everyone is back after heal
   }
-  EXPECT_EQ(confirmed, suffered) << "a hit was double-counted or lost";
-  EXPECT_GT(confirmed, 0u) << "soak produced no hits at all";
+  EXPECT_EQ(report.confirmed, report.suffered) << "a hit was double-counted or lost";
   EXPECT_EQ(malformed, 0u) << "faults must never corrupt frames, only drop/dup/delay";
-  EXPECT_GT(stale, 0u) << "duplication injected but no stale state was ever rejected";
-  EXPECT_GT(faults.stats().burst_drops, 0u);
-  EXPECT_GT(faults.stats().duplicates_injected, 0u);
-  if (report != nullptr) {
-    report->confirmed = confirmed;
-    report->suffered = suffered;
-    report->states = states;
-  }
   return dump.str();
+}
+
+// The soak's hand-written plan: every channel fault, two partitions, two
+// pauses.
+void composed_maze_faults(sim::Simulator& /*sim*/, net::FaultPlan& faults, MediumId medium,
+                          const std::vector<NodeId>& ids) {
+  faults.burst_loss(medium, net::BurstLossSpec{0.01, 0.2, 0.0, 0.5});
+  faults.duplication(0.05, duration::millis(50));
+  faults.jitter(0.10, duration::millis(50));
+  faults.partition(duration::seconds(3), {ids.begin(), ids.begin() + 15},
+                   duration::seconds(2));
+  faults.partition(duration::seconds(8), {ids.begin() + 50, ids.begin() + 70},
+                   duration::seconds(2));
+  faults.pause(duration::seconds(5), ids[7], duration::seconds(2));
+  faults.pause(duration::seconds(10), ids[42], duration::millis(1500));
+}
+
+// One full soak under the composed plan, which must engage every fault.
+std::string mazewar_chaos_run(std::uint64_t seed, SoakReport* report = nullptr) {
+  SoakReport r;
+  const std::string dump = mazewar_soak(seed, composed_maze_faults, r);
+  EXPECT_GT(r.confirmed, 0u) << "soak produced no hits at all";
+  EXPECT_GT(r.stale, 0u) << "duplication injected but no stale state was ever rejected";
+  EXPECT_GT(r.faults.burst_drops, 0u);
+  EXPECT_GT(r.faults.duplicates_injected, 0u);
+  if (report != nullptr) *report = r;
+  return dump;
 }
 
 TEST(MazewarChaos, SoakHoldsScoreInvariantsUnderComposedFaults) {
@@ -397,6 +418,31 @@ TEST(MazewarChaos, TwinRunsAreByteIdentical) {
   EXPECT_EQ(a, b) << "same seed, same faults: the soak must be deterministic";
   const std::string c = mazewar_chaos_run(0xbeef + 1);
   EXPECT_NE(a, c) << "different seed should explore a different trajectory";
+}
+
+// Seeded random plans (test_helpers.hpp): partitions, burst loss,
+// duplication, jitter and pauses, all healed well before the soak
+// quiesces.
+// Players keep no state across a crash, so these plans do not crash them.
+// Score conservation must hold under every one.
+TEST(MazewarChaos, RandomFaultPlansConserveScores) {
+  for (std::uint64_t plan = 1; plan <= 8; ++plan) {
+    std::string armed;
+    SoakReport report;
+    const std::string dump = mazewar_soak(
+        0x3a2e + plan,
+        [&armed, plan](sim::Simulator& sim, net::FaultPlan& faults, MediumId medium,
+                       const std::vector<NodeId>& ids) {
+          armed = testing::arm_random_faults(sim, faults, plan, medium, ids, {}, kSoakQuiesce,
+                                             duration::millis(100));
+        },
+        report);
+    EXPECT_GT(report.states, 10000u) << "plan " << plan << ": " << armed;
+    if (HasFailure()) {
+      ADD_FAILURE() << "plan " << plan << ": " << armed;
+      return;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "net/faults.hpp"
 #include "net/link_spec.hpp"
 #include "net/world.hpp"
 #include "sim/simulator.hpp"
@@ -501,27 +504,33 @@ TEST(Determinism, TwinMobileBroadcastRuns) {
   EXPECT_GT(a.stats.payload_copies_avoided, 0u);
 }
 
-// Absolute pin of a mobile run on two wireless media, recorded while the
-// World still kept a hash grid per medium: staggered broadcasts while half
-// the nodes move, a range change mid-run, a few nodes teleported 100 km
-// away and a final neighbors() sweep. Every loss draw, delivery, event
-// and WorldStats counter must survive a change of spatial index.
-TEST(GoldenDigest, MobileWirelessBroadcast) {
+// A mobile run on two wireless media: staggered broadcasts while half the
+// nodes move, a range change mid-run, a few nodes teleported 100 km away
+// and a final neighbors() sweep. `loss` scales both media's flat loss
+// (802.11 at 10%, Bluetooth at 5% when it is 1).
+struct MobileRun {
+  std::uint64_t digest = 0;
+  std::uint64_t deliveries = kFnvBasis;  // (receiver, sender, time) of each
+  std::uint64_t sweep = kFnvBasis;
+  WorldStats stats;
+};
+
+MobileRun mobile_wireless_broadcast(double loss) {
   sim::Simulator sim{20261018};
   World world{sim};
-  const MediumId wifi = world.add_medium(wifi80211(/*range_m=*/50, /*loss=*/0.1));
-  const MediumId bt = world.add_medium(bluetooth(/*range_m=*/20, /*loss=*/0.05));
-  std::uint64_t deliveries = kFnvBasis;  // (receiver, sender, time) of each
+  const MediumId wifi = world.add_medium(wifi80211(/*range_m=*/50, /*loss=*/0.1 * loss));
+  const MediumId bt = world.add_medium(bluetooth(/*range_m=*/20, /*loss=*/0.05 * loss));
+  MobileRun run;
   std::vector<NodeId> nodes;
   for (int i = 0; i < 200; ++i) {
     const NodeId id =
         world.add_node({sim.rng().uniform(0, 400), sim.rng().uniform(0, 400)}, Battery{5.0});
     world.attach(id, wifi);
     if (i % 3 == 0) world.attach(id, bt);
-    world.set_handler(id, Proto::kApp, [&deliveries, &sim, id](const LinkFrame& f) {
-      deliveries = fnv_fold(deliveries, id.value());
-      deliveries = fnv_fold(deliveries, f.src.value());
-      deliveries = fnv_fold(deliveries, static_cast<std::uint64_t>(sim.now()));
+    world.set_handler(id, Proto::kApp, [&run, &sim, id](const LinkFrame& f) {
+      run.deliveries = fnv_fold(run.deliveries, id.value());
+      run.deliveries = fnv_fold(run.deliveries, f.src.value());
+      run.deliveries = fnv_fold(run.deliveries, static_cast<std::uint64_t>(sim.now()));
     });
     if (i % 2 == 0) {
       world.move_linear(id, {sim.rng().uniform(0, 400), sim.rng().uniform(0, 400)},
@@ -545,25 +554,116 @@ TEST(GoldenDigest, MobileWirelessBroadcast) {
   });
   sim.run_until(duration::seconds(4));
 
-  std::uint64_t sweep = kFnvBasis;
   for (const NodeId id : nodes) {
-    for (const NodeId peer : world.neighbors(id)) sweep = fnv_fold(sweep, peer.value());
-    sweep = fnv_fold(sweep, id.value());
+    for (const NodeId peer : world.neighbors(id)) run.sweep = fnv_fold(run.sweep, peer.value());
+    run.sweep = fnv_fold(run.sweep, id.value());
   }
-  EXPECT_EQ(sim.digest(), 0x97d0a66bdcbff9b1ULL);
-  EXPECT_EQ(deliveries, 0xcd2cb082014f4368ULL);
-  EXPECT_EQ(sweep, 0xe259bf5af8956fbcULL);
-  const WorldStats& s = world.stats();
+  run.digest = sim.digest();
+  run.stats = world.stats();
+  return run;
+}
+
+// Absolute pin of the mobile run, recorded while the World still kept a
+// hash grid per medium and re-recorded when its loss draws became keyed
+// by frame identity: every loss draw, delivery, event and WorldStats
+// counter must survive a change of spatial index.
+TEST(GoldenDigest, MobileWirelessBroadcast) {
+  const MobileRun run = mobile_wireless_broadcast(1.0);
+  EXPECT_EQ(run.digest, 0xf8554176860490b4ULL);
+  EXPECT_EQ(run.deliveries, 0x97725430caff9de9ULL);
+  EXPECT_EQ(run.sweep, 0xe259bf5af8956fbcULL);
+  const WorldStats& s = run.stats;
   EXPECT_EQ(s.frames_sent, 1068u);
-  EXPECT_EQ(s.frames_delivered, 10053u);
-  EXPECT_EQ(s.frames_lost, 1117u);
+  EXPECT_EQ(s.frames_delivered, 10108u);
+  EXPECT_EQ(s.frames_lost, 1062u);
   EXPECT_EQ(s.bytes_on_wire, 36020u);
   EXPECT_EQ(s.grid_cells_scanned, 12015u);
   EXPECT_EQ(s.grid_candidates, 36128u);
-  EXPECT_EQ(s.payload_copies_avoided, 9136u);
+  EXPECT_EQ(s.payload_copies_avoided, 9189u);
   EXPECT_EQ(s.fault_drops, 0u);
   EXPECT_EQ(s.fault_duplicates, 0u);
   EXPECT_EQ(s.fault_delays, 0u);
+}
+
+// The same run on lossless media: no draw decides anything, so this pin
+// holds whatever the channel draws are keyed by.
+TEST(GoldenDigest, LosslessMobileWirelessBroadcast) {
+  const MobileRun run = mobile_wireless_broadcast(0.0);
+  EXPECT_EQ(run.digest, 0x31bb63592ce9ccbaULL);
+  EXPECT_EQ(run.deliveries, 0x2967721feeac8244ULL);
+  EXPECT_EQ(run.sweep, 0xe259bf5af8956fbcULL);
+  const WorldStats& s = run.stats;
+  EXPECT_EQ(s.frames_sent, 1068u);
+  EXPECT_EQ(s.frames_delivered, 11170u);
+  EXPECT_EQ(s.frames_lost, 0u);
+  EXPECT_EQ(s.bytes_on_wire, 36020u);
+  EXPECT_EQ(s.grid_cells_scanned, 12015u);
+  EXPECT_EQ(s.grid_candidates, 36128u);
+  EXPECT_EQ(s.payload_copies_avoided, 10250u);
+}
+
+// Keyed draws: every channel decision is a function of the frame's
+// identity (sender, the sender's transmission counter, receiver). A
+// lossy, faulted lattice run twice, the second time with a chattering
+// pair 100 km from everyone else, must take the same loss, drop, jitter
+// and duplicate decision about every frame the two runs share.
+using Arrivals =
+    std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>, std::vector<Time>>;
+
+Arrivals keyed_run(bool chatter) {
+  sim::Simulator sim{77};
+  World world{sim};
+  const MediumId m = world.add_medium(wifi80211(/*range_m=*/25, /*loss=*/0.1));
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 36; ++i) {
+    nodes.push_back(world.add_node({(i % 6) * 20.0, (i / 6) * 20.0}));
+    world.attach(nodes.back(), m);
+  }
+  if (chatter) {
+    for (int i = 0; i < 2; ++i) world.attach(world.add_node({1e5 + i * 10.0, 1e5}), m);
+    for (Time t = 0; t < duration::millis(20); t += 50) {
+      sim.schedule_at(t, [&world] {
+        (void)world.link_broadcast(NodeId{36}, Proto::kApp, Bytes(8, 0));
+      });
+    }
+  }
+  FaultPlan faults{world, 0x77};
+  faults.partition(duration::millis(3), {nodes.begin(), nodes.begin() + 12},
+                   duration::millis(4));
+  faults.burst_loss(m, BurstLossSpec{0.2, 0.3, 0.0, 0.7});
+  faults.duplication(0.1, duration::micros(300));
+  faults.jitter(0.3, duration::micros(400));
+
+  // Every frame carries its sender's count of frames sent before it.
+  Arrivals got;
+  std::vector<std::uint8_t> sent(nodes.size(), 0);
+  for (const NodeId id : nodes) {
+    world.set_handler(id, Proto::kApp, [&got, &sim, id](const LinkFrame& f) {
+      got[{f.src.value(), f.payload()[0], id.value()}].push_back(sim.now());
+    });
+    const NodeId peer = nodes[(id.value() + 1) % nodes.size()];
+    for (int round = 0; round < 5; ++round) {
+      const Time base = duration::millis(1 + 3 * round) + static_cast<Time>(id.value()) * 20;
+      sim.schedule_at(base, [&world, &sent, id] {
+        (void)world.link_broadcast(id, Proto::kApp, Bytes(1, sent[id.value()]++));
+      });
+      sim.schedule_at(base + 10, [&world, &sent, id, peer] {
+        (void)world.link_send(id, peer, Proto::kApp, Bytes(1, sent[id.value()]++));
+      });
+    }
+  }
+  sim.run_until(duration::millis(30));
+  return got;
+}
+
+TEST(KeyedDraws, AnExtraSenderRedrawsNothingElse) {
+  const Arrivals quiet = keyed_run(false);
+  const Arrivals chatty = keyed_run(true);
+  EXPECT_EQ(quiet, chatty);
+  std::size_t duplicated = 0;
+  for (const auto& [frame, times] : quiet) duplicated += times.size() > 1 ? 1 : 0;
+  EXPECT_GT(duplicated, 0u);
+  EXPECT_GT(quiet.size(), 300u);
 }
 
 TEST(LossModel, BitErrorRateScalesWithFrameLength) {

@@ -5,6 +5,7 @@
 
 #include "discovery/centralized.hpp"
 #include "discovery/directory_server.hpp"
+#include "net/faults.hpp"
 #include "test_helpers.hpp"
 #include "transactions/rpc.hpp"
 
@@ -217,6 +218,57 @@ TEST(NodeRuntime, DirectoryWalDropsUnregisteredAndExpired) {
   EXPECT_EQ(records[0].qos.service_type, "kept");
 }
 
+// --- pauses and crashes of one plan ------------------------------------------
+
+// A FaultPlan pause's resume brings back only a node its own pause took
+// down. A node that crashes through its Runtime before or during the
+// pause stays link-dead until its restart: peers must not see it online
+// while its stack is down, and resumes never outnumber pauses.
+TEST(FaultPlanLifecycle, ResumeLeavesACrashedNodeDown) {
+  Lan lan{3};
+  net::FaultPlan faults{lan.world};
+  faults.set_lifecycle_hooks([&lan](NodeId n) { lan.runtime(n.value()).crash(); },
+                             [&lan](NodeId n) { lan.runtime(n.value()).restart(); });
+  // Node 1: crash at 1 s, then a pause from 2 s to 3 s; restart at 5 s.
+  faults.crash(duration::seconds(1), lan.nodes[1], duration::seconds(4));
+  faults.pause(duration::seconds(2), lan.nodes[1], duration::seconds(1));
+  // Node 2: a pause from 1 s to 3 s, a crash at 2 s; restart at 5 s.
+  faults.pause(duration::seconds(1), lan.nodes[2], duration::seconds(2));
+  faults.crash(duration::seconds(2), lan.nodes[2], duration::seconds(3));
+
+  lan.sim.run_until(duration::seconds(4));
+  for (const std::size_t i : {std::size_t{1}, std::size_t{2}}) {
+    EXPECT_FALSE(lan.runtime(i).up()) << "node " << i;
+    EXPECT_FALSE(lan.world.alive(lan.nodes[i])) << "node " << i;
+    EXPECT_FALSE(lan.runtime(0).net_stack().peer_online(lan.nodes[i])) << "node " << i;
+  }
+  EXPECT_EQ(faults.stats().pauses, 1u);
+  EXPECT_EQ(faults.stats().resumes, 0u);
+
+  lan.sim.run_until(duration::seconds(6));
+  for (const std::size_t i : {std::size_t{1}, std::size_t{2}}) {
+    EXPECT_TRUE(lan.runtime(i).up()) << "node " << i;
+    EXPECT_TRUE(lan.runtime(0).net_stack().peer_online(lan.nodes[i])) << "node " << i;
+  }
+  EXPECT_EQ(faults.stats().restarts, 2u);
+}
+
+// A pause that finds its node alive takes it down and brings it back,
+// and an overlapping pause that found it down leaves it to that one.
+TEST(FaultPlanLifecycle, OnlyThePauseThatTookANodeDownResumesIt) {
+  Lan lan{2};
+  net::FaultPlan faults{lan.world};
+  faults.pause(duration::seconds(1), lan.nodes[1], duration::seconds(3));
+  faults.pause(duration::seconds(2), lan.nodes[1], duration::seconds(1));
+  lan.sim.run_until(duration::millis(3500));
+  EXPECT_FALSE(lan.world.alive(lan.nodes[1]));
+  lan.sim.run_until(duration::millis(4500));
+  EXPECT_TRUE(lan.world.alive(lan.nodes[1]));
+  EXPECT_TRUE(lan.runtime(1).up());
+  EXPECT_EQ(faults.stats().pauses, 1u);
+  EXPECT_EQ(faults.stats().resumes, 1u);
+}
+
 // --- determinism under churn ------------------------------------------------
 
 // One simulated deployment: 100 nodes on a shared segment, every node
@@ -298,8 +350,8 @@ TEST(NodeRuntime, TwinRunsWithChurnAreByteIdentical) {
 TEST(GoldenDigest, NodeChurnRun) {
   const std::string dump = churn_run(1234);
   const std::size_t split = dump.find(':');
-  EXPECT_EQ(std::stoull(dump.substr(0, split)), 0x47dea65fdefad414ULL);
-  EXPECT_EQ(fnv1a(std::string_view{dump}.substr(split + 1)), 0x652a09229d3e6d29ULL);
+  EXPECT_EQ(std::stoull(dump.substr(0, split)), 0xe1bc2331774e0365ULL);
+  EXPECT_EQ(fnv1a(std::string_view{dump}.substr(split + 1)), 0x367f534306103c7bULL);
 }
 
 }  // namespace

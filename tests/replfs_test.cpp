@@ -358,27 +358,29 @@ TEST(Replfs, WriteFailsCleanlyWhenAReplicaStaysDown) {
 // Chaos soak: the flagship acceptance run. Every write the client acked
 // must be present on every replica, through crash/restart and partitions.
 
-std::string replfs_chaos_run(std::uint64_t seed) {
-  constexpr std::size_t kServers = 5;
+constexpr std::size_t kSoakServers = 5;
+constexpr Time kSoakQuiesce = duration::seconds(15);  // the last write goes out at 14.4 s
+
+// Arms a soak's fault plan, whose lifecycle hooks crash and restart the
+// servers' Runtimes.
+using ReplfsFaults = std::function<void(net::FaultPlan&, testing::Lan&)>;
+
+// One full soak: 25 writes over 15 s under the plan `script` arms. Checks
+// what every plan that heals must keep: every write commits, and every
+// acked write is durably applied on every replica. Returns the digest dump.
+std::string replfs_soak(std::uint64_t seed, const ReplfsFaults& script,
+                        net::FaultStats& stats) {
   constexpr int kWrites = 25;
-  ReplfsNet net{kServers, seed};
+  ReplfsNet net{kSoakServers, seed};
   testing::Lan& lan = net.lan;
 
   net::FaultPlan faults{lan.world, seed ^ 0xfa157};
   std::map<NodeId, std::size_t> index;
-  for (std::size_t i = 0; i < kServers; ++i) index[lan.nodes[i]] = i;
+  for (std::size_t i = 0; i < kSoakServers; ++i) index[lan.nodes[i]] = i;
   faults.set_lifecycle_hooks(
       [&](NodeId id) { lan.runtime(index.at(id)).crash(); },
       [&](NodeId id) { lan.runtime(index.at(id)).restart(); });
-  faults.burst_loss(lan.medium, net::BurstLossSpec{0.01, 0.2, 0.0, 0.5});
-  faults.duplication(0.05, duration::millis(50));
-  faults.jitter(0.10, duration::millis(50));  // < initial_rto
-  faults.crash(duration::seconds(4), lan.nodes[1], duration::seconds(2));
-  faults.crash(duration::seconds(9), lan.nodes[3], duration::seconds(3));
-  faults.crash(duration::seconds(15), lan.nodes[1], duration::seconds(2));
-  faults.partition(duration::seconds(6), {lan.nodes[2]}, duration::seconds(2));
-  faults.partition(duration::seconds(12), {lan.nodes[0], lan.nodes[4]},
-                   duration::seconds(2));
+  script(faults, lan);
 
   // Issue writes over time so faults land mid-protocol, not before or
   // after the workload. Values span one to four blocks; one hot key is
@@ -407,11 +409,9 @@ std::string replfs_chaos_run(std::uint64_t seed) {
 
   EXPECT_EQ(resolved, kWrites) << "writes stuck under chaos";
   EXPECT_EQ(failed, 0) << "all faults heal, so every write must commit";
-  EXPECT_GE(faults.stats().crashes, 3u);
-  EXPECT_GE(faults.stats().restarts, 3u);
 
   // THE guarantee: every acked write is durably applied on every replica.
-  for (std::size_t i = 0; i < kServers; ++i) {
+  for (std::size_t i = 0; i < kSoakServers; ++i) {
     const Server& server = net.server(i);
     EXPECT_EQ(server.store(), expected) << "replica " << i << " diverged";
     EXPECT_EQ(server.indoubt_count(), 0u) << "replica " << i;
@@ -419,21 +419,45 @@ std::string replfs_chaos_run(std::uint64_t seed) {
   }
   EXPECT_EQ(net.client->committed_log().size(), static_cast<std::size_t>(kWrites));
   // Reliable-transport hygiene under faults: nothing malformed anywhere.
-  for (std::size_t i = 0; i <= kServers; ++i) {
+  for (std::size_t i = 0; i <= kSoakServers; ++i) {
     EXPECT_EQ(lan.transport(i).stats().malformed_dropped, 0u) << "node " << i;
   }
 
+  stats = faults.stats();
   std::ostringstream dump;
   dump << lan.sim.digest() << ":" << lan.sim.now() << "|c:" << net.client->digest();
-  for (std::size_t i = 0; i < kServers; ++i) {
+  for (std::size_t i = 0; i < kSoakServers; ++i) {
     dump << "|" << net.server(i).digest() << "," << net.server(i).stats().commits_applied
          << "," << net.server(i).stats().duplicate_commits << ","
          << net.server(i).stats().commit_nacks << ","
          << net.server(i).stats().indoubt_recovered;
   }
-  dump << "|f:" << faults.stats().crashes << "," << faults.stats().burst_drops << ","
-       << faults.stats().partition_drops << "," << faults.stats().duplicates_injected;
+  dump << "|f:" << stats.crashes << "," << stats.burst_drops << "," << stats.partition_drops
+       << "," << stats.duplicates_injected;
   return dump.str();
+}
+
+// The soak's hand-written plan: every channel fault, three crashes and
+// two partitions.
+void composed_replfs_faults(net::FaultPlan& faults, testing::Lan& lan) {
+  faults.burst_loss(lan.medium, net::BurstLossSpec{0.01, 0.2, 0.0, 0.5});
+  faults.duplication(0.05, duration::millis(50));
+  faults.jitter(0.10, duration::millis(50));  // < initial_rto
+  faults.crash(duration::seconds(4), lan.nodes[1], duration::seconds(2));
+  faults.crash(duration::seconds(9), lan.nodes[3], duration::seconds(3));
+  faults.crash(duration::seconds(15), lan.nodes[1], duration::seconds(2));
+  faults.partition(duration::seconds(6), {lan.nodes[2]}, duration::seconds(2));
+  faults.partition(duration::seconds(12), {lan.nodes[0], lan.nodes[4]},
+                   duration::seconds(2));
+}
+
+// One full soak under the composed plan, whose crashes must all happen.
+std::string replfs_chaos_run(std::uint64_t seed) {
+  net::FaultStats stats;
+  const std::string dump = replfs_soak(seed, composed_replfs_faults, stats);
+  EXPECT_GE(stats.crashes, 3u);
+  EXPECT_GE(stats.restarts, 3u);
+  return dump;
 }
 
 TEST(ReplfsChaos, AckedWritesSurviveCrashRestartAndPartitions) {
@@ -446,6 +470,30 @@ TEST(ReplfsChaos, TwinRunsAreByteIdentical) {
   EXPECT_EQ(a, b) << "same seed, same faults: the soak must be deterministic";
   const std::string c = replfs_chaos_run(0xfeed + 1);
   EXPECT_NE(a, c) << "different seed should explore a different trajectory";
+}
+
+// Seeded random plans (test_helpers.hpp): partitions, burst loss,
+// duplication, jitter, pauses of any node and crash/restart cycles of the
+// servers, all healed before the last write. Every acked write must stay
+// durable on every replica under each.
+TEST(ReplfsChaos, RandomFaultPlansKeepAckedWritesDurable) {
+  for (std::uint64_t plan = 1; plan <= 8; ++plan) {
+    std::string armed;
+    net::FaultStats stats;
+    (void)replfs_soak(
+        0x7e51 + plan,
+        [&armed, plan](net::FaultPlan& faults, testing::Lan& lan) {
+          const std::vector<NodeId> servers(lan.nodes.begin(),
+                                            lan.nodes.begin() + kSoakServers);
+          armed = testing::arm_random_faults(lan.sim, faults, plan, lan.medium, lan.nodes,
+                                             servers, kSoakQuiesce, duration::millis(100));
+        },
+        stats);
+    if (HasFailure()) {
+      ADD_FAILURE() << "plan " << plan << ": " << armed;
+      return;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "net/faults.hpp"
 #include "net/shard_map.hpp"
 #include "net/sharded_world.hpp"
+#include "net/world.hpp"
 #include "sim/simulator.hpp"
 
 namespace ndsm {
@@ -145,10 +147,13 @@ struct RunOutcome {
 // A cols x rows lattice (20 m spacing, 25 m range: 4-connected) where
 // every node broadcasts three staggered rounds and replies to a subset of
 // broadcasts with a unicast — exercising local fan-out, cross-shard
-// fan-out, and cross-shard unicast from inside handlers. With `chaos`,
-// the full fault plan plus scripted kill/revive cycles runs on top.
+// fan-out, and cross-shard unicast from inside handlers. With `chaos`, a
+// fault script plus scripted kill/revive cycles runs on top: 5% flat
+// loss, a partition window splitting off the nodes left of the middle,
+// delay jitter and, with `bursts_and_duplicates`, burst loss and frame
+// duplication.
 RunOutcome run_lattice(std::size_t cols, std::size_t rows, std::size_t shards,
-                       std::size_t workers, bool chaos) {
+                       std::size_t workers, bool chaos, bool bursts_and_duplicates = true) {
   net::ShardedWorld w({.shards = shards, .workers = workers, .seed = 99});
   const double spacing = 20.0;
   const MediumId medium = w.add_medium(net::wifi80211(25.0, chaos ? 0.05 : 0.0));
@@ -174,15 +179,20 @@ RunOutcome run_lattice(std::size_t cols, std::size_t rows, std::size_t shards,
   }
 
   if (chaos) {
-    net::ShardedFaultPlan plan;
-    plan.loss_windows.push_back({duration::millis(2), duration::millis(8), 0.2});
-    plan.partitions.push_back(
-        {duration::millis(5), duration::millis(9), spacing * static_cast<double>(cols) / 2});
-    plan.duplicate_p = 0.1;
-    plan.duplicate_extra_delay = duration::micros(50);
-    plan.jitter_p = 0.2;
-    plan.jitter_max = duration::micros(500);
-    w.set_faults(plan);
+    net::ChannelFaults faults;
+    std::vector<NodeId> island;
+    for (const NodeId id : ids) {
+      if (w.position(id).x < spacing * static_cast<double>(cols) / 2) island.push_back(id);
+    }
+    faults.partitions.push_back({island, duration::millis(5), duration::millis(9)});
+    faults.jitter_p = 0.2;
+    faults.jitter_max = duration::micros(500);
+    if (bursts_and_duplicates) {
+      faults.bursts[medium] = net::BurstLossSpec{0.1, 0.4, 0.0, 0.4};
+      faults.duplicate_p = 0.1;
+      faults.duplicate_max = duration::micros(50);
+    }
+    w.set_faults(faults);
     for (std::size_t i = 0; i < ids.size(); i += 7) {
       w.kill_at(ids[i], duration::millis(4));
       w.revive_at(ids[i], duration::millis(12));
@@ -321,14 +331,189 @@ TEST(ShardedWorld, ChaosSoakDigestIdenticalAcrossShardingsAndWorkers) {
 
 // The twin-run and cross-sharding comparisons above hold for any event
 // order that every configuration shares. This pins the absolute digest of
-// the chaos lattice, recorded before the sharded engine was folded into
-// sim::Simulator (flat loss, lattice positions: no libm-dependent input).
+// the chaos lattice (flat loss, lattice positions: no libm-dependent
+// input), re-recorded when its loss window became burst loss.
 TEST(GoldenDigest, ShardedChaosLattice) {
   for (const std::size_t shards : {1u, 4u}) {
     for (const std::size_t workers : {1u, 2u}) {
       const RunOutcome r = run_lattice(10, 10, shards, workers, true);
-      EXPECT_EQ(r.digest, 0x58dd23556838623aULL) << "shards=" << shards << " workers=" << workers;
-      EXPECT_EQ(r.totals.frames_delivered, 1059u) << "shards=" << shards << " workers=" << workers;
+      EXPECT_EQ(r.digest, 0xbade6b616eaef4d0ULL) << "shards=" << shards << " workers=" << workers;
+      EXPECT_EQ(r.totals.frames_delivered, 1069u) << "shards=" << shards << " workers=" << workers;
+    }
+  }
+}
+
+// The chaos lattice without burst loss and duplication, recorded when the
+// partition was an x = 100 m cut and the sharded world had a fault
+// script of its own. Its decisions are keyed the same way since, so the
+// digest holds.
+TEST(GoldenDigest, ShardedCutAndJitterLattice) {
+  for (const std::size_t shards : {1u, 4u}) {
+    for (const std::size_t workers : {1u, 2u}) {
+      const RunOutcome r = run_lattice(10, 10, shards, workers, true, false);
+      EXPECT_EQ(r.digest, 0x449aacd421950f36ULL) << "shards=" << shards << " workers=" << workers;
+      EXPECT_EQ(r.totals.frames_delivered, 1021u) << "shards=" << shards << " workers=" << workers;
+      EXPECT_EQ(r.totals.fault_delays, 196u) << "shards=" << shards << " workers=" << workers;
+      EXPECT_EQ(r.totals.frames_lost + r.totals.fault_drops, 59u)
+          << "shards=" << shards << " workers=" << workers;
+    }
+  }
+}
+
+// --- one fault model, two worlds -----------------------------------------------
+
+// What a lattice run delivered, and what its channel did.
+struct ModelRun {
+  // (receiver, sender, the sender's frame counter, arrival time), sorted.
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, Time>> deliveries;
+  std::uint64_t lost = 0;     // the medium's own loss
+  std::uint64_t dropped = 0;  // partitions and burst loss
+  std::uint64_t duplicated = 0;
+  std::uint64_t delayed = 0;
+};
+
+// An 8 x 8 lattice (20 m spacing, 25 m range) with 5% flat loss. Every
+// node broadcasts four rounds and sends four unicasts to its right (or,
+// in the last column, left) neighbour, all from timers, each carrying
+// the sender's frame counter. `at(i, t, fn)` schedules node i's sends.
+constexpr std::size_t kModelSide = 8;
+constexpr std::uint64_t kModelSeed = 31;
+
+Vec2 model_position(std::size_t i) {
+  return {static_cast<double>(i % kModelSide) * 20.0, static_cast<double>(i / kModelSide) * 20.0};
+}
+
+Bytes counter_bytes(std::uint64_t n) {
+  Bytes b(8);
+  for (std::size_t k = 0; k < 8; ++k) b[k] = static_cast<std::uint8_t>(n >> (8 * k));
+  return b;
+}
+
+std::uint64_t counter_of(const Bytes& b) {
+  std::uint64_t n = 0;
+  for (std::size_t k = 0; k < 8; ++k) n |= static_cast<std::uint64_t>(b[k]) << (8 * k);
+  return n;
+}
+
+template <class At, class Broadcast, class Send>
+void script_model_traffic(At at, Broadcast broadcast, Send send) {
+  for (std::size_t i = 0; i < kModelSide * kModelSide; ++i) {
+    const std::size_t peer = i % kModelSide + 1 < kModelSide ? i + 1 : i - 1;
+    for (int round = 0; round < 4; ++round) {
+      // Broadcasts on the 500 us grid, unicasts 250 us off it: no node
+      // ever sends twice in one instant.
+      const Time base = duration::millis(1) + round * duration::millis(3);
+      at(i, base + static_cast<Time>(i % 5) * 500, [=] { broadcast(i); });
+      at(i, base + 250 + static_cast<Time>(i % 3) * 500, [=] { send(i, peer); });
+    }
+  }
+}
+
+// The fault plan of the World run: a partition window splitting off the
+// left half, burst loss, duplication and jitter.
+void script_model_faults(net::FaultPlan& faults, MediumId medium) {
+  std::vector<NodeId> island;
+  for (std::size_t i = 0; i < kModelSide * kModelSide; ++i) {
+    if (i % kModelSide < kModelSide / 2) island.emplace_back(i);
+  }
+  faults.partition(duration::millis(4), island, duration::millis(3));
+  faults.burst_loss(medium, net::BurstLossSpec{0.2, 0.3, 0.0, 0.6});
+  faults.duplication(0.1, duration::micros(200));
+  faults.jitter(0.2, duration::micros(500));
+}
+
+ModelRun run_model_world(net::ChannelFaults& script) {
+  sim::Simulator sim{kModelSeed};
+  net::World world{sim};
+  const MediumId medium = world.add_medium(net::wifi80211(25.0, 0.05));
+  ModelRun run;
+  std::vector<std::uint64_t> sent(kModelSide * kModelSide, 0);
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    const NodeId id = world.add_node(model_position(i));
+    world.attach(id, medium);
+    world.set_handler(id, net::Proto::kApp, [&run, &sim, id](const net::LinkFrame& f) {
+      run.deliveries.emplace_back(id.value(), f.src.value(), counter_of(f.payload()), sim.now());
+    });
+  }
+  net::FaultPlan faults{world, 0x5eed};
+  script_model_faults(faults, medium);
+  script = faults.channel();
+  script_model_traffic(
+      [&sim](std::size_t, Time t, std::function<void()> fn) { sim.schedule_at(t, std::move(fn)); },
+      [&](std::size_t i) {
+        (void)world.link_broadcast(NodeId{i}, net::Proto::kApp, counter_bytes(sent[i]++));
+      },
+      [&](std::size_t i, std::size_t peer) {
+        (void)world.link_send(NodeId{i}, NodeId{peer}, net::Proto::kApp,
+                              counter_bytes(sent[i]++));
+      });
+  sim.run_until(duration::millis(20));
+  const net::WorldStats& s = world.stats();
+  run.lost = s.frames_lost - s.fault_drops;
+  run.dropped = s.fault_drops;
+  run.duplicated = s.fault_duplicates;
+  run.delayed = s.fault_delays;
+  std::sort(run.deliveries.begin(), run.deliveries.end());
+  return run;
+}
+
+ModelRun run_model_sharded(const net::ChannelFaults& script, std::size_t shards,
+                           std::size_t workers) {
+  net::ShardedWorld w({.shards = shards, .workers = workers, .seed = kModelSeed});
+  const MediumId medium = w.add_medium(net::wifi80211(25.0, 0.05));
+  // One log and one counter per node: only its owner shard touches them.
+  std::vector<ModelRun> logs(kModelSide * kModelSide);
+  std::vector<std::uint64_t> sent(logs.size(), 0);
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    const NodeId id = w.add_node(model_position(i));
+    w.attach(id, medium);
+    w.set_handler(id, [&logs, id](const net::ShardFrame& f) {
+      logs[id.value()].deliveries.emplace_back(id.value(), f.src.value(),
+                                               counter_of(f.payload()), f.at);
+    });
+  }
+  w.set_faults(script);
+  script_model_traffic(
+      [&w](std::size_t i, Time t, std::function<void()> fn) { w.schedule(NodeId{i}, t, fn); },
+      [&](std::size_t i) { (void)w.broadcast(NodeId{i}, counter_bytes(sent[i]++)); },
+      [&](std::size_t i, std::size_t peer) {
+        (void)w.send(NodeId{i}, NodeId{peer}, counter_bytes(sent[i]++));
+      });
+  w.run_until(duration::millis(20));
+  EXPECT_EQ(w.shard_count(), shards);
+  ModelRun run;
+  for (const ModelRun& log : logs) {
+    run.deliveries.insert(run.deliveries.end(), log.deliveries.begin(), log.deliveries.end());
+  }
+  std::sort(run.deliveries.begin(), run.deliveries.end());
+  const net::ShardedWorld::Totals t = w.totals();
+  run.lost = t.frames_lost;
+  run.dropped = t.fault_drops;
+  run.duplicated = t.fault_duplicates;
+  run.delayed = t.fault_delays;
+  return run;
+}
+
+// One fault model: the same lattice, seed and fault script on World
+// (through a FaultPlan) and on ShardedWorld (through the plan's channel
+// script) take every loss, drop, jitter and duplicate decision alike, at
+// any shard and worker count.
+TEST(ShardedWorld, EvaluatesTheSameFaultPlanAsWorld) {
+  net::ChannelFaults script;
+  const ModelRun serial = run_model_world(script);
+  EXPECT_GT(serial.lost, 0u);
+  EXPECT_GT(serial.dropped, 0u);
+  EXPECT_GT(serial.duplicated, 0u);
+  EXPECT_GT(serial.delayed, 0u);
+  for (const std::size_t shards : {1u, 4u}) {
+    for (const std::size_t workers : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message() << "shards=" << shards << " workers=" << workers);
+      const ModelRun sharded = run_model_sharded(script, shards, workers);
+      EXPECT_EQ(sharded.deliveries, serial.deliveries);
+      EXPECT_EQ(sharded.lost, serial.lost);
+      EXPECT_EQ(sharded.dropped, serial.dropped);
+      EXPECT_EQ(sharded.duplicated, serial.duplicated);
+      EXPECT_EQ(sharded.delayed, serial.delayed);
     }
   }
 }

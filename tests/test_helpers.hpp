@@ -6,10 +6,13 @@
 
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "net/faults.hpp"
 #include "net/link_spec.hpp"
 #include "net/world.hpp"
 #include "node/runtime.hpp"
@@ -122,5 +125,75 @@ struct WirelessGrid {
   std::vector<NodeId> nodes;
   std::vector<std::unique_ptr<node::Runtime>> runtimes;
 };
+
+// Arms `faults`, a plan on `sim`'s world, with a seeded random plan for an
+// app soak that quiesces at `quiesce`. Every fault ends by 0.7 * quiesce:
+//   * up to two partition windows, each splitting off a random island of
+//     `nodes`,
+//   * Gilbert–Elliott burst loss on `medium`,
+//   * duplication and jitter, each late by at most `max_delay` (keep it
+//     below the transport's initial RTO),
+//   * up to two pauses of random `nodes`,
+//   * up to two crash/restart cycles of random `crashable` nodes (the
+//     plan's lifecycle hooks must be set when `crashable` is not empty).
+// Returns the plan as text, for failure messages.
+inline std::string arm_random_faults(sim::Simulator& sim, net::FaultPlan& faults,
+                                     std::uint64_t seed, MediumId medium,
+                                     const std::vector<NodeId>& nodes,
+                                     const std::vector<NodeId>& crashable, Time quiesce,
+                                     Time max_delay) {
+  Rng rng{seed};
+  std::ostringstream plan;
+  const auto window = [&rng, quiesce](Time& start, Time& length) {
+    start = rng.uniform_int(duration::millis(500), quiesce * 4 / 10);
+    length = rng.uniform_int(duration::millis(200), quiesce * 3 / 10);
+  };
+  const auto pick = [&rng](const std::vector<NodeId>& from) {
+    const auto last = static_cast<std::int64_t>(from.size()) - 1;
+    return from[static_cast<std::size_t>(rng.uniform_int(0, last))];
+  };
+  Time start = 0;
+  Time length = 0;
+  for (std::int64_t k = rng.uniform_int(0, 2); k > 0; --k) {
+    std::vector<NodeId> island;
+    for (const NodeId n : nodes) {
+      if (rng.bernoulli(0.3)) island.push_back(n);
+    }
+    window(start, length);
+    faults.partition(start, island, length);
+    plan << "partition(" << island.size() << " nodes, " << start << ", " << length << ") ";
+  }
+  const net::BurstLossSpec burst{rng.uniform(0.001, 0.05), rng.uniform(0.1, 0.5),
+                                 rng.uniform(0.0, 0.02), rng.uniform(0.2, 0.8)};
+  faults.burst_loss(medium, burst);
+  const double dup_p = rng.uniform(0.0, 0.1);
+  const Time dup_max = rng.uniform_int(1, max_delay);
+  faults.duplication(dup_p, dup_max);
+  const double jitter_p = rng.uniform(0.0, 0.2);
+  const Time jitter_max = rng.uniform_int(1, max_delay);
+  faults.jitter(jitter_p, jitter_max);
+  plan << "burst(" << burst.p_good_to_bad << ", " << burst.p_bad_to_good << ", "
+       << burst.loss_good << ", " << burst.loss_bad << ") dup(" << dup_p << ", " << dup_max
+       << ") jitter(" << jitter_p << ", " << jitter_max << ") ";
+  // The channels heal with everything else.
+  sim.schedule_at(quiesce * 7 / 10, [&faults, medium] {
+    faults.burst_loss(medium, net::BurstLossSpec{});
+    faults.duplication(0.0, 0);
+    faults.jitter(0.0, 0);
+  });
+  for (std::int64_t k = rng.uniform_int(0, 2); k > 0; --k) {
+    const NodeId n = pick(nodes);
+    window(start, length);
+    faults.pause(start, n, length);
+    plan << "pause(" << n.value() << ", " << start << ", " << length << ") ";
+  }
+  for (std::int64_t k = crashable.empty() ? 0 : rng.uniform_int(0, 2); k > 0; --k) {
+    const NodeId n = pick(crashable);
+    window(start, length);
+    faults.crash(start, n, length);
+    plan << "crash(" << n.value() << ", " << start << ", " << length << ") ";
+  }
+  return plan.str();
+}
 
 }  // namespace ndsm::testing

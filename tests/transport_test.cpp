@@ -572,9 +572,9 @@ TEST(Transport, AckStaysStandaloneWithoutAReplyToTheSender) {
 // Drops the first frame from `src` to `dst`, and nothing else.
 struct DropFirstFrame final : net::FaultInjector {
   DropFirstFrame(NodeId from, NodeId to) : src(from), dst(to) {}
-  net::FaultDecision on_frame(NodeId from, NodeId to, MediumId, std::size_t) override {
+  net::FaultDecision on_frame(const net::Transmission& tx, NodeId to) override {
     net::FaultDecision decision;
-    if (!dropped && from == src && to == dst) {
+    if (!dropped && tx.src == src && to == dst) {
       decision.drop = true;
       dropped = true;
     }
