@@ -15,9 +15,10 @@
 // the acked-write guarantee must hold — every acked write durable on
 // every replica — while commit latency degrades gracefully.
 //
-// Both halves also re-run one level twin-seeded and require the runs to
-// be digest-identical (the determinism contract chaos debugging relies
-// on).
+// Every level runs on a fixed seed set and reports medians (the acked-
+// write guarantee must hold on every seed). Both halves also re-run one
+// level twin-seeded and require the runs to be digest-identical (the
+// determinism contract chaos debugging relies on).
 
 #include <cstdio>
 #include <map>
@@ -262,19 +263,35 @@ int main() {
   const std::size_t players = quick ? 8 : 24;
   const Time maze_run = quick ? duration::seconds(8) : duration::seconds(20);
 
+  const std::vector<std::uint64_t> maze_seeds = bench::seed_set(0x17);
+  std::printf("medians over seeds 0x17..0x%llx\n",
+              static_cast<unsigned long long>(maze_seeds.back()));
   std::printf("%-10s %12s %12s %12s %8s\n", "level", "stale_p50", "stale_p95",
               "states_rx", "hits");
   bench::row_sep();
-  std::map<std::string, MazeResult> maze;
+  std::map<std::string, MazeResult> maze;  // per level: the medians
+  std::string maze_severe_digest;          // the first seed's severe run
   for (const auto& level : kLevels) {
-    maze[level.name] = run_maze_level(level, players, maze_run, 0x17);
-    const auto& r = maze[level.name];
-    std::printf("%-10s %9.1f ms %9.1f ms %12llu %8llu\n", level.name, r.p50_ms,
-                r.p95_ms, static_cast<unsigned long long>(r.states),
-                static_cast<unsigned long long>(r.hits));
+    std::vector<double> p50, p95, states, hits;
+    for (const std::uint64_t seed : maze_seeds) {
+      const MazeResult r = run_maze_level(level, players, maze_run, seed);
+      p50.push_back(r.p50_ms);
+      p95.push_back(r.p95_ms);
+      states.push_back(static_cast<double>(r.states));
+      hits.push_back(static_cast<double>(r.hits));
+      if (&level == &kLevels[2] && seed == maze_seeds[0]) maze_severe_digest = r.digest;
+    }
+    MazeResult& m = maze[level.name];
+    m.p50_ms = bench::median(p50);
+    m.p95_ms = bench::median(p95);
+    m.states = static_cast<std::uint64_t>(bench::median(states));
+    m.hits = static_cast<std::uint64_t>(bench::median(hits));
+    std::printf("%-10s %9.1f ms %9.1f ms %12llu %8llu\n", level.name, m.p50_ms, m.p95_ms,
+                static_cast<unsigned long long>(m.states),
+                static_cast<unsigned long long>(m.hits));
   }
-  const MazeResult maze_twin = run_maze_level(kLevels[2], players, maze_run, 0x17);
-  const bool maze_deterministic = maze_twin.digest == maze["severe"].digest;
+  const MazeResult maze_twin = run_maze_level(kLevels[2], players, maze_run, maze_seeds[0]);
+  const bool maze_deterministic = maze_twin.digest == maze_severe_digest;
   std::printf("severe twin run digest-identical: %s\n",
               maze_deterministic ? "yes" : "NO");
 
@@ -293,25 +310,41 @@ int main() {
   const std::size_t servers = quick ? 3 : 5;
   const int writes = quick ? 10 : 30;
 
+  const std::vector<std::uint64_t> repl_seeds = bench::seed_set(0x18);
+  std::printf("medians over seeds 0x18..0x%llx; committed and failed summed\n",
+              static_cast<unsigned long long>(repl_seeds.back()));
   std::printf("%-10s %12s %12s %12s %10s %7s %8s\n", "level", "commit_p50",
               "commit_p95", "goodput", "committed", "failed", "durable");
   bench::row_sep();
-  std::map<std::string, ReplfsResult> repl;
+  std::map<std::string, ReplfsResult> repl;  // per level: the medians
+  std::string repl_severe_digest;            // the first seed's severe run
+  bool all_durable = true;
   for (const auto& level : kLevels) {
-    repl[level.name] = run_replfs_level(level, servers, writes, 0x18);
-    const auto& r = repl[level.name];
+    std::vector<double> p50, p95, goodput;
+    ReplfsResult& m = repl[level.name];
+    for (const std::uint64_t seed : repl_seeds) {
+      const ReplfsResult r = run_replfs_level(level, servers, writes, seed);
+      p50.push_back(r.commit_p50_ms);
+      p95.push_back(r.commit_p95_ms);
+      goodput.push_back(r.goodput_wps);
+      m.committed += r.committed;
+      m.failed += r.failed;
+      m.acked_durable = m.acked_durable && r.acked_durable;
+      if (&level == &kLevels[2] && seed == repl_seeds[0]) repl_severe_digest = r.digest;
+    }
+    m.commit_p50_ms = bench::median(p50);
+    m.commit_p95_ms = bench::median(p95);
+    m.goodput_wps = bench::median(goodput);
+    all_durable = all_durable && m.acked_durable;
     std::printf("%-10s %9.2f ms %9.2f ms %8.2f w/s %10d %7d %8s\n", level.name,
-                r.commit_p50_ms, r.commit_p95_ms, r.goodput_wps, r.committed,
-                r.failed, r.acked_durable ? "yes" : "NO");
+                m.commit_p50_ms, m.commit_p95_ms, m.goodput_wps, m.committed, m.failed,
+                m.acked_durable ? "yes" : "NO");
   }
-  const ReplfsResult repl_twin = run_replfs_level(kLevels[2], servers, writes, 0x18);
-  const bool repl_deterministic = repl_twin.digest == repl["severe"].digest;
+  const ReplfsResult repl_twin = run_replfs_level(kLevels[2], servers, writes, repl_seeds[0]);
+  const bool repl_deterministic = repl_twin.digest == repl_severe_digest;
   std::printf("severe twin run digest-identical: %s\n",
               repl_deterministic ? "yes" : "NO");
 
-  const bool all_durable = repl["calm"].acked_durable &&
-                           repl["moderate"].acked_durable &&
-                           repl["severe"].acked_durable;
   bench::emit_json("apps_replfs",                                        //
                    "servers", static_cast<std::uint64_t>(servers),       //
                    "commit_p95_calm_ms", repl["calm"].commit_p95_ms,     //

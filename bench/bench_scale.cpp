@@ -1,7 +1,7 @@
 // E15 — sharded parallel simulation scale ramp (DESIGN §13, ROADMAP
 // item 1): the broadcast-fan-out workload of bench_sim_engine (10 m
 // lattice, 25 m range, 64-byte payloads, ~12 neighbors per node) run on
-// net::ShardedWorld at 1k / 10k / 100k nodes with 1 / 2 / 4 / 8 workers.
+// a sharded net::World at 1k / 10k / 100k nodes with 1 / 2 / 4 / 8 workers.
 //
 // Two numbers matter, in order:
 //   1. digest_match — every (nodes, workers) cell must produce the exact
@@ -20,7 +20,7 @@
 
 #include "bench/bench_util.hpp"
 #include "net/link_spec.hpp"
-#include "net/sharded_world.hpp"
+#include "net/world.hpp"
 
 using namespace ndsm;
 
@@ -47,7 +47,7 @@ struct ScaleResult {
 // striped into (up to) 8 shards regardless of worker count, so the digest
 // is comparable across every cell of the ramp.
 ScaleResult run_scale(std::size_t n, std::size_t workers, std::size_t rounds) {
-  net::ShardedWorld w({.shards = 8, .workers = workers, .seed = 42});
+  net::World w({.shards = 8, .workers = workers, .seed = 42});
   const MediumId m = w.add_medium(net::wifi80211(/*range_m=*/25.0, /*loss=*/0.0));
   const auto side =
       static_cast<std::size_t>(std::ceil(std::sqrt(static_cast<double>(n))));
@@ -66,7 +66,8 @@ ScaleResult run_scale(std::size_t n, std::size_t workers, std::size_t rounds) {
       // so windows carry realistic mixed batches instead of one spike.
       const Time at = duration::millis(1 + static_cast<Time>(r) * 10) +
                       static_cast<Time>(id.value() % 1000);
-      w.schedule(id, at, [&w, id, payload] { (void)w.broadcast(id, payload); });
+      w.schedule(id, at,
+                 [&w, id, payload] { (void)w.link_broadcast(id, net::Proto::kApp, payload); });
     }
   }
   // Partition and build the engine outside the timed region: the cell
@@ -78,12 +79,12 @@ ScaleResult run_scale(std::size_t n, std::size_t workers, std::size_t rounds) {
 
   ScaleResult out;
   out.seconds = dt;
-  out.events_per_s = static_cast<double>(w.engine().stats().executed) / dt;
+  out.events_per_s = static_cast<double>(w.sim().stats().executed) / dt;
   out.broadcasts_per_s = static_cast<double>(n * rounds) / dt;
-  out.deliveries_per_s = static_cast<double>(w.totals().frames_delivered) / dt;
+  out.deliveries_per_s = static_cast<double>(w.stats().frames_delivered) / dt;
   out.digest = w.digest();
   out.shards = w.shard_count();
-  out.cross_shard = w.totals().cross_shard_transmissions;
+  out.cross_shard = w.stats().cross_shard_transmissions;
   return out;
 }
 

@@ -532,7 +532,9 @@ void Client::tick() {
   WriteOp& op = queue_.front();
   op.attempts++;
   stats_.retry_rounds++;
-  if (op.attempts > config_.max_write_attempts) {
+  // Past the commit point some replica may have applied the write, so the
+  // decision is commit: re-drive it until every replica acks (2PC blocks).
+  if (!op.commit_point && op.attempts > config_.max_write_attempts) {
     for (const NodeId server : servers_) {
       transport_.send(server, transport::ports::kReplfs,
                       make_simple(Kind::kAbort, op.commit_id));

@@ -56,7 +56,9 @@ struct ReplfsConfig {
   // tick (a restarted replica lost its volatile protocol state; the
   // re-driven prepare walks it back through vote-missing repair).
   Time retry_period = duration::millis(500);
-  // Re-drive rounds before a write is abandoned (callback gets an error).
+  // Re-drive rounds before a write that has not reached its commit point
+  // is aborted (callback gets an error). Past the commit point the client
+  // re-drives commit until every replica acks.
   int max_write_attempts = 40;
   // Server-side cap on staged-but-unprepared blocks (hostile/stray
   // traffic on the raw data path must not grow memory unboundedly).

@@ -2,7 +2,7 @@
 // NDSM_AUDIT invariant layer. Configuring with -DNDSM_AUDIT=ON compiles
 // in debug invariant hooks across the stack: slab/heap consistency checks
 // in sim::Simulator, sampled cell-index-vs-brute-force cross-checks in
-// net::World and net::ShardedWorld, port-registry and node::Runtime
+// net::World (on one shard or many), port-registry and node::Runtime
 // lifecycle state-machine assertions. The checks fire in every build
 // type (they do not ride on assert(), which RelWithDebInfo strips via
 // NDEBUG) — an audited binary aborts with a file:line diagnostic the

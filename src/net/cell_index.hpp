@@ -1,7 +1,7 @@
 #pragma once
-// net::CellIndex — the spatial index of one wireless medium, shared by
-// both simulated worlds: which members are in range of a point (DESIGN
-// §8, §13).
+// net::CellIndex — the spatial index of one wireless medium on one shard
+// of a net::World: which of the shard's members are in range of a point
+// (DESIGN §8, §13).
 //
 // The members are kept sorted by (cell row, cell column, id) with their
 // positions inline, plus the occupied rows and each row's occupied cells
@@ -9,9 +9,10 @@
 // layout's bounding box). Every point in range of a query lies in the
 // 3x3 cells around it, and those cells are three contiguous member runs,
 // so a query makes one binary search over the rows and one per row over
-// its cells, then scans the runs. The index is immutable once frozen:
-// ShardedWorld freezes it once at seal(), World rebuilds a medium's index
-// from scratch on the first query after the medium changes.
+// its cells, then scans the runs. The index is immutable once frozen: a
+// sharded World freezes each shard's index once at seal(), a one-shard
+// World rebuilds a medium's index from scratch on the first query after
+// the medium changes.
 
 #include <algorithm>
 #include <cmath>

@@ -127,10 +127,14 @@ void FaultPlan::crash(Time at, NodeId node, Time restart_after) {
   schedule(at, [this, node, restart_after] {
     NDSM_INVARIANT(crash_hook_ && restart_hook_,
                    "FaultPlan::crash needs set_lifecycle_hooks() wired to node runtimes");
+    // A node an earlier crash of this plan holds down stays with that
+    // crash: this one and its restart are no-ops.
+    if (!crashed_.insert(node).second) return;
     paused_.erase(node);  // a pause's resume must not revive a crashed node
     crash_hook_(node);
     stats_.crashes++;
     schedule(restart_after, [this, node] {
+      crashed_.erase(node);
       restart_hook_(node);
       stats_.restarts++;
     });

@@ -4,17 +4,19 @@
 // media's own loss (LinkSpec) is independent per frame; a fault plan
 // scripts everything else against it.
 //
-// The channel faults are one value, net::ChannelFaults, that both
-// simulated worlds evaluate the same way for every (frame, receiver):
-// World through the net::FaultPlan attached as its FaultInjector,
-// ShardedWorld through set_faults().
+// The channel faults are one value, net::ChannelFaults, that the World
+// evaluates the same way for every (frame, receiver) at any shard count:
+// a one-shard World through the net::FaultPlan attached as its
+// FaultInjector, any World through set_faults() (a sharded World takes
+// no injector).
 //
 //   * partitions — an "island" node set is split off, and every frame
 //     crossing its edge that is sent in [start, end) is dropped,
 //   * Gilbert–Elliott burst loss per medium — each sender keeps its own
 //     two-state (good/bad) chain per medium, stepped once per
 //     transmission, so its losses arrive in bursts instead of
-//     independently,
+//     independently; the bad chains live with the senders (in the
+//     FaultPlan, or in the shard that owns the sender),
 //   * frame duplication — a copy of the frame arrives again at least 1 µs
 //     and less than `max_extra_delay` after the original,
 //   * bounded delay jitter — frames are held back by a random extra
@@ -32,7 +34,8 @@
 //     took it down in between,
 //   * crash()/restart() — full fail-stop through hooks the deployment
 //     wires to node::Runtime::crash()/restart() (the net layer cannot
-//     depend on node::).
+//     depend on node::); the crash that took a node down is the one that
+//     restarts it.
 //
 // Determinism: every draw is counter-hashed (hash_uniform) over (seed,
 // draw tag, sender, the sender's transmission counter, receiver), with
@@ -66,7 +69,7 @@ enum DrawTag : std::uint64_t {
   kDrawDuplicate = 2,
   kDrawJitterGate = 3,
   kDrawJitterAmount = 4,
-  kDrawRxKey = 5,  // ShardedWorld: same-instant order of late receptions
+  kDrawRxKey = 5,  // World: same-instant order of late receptions
   kDrawDuplicateLag = 6,
   kDrawBurstChain = 7,
   kDrawBurstLoss = 8,
@@ -115,7 +118,7 @@ struct BurstLossSpec {
 };
 
 // The channel half of a fault plan: a script, and the const decisions
-// both worlds take from it.
+// the World takes from it on every shard.
 struct ChannelFaults {
   struct Partition {
     std::vector<NodeId> island;  // sorted
@@ -145,7 +148,7 @@ struct ChannelFaults {
                                      NodeId dst) const;
 };
 
-// Inline: ShardedWorld takes it for every receiver of every fan-out.
+// Inline: the World takes it for every receiver of every fan-out.
 inline FaultDecision ChannelFaults::decide(const DrawSeeds& seeds, const Transmission& tx,
                                            NodeId dst) const {
   const auto draw = [&](DrawTag tag) {
@@ -216,7 +219,9 @@ class FaultPlan final : public FaultInjector {
   // has taken it down since.
   void pause(Time at, NodeId node, Time resume_after);
   // Fail-stop at `at`, restart `restart_after` later. Requires lifecycle
-  // hooks; typically rt.crash()/rt.restart() of the node's Runtime.
+  // hooks; typically rt.crash()/rt.restart() of the node's Runtime. A
+  // crash that finds its node held down by an earlier crash of this plan
+  // does nothing, and neither does its restart.
   void crash(Time at, NodeId node, Time restart_after);
   void set_lifecycle_hooks(LifecycleHook crash_hook, LifecycleHook restart_hook);
 
@@ -230,7 +235,7 @@ class FaultPlan final : public FaultInjector {
   // (see header comment).
   void jitter(double probability, Time max_extra_delay);
 
-  // The channel script, for a ShardedWorld to evaluate the same faults.
+  // The channel script, for a sharded World to evaluate the same faults.
   [[nodiscard]] const ChannelFaults& channel() const { return channel_; }
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t active_partitions() const;
@@ -250,6 +255,8 @@ class FaultPlan final : public FaultInjector {
   // Each node a pause holds down, and when that pause ends (crash()
   // releases it).
   std::map<NodeId, Time> paused_;
+  // Each node a crash holds down until its restart.
+  std::set<NodeId> crashed_;
   LifecycleHook crash_hook_;
   LifecycleHook restart_hook_;
   // Every scripted event, cancelled on destruction (stale ids are a no-op,

@@ -22,7 +22,7 @@ struct LinkSpec {
   std::size_t mtu_bytes = 1500;   // maximum frame payload; transport fragments above this
 };
 
-// The link physics both simulated worlds share. A frame of
+// The link physics of the simulated World. A frame of
 // `payload_bytes` arrives after the propagation delay plus the time to
 // serialize it and its header.
 [[nodiscard]] inline Time transmission_delay(const LinkSpec& spec, std::size_t payload_bytes) {

@@ -4,7 +4,10 @@
 // exact World/Simulator call the pre-seam code made, in the same order, so
 // twin-run digests are unchanged by the refactor. Holds no state of its
 // own beyond the (world, id) pair; constructing one has no side effects.
+// Layered code runs on the single timeline, so a WorldStack needs a
+// one-shard World: on a sharded one its constructor aborts.
 
+#include "common/audit.hpp"
 #include "net/stack.hpp"
 #include "net/world.hpp"
 
@@ -12,7 +15,9 @@ namespace ndsm::net {
 
 class WorldStack final : public Stack {
  public:
-  WorldStack(World& world, NodeId self) : world_(world), self_(self) {}
+  WorldStack(World& world, NodeId self) : world_(world), self_(self) {
+    NDSM_INVARIANT(!world.sharded(), "a WorldStack on a sharded World (layered code is one-shard)");
+  }
 
   [[nodiscard]] NodeId self() const override { return self_; }
   [[nodiscard]] bool online() const override { return world_.alive(self_); }

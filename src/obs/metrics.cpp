@@ -102,6 +102,21 @@ MetricId MetricsRegistry::add_gauge(std::string name, MetricLabels labels,
   return metrics_.back().id;
 }
 
+MetricId MetricsRegistry::add_family(std::string name, MetricKind kind, MetricLabels labels,
+                                     std::function<std::size_t()> rows,
+                                     std::function<double(std::size_t)> value) {
+  assert(kind != MetricKind::kHistogram && rows && value);
+  Metric m;
+  m.id = next_id_++;
+  m.kind = kind;
+  m.name = std::move(name);
+  m.labels = std::move(labels);
+  m.rows = std::move(rows);
+  m.row_value = std::move(value);
+  metrics_.push_back(std::move(m));
+  return metrics_.back().id;
+}
+
 Histogram* MetricsRegistry::add_histogram(std::string name, MetricLabels labels,
                                           std::vector<double> upper_bounds, MetricId* id_out) {
   Metric m;
@@ -139,6 +154,14 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
   out.reserve(size());
   for (const Metric& m : metrics_) {
     if (m.removed) continue;
+    if (m.rows) {
+      const std::size_t rows = m.rows();
+      for (std::size_t i = 0; i < rows; ++i) {
+        out.push_back(MetricSample{m.kind, m.name, {m.labels.component, static_cast<std::int64_t>(i)},
+                                   m.row_value(i), nullptr});
+      }
+      continue;
+    }
     MetricSample s;
     s.kind = m.kind;
     s.name = m.name;

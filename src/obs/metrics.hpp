@@ -115,6 +115,11 @@ class MetricsRegistry {
                           std::function<std::uint64_t()> source);
   // Gauges are always pull-based: sampled at export time.
   MetricId add_gauge(std::string name, MetricLabels labels, std::function<double()> source);
+  // A family of node-scoped rows: `rows()` of them at export time, row i
+  // labelled node i and sampled as `value(i)`. One registration covers
+  // every node, however many there are.
+  MetricId add_family(std::string name, MetricKind kind, MetricLabels labels,
+                      std::function<std::size_t()> rows, std::function<double(std::size_t)> value);
   // Registry-owned histogram storage; the returned pointer is stable until
   // the metric is removed.
   Histogram* add_histogram(std::string name, MetricLabels labels,
@@ -127,9 +132,11 @@ class MetricsRegistry {
   // amortize to O(1) per metric, not a scan of the registry per group.
   void remove_all(const std::vector<MetricId>& ids);
 
+  // Registrations, a family counting once.
   [[nodiscard]] std::size_t size() const { return metrics_.size() - removed_; }
 
-  // All metrics, sampled now, sorted by (name, component, node).
+  // All metrics, sampled now (each family expanded into its rows), sorted
+  // by (name, component, node).
   [[nodiscard]] std::vector<MetricSample> snapshot() const;
 
   // Human-readable aligned table (counters/gauges one row each, histograms
@@ -157,6 +164,8 @@ class MetricsRegistry {
     std::function<std::uint64_t()> counter_fn;
     std::function<double()> gauge_fn;
     std::unique_ptr<Histogram> hist;
+    std::function<std::size_t()> rows;  // set: a family
+    std::function<double(std::size_t)> row_value;
   };
 
   MetricId next_id_ = 1;
@@ -190,6 +199,11 @@ class MetricGroup {
   }
   void gauge(std::string name, std::function<double()> source) {
     owned_.push_back(registry_->add_gauge(std::move(name), labels_, std::move(source)));
+  }
+  void family(std::string name, MetricKind kind, std::function<std::size_t()> rows,
+              std::function<double(std::size_t)> value) {
+    owned_.push_back(registry_->add_family(std::move(name), kind, labels_, std::move(rows),
+                                           std::move(value)));
   }
   Histogram& histogram(std::string name, std::vector<double> upper_bounds) {
     MetricId id = 0;

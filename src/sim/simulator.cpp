@@ -11,7 +11,7 @@ namespace ndsm::sim {
 namespace {
 // Engine and shard the current thread is executing (null/kNoShard between
 // windows). Set by run_shard, read through current_shard() by layered code
-// (net::ShardedWorld) to enforce its owner-shard contracts, and by cancel().
+// (a sharded net::World) to enforce its owner-shard contracts, and by cancel().
 struct Running {
   const Simulator* engine = nullptr;
   Simulator::ShardIndex shard = Simulator::kNoShard;

@@ -9,7 +9,9 @@
 //     on the event time are broken by insertion order.
 //   * Simulator(SimulatorConfig) runs S shards on W workers with classic
 //     conservative (lookahead-based) synchronization, through the keyed
-//     API (schedule, post, now(shard)) that net::ShardedWorld drives:
+//     API (schedule, post, now(shard)) that a sharded net::World drives
+//     (net::World keys its own events the same way on a one-shard
+//     engine, next to single-timeline callers):
 //       - Time advances in windows [t, t+L) where L is the lookahead — the
 //         minimum latency of any cross-shard interaction. A single shard
 //         has no such interaction and runs each run_until in one window.
@@ -42,8 +44,8 @@
 // runs any event they could precede, so the event schedule of every shard
 // is a pure function of the workload and the shard count — never of the
 // worker count, thread scheduling, or which worker ran which shard. With
-// keys that are also shard-invariant (the net::ShardedWorld discipline),
-// the merged execution is identical for ANY shard count, including 1.
+// keys that are also shard-invariant (the net::World discipline), the
+// merged execution is identical for ANY shard count, including 1.
 //
 // Threads, mutexes and condition variables are confined to simulator.cpp;
 // the ndsm_lint `raw-concurrency` rule bans them everywhere else.

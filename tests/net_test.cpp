@@ -564,42 +564,47 @@ MobileRun mobile_wireless_broadcast(double loss) {
 }
 
 // Absolute pin of the mobile run, recorded while the World still kept a
-// hash grid per medium and re-recorded when its loss draws became keyed
-// by frame identity: every loss draw, delivery, event and WorldStats
-// counter must survive a change of spatial index.
+// hash grid per medium, re-recorded when its loss draws became keyed by
+// frame identity and again when the World's own events took keys and a
+// broadcast began gathering its receivers at arrival time: every loss
+// draw, delivery, event and WorldStats counter must survive a change of
+// spatial index.
 TEST(GoldenDigest, MobileWirelessBroadcast) {
   const MobileRun run = mobile_wireless_broadcast(1.0);
-  EXPECT_EQ(run.digest, 0xf8554176860490b4ULL);
-  EXPECT_EQ(run.deliveries, 0x97725430caff9de9ULL);
+  EXPECT_EQ(run.digest, 0x340936be3cf71bf2ULL);
+  EXPECT_EQ(run.deliveries, 0xa39ce6bce9cfb0cfULL);
   EXPECT_EQ(run.sweep, 0xe259bf5af8956fbcULL);
   const WorldStats& s = run.stats;
   EXPECT_EQ(s.frames_sent, 1068u);
-  EXPECT_EQ(s.frames_delivered, 10108u);
+  EXPECT_EQ(s.frames_delivered, 10107u);
   EXPECT_EQ(s.frames_lost, 1062u);
   EXPECT_EQ(s.bytes_on_wire, 36020u);
   EXPECT_EQ(s.grid_cells_scanned, 12015u);
-  EXPECT_EQ(s.grid_candidates, 36128u);
-  EXPECT_EQ(s.payload_copies_avoided, 9189u);
+  EXPECT_EQ(s.grid_candidates, 36127u);
+  EXPECT_EQ(s.payload_copies_avoided, 9188u);
   EXPECT_EQ(s.fault_drops, 0u);
   EXPECT_EQ(s.fault_duplicates, 0u);
   EXPECT_EQ(s.fault_delays, 0u);
 }
 
 // The same run on lossless media: no draw decides anything, so this pin
-// holds whatever the channel draws are keyed by.
+// holds whatever the channel draws are keyed by. Re-recorded with the
+// mobile pin above. Loss no longer adds or removes an event (a broadcast
+// is one event per shard whatever it delivers), so both runs share an
+// event digest.
 TEST(GoldenDigest, LosslessMobileWirelessBroadcast) {
   const MobileRun run = mobile_wireless_broadcast(0.0);
-  EXPECT_EQ(run.digest, 0x31bb63592ce9ccbaULL);
-  EXPECT_EQ(run.deliveries, 0x2967721feeac8244ULL);
+  EXPECT_EQ(run.digest, 0x340936be3cf71bf2ULL);
+  EXPECT_EQ(run.deliveries, 0xc9efc96de98b22d6ULL);
   EXPECT_EQ(run.sweep, 0xe259bf5af8956fbcULL);
   const WorldStats& s = run.stats;
   EXPECT_EQ(s.frames_sent, 1068u);
-  EXPECT_EQ(s.frames_delivered, 11170u);
+  EXPECT_EQ(s.frames_delivered, 11169u);
   EXPECT_EQ(s.frames_lost, 0u);
   EXPECT_EQ(s.bytes_on_wire, 36020u);
   EXPECT_EQ(s.grid_cells_scanned, 12015u);
-  EXPECT_EQ(s.grid_candidates, 36128u);
-  EXPECT_EQ(s.payload_copies_avoided, 10250u);
+  EXPECT_EQ(s.grid_candidates, 36127u);
+  EXPECT_EQ(s.payload_copies_avoided, 10249u);
 }
 
 // Keyed draws: every channel decision is a function of the frame's

@@ -299,6 +299,51 @@ TEST(Trace, LogSinkForwardsRecords) {
   EXPECT_EQ(events[0].component, "obs_test");
 }
 
+// A family is one registration that exports a row per node: size()
+// counts it once, snapshot() samples every row under its node label, and
+// the group that registered it removes all of its rows.
+TEST(Metrics, FamilyExportsOneRowPerNode) {
+  MetricsRegistry reg;
+  std::vector<double> load{0.5, 1.5, 2.5};
+  {
+    MetricGroup g(reg);
+    g.set_labels("test.family");
+    g.family("test.load", MetricKind::kGauge, [&load] { return load.size(); },
+             [&load](std::size_t i) { return load[i]; });
+    EXPECT_EQ(reg.size(), 1u);
+    load.push_back(3.5);
+    const auto samples = reg.snapshot();
+    ASSERT_EQ(samples.size(), 4u);
+    for (std::int64_t node = 0; node < 4; ++node) {
+      const MetricSample* s = find_sample(samples, "test.load", node);
+      ASSERT_NE(s, nullptr) << node;
+      EXPECT_EQ(s->kind, MetricKind::kGauge);
+      EXPECT_EQ(s->labels.component, "test.family");
+      EXPECT_DOUBLE_EQ(s->value, load[static_cast<std::size_t>(node)]);
+    }
+  }
+  EXPECT_EQ(reg.size(), 0u);
+  EXPECT_TRUE(reg.snapshot().empty());
+}
+
+// A World's per-node rows are families: its registrations do not grow
+// with its node count, and its export still holds a row per node.
+TEST(Metrics, WorldRegistrationsDoNotGrowWithNodes) {
+  const auto registered_with = [](std::size_t nodes) {
+    const std::size_t before = MetricsRegistry::instance().size();
+    sim::Simulator sim{1};
+    net::World world{sim};
+    for (std::size_t i = 0; i < nodes; ++i) (void)world.add_node({static_cast<double>(i), 0});
+    std::size_t rows = 0;
+    for (const MetricSample& s : MetricsRegistry::instance().snapshot()) {
+      rows += s.name == "net.world.node.bytes_received" ? 1 : 0;
+    }
+    EXPECT_EQ(rows, nodes);
+    return MetricsRegistry::instance().size() - before;
+  };
+  EXPECT_EQ(registered_with(1000), registered_with(1));
+}
+
 // Migration contract: the legacy accessors (world.stats(), engine.stats(),
 // transport.stats()) and the registry views must agree exactly.
 TEST(MetricsMigration, WorldStatsMatchRegistryViews) {

@@ -354,6 +354,44 @@ TEST(Replfs, WriteFailsCleanlyWhenAReplicaStaysDown) {
   }
 }
 
+// Past the commit point the decision is commit. Replica 2 is islanded
+// just after it votes yes and stays cut off well past the attempt limit,
+// so no commit reaches it in time. The client keeps re-driving the commit
+// instead of aborting, and after the heal all three replicas hold the
+// write and the callback gets kOk.
+TEST(Replfs, CommitPointOutlastsTheAttemptLimit) {
+  ReplfsConfig cfg;
+  cfg.retry_period = duration::millis(200);
+  cfg.max_write_attempts = 3;
+  ReplfsNet net{3, 42, cfg};
+  net::FaultPlan faults{net.lan.world};
+
+  Status result{ErrorCode::kCancelled, "pending"};
+  net.client->write("late", to_bytes("held past the commit point"),
+                    [&](Status s) { result = s; });
+  for (int step = 0; step < 100'000 && net.server(2).stats().votes_yes == 0; ++step) {
+    net.run(duration::micros(10));
+  }
+  ASSERT_EQ(net.server(2).stats().votes_yes, 1u);
+  // From 1 us on, after the vote left: 2 s against a 3 x 200 ms limit.
+  faults.partition(1, {net.lan.nodes[2]}, duration::seconds(2));
+
+  net.run(duration::millis(1500));
+  EXPECT_EQ(result.code(), ErrorCode::kCancelled) << result.to_string();
+  EXPECT_EQ(net.server(2).store().count("late"), 0u);
+  EXPECT_GT(net.client->stats().retry_rounds, 3u);
+
+  net.run(duration::seconds(8));
+  ASSERT_TRUE(result.is_ok()) << result.to_string();
+  EXPECT_EQ(net.client->stats().writes_committed, 1u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(net.server(i).store().count("late"), 1u) << "replica " << i;
+    EXPECT_EQ(net.server(i).stats().aborts, 0u) << "replica " << i;
+    EXPECT_EQ(net.server(i).indoubt_count(), 0u) << "replica " << i;
+    EXPECT_EQ(net.server(i).digest(), net.server(0).digest()) << "replica " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Chaos soak: the flagship acceptance run. Every write the client acked
 // must be present on every replica, through crash/restart and partitions.

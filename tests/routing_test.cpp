@@ -611,20 +611,21 @@ void expect_pinned(const FloodRun& run, std::uint64_t digest, const RouterStats&
 
 // Absolute digests and router totals of the flood-and-relay run, one case
 // per router, recorded before the routers' origination, flooding and
-// duplicate suppression moved into routing::Router, and re-recorded when
-// the World's loss and fault draws became keyed by frame identity.
+// duplicate suppression moved into routing::Router, re-recorded when the
+// World's loss and fault draws became keyed by frame identity, and again
+// when the World's own events took shard-invariant keys.
 TEST(GoldenDigest, RouterFloodAndRelay) {
   {
     SCOPED_TRACE("flooding");
     expect_pinned(flood_and_relay_run([](WirelessGrid& g) { g.with_routers<FloodingRouter>(); }),
-                  0xda59432e5f248d0eULL, RouterStats{640, 8053, 4913, 0, 0, 489});
+                  0x1b2ede7b4852f0f1ULL, RouterStats{640, 8026, 4900, 0, 0, 502});
   }
   {
     SCOPED_TRACE("distance vector");
     expect_pinned(flood_and_relay_run([](WirelessGrid& g) {
                     g.with_routers<DistanceVectorRouter>(duration::seconds(1));
                   }),
-                  0x1664ba11dc51e200ULL, RouterStats{640, 4652, 5069, 128, 23294, 521});
+                  0x6702604f025765bcULL, RouterStats{640, 4702, 5095, 128, 23294, 520});
   }
   {
     SCOPED_TRACE("global");
@@ -632,14 +633,14 @@ TEST(GoldenDigest, RouterFloodAndRelay) {
                     g.with_routers<GlobalRouter>(
                         std::make_shared<GlobalRoutingTable>(g.world, Metric::kHopCount));
                   }),
-                  0xeacb6bd4cbc465a7ULL, RouterStats{640, 4776, 5123, 0, 0, 504});
+                  0xe8a4d1d52ab0180cULL, RouterStats{640, 4763, 5117, 0, 0, 501});
   }
   {
     SCOPED_TRACE("geographic");
     expect_pinned(flood_and_relay_run([](WirelessGrid& g) {
                     g.with_routers<GeoRouter>(duration::seconds(1));
                   }),
-                  0xb6a5e01251155bbeULL, RouterStats{640, 4723, 5097, 128, 2048, 506});
+                  0x98c89dd51780bd0aULL, RouterStats{640, 4768, 5144, 128, 2048, 500});
   }
 }
 

@@ -1,6 +1,6 @@
-// Heap allocations of net::ShardedWorld's broadcast fan-out. This binary
-// replaces the global operator new with a counting one, which is why the
-// test lives apart from sharded_test.
+// Heap allocations of a sharded net::World's broadcast fan-out. This
+// binary replaces the global operator new with a counting one, which is
+// why the test lives apart from sharded_test.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "net/link_spec.hpp"
-#include "net/sharded_world.hpp"
+#include "net/world.hpp"
 
 namespace {
 std::uint64_t g_allocations = 0;
@@ -43,15 +43,16 @@ std::uint64_t allocations_in(Fn&& fn) {
 // the payload to the last inline delivery, costs the same three blocks
 // whether it reaches 4 receivers or 20: the payload's bytes, the shared
 // buffer that every receiver's frame points at, and the transmission
-// event. The receivers are gathered into a buffer the shard reuses.
-TEST(ShardedWorld, BroadcastAllocatesTheSameAtAnyFanOut) {
-  net::ShardedWorld w({.shards = 1, .workers = 1, .seed = 3});
+// event. The receivers are gathered into a buffer the shard reuses. On
+// four shards each cluster lies inside one stripe, so nothing crosses.
+void expect_three_blocks_per_broadcast(std::size_t shards) {
+  net::World w({.shards = shards, .workers = 1, .seed = 3});
   const MediumId m = w.add_medium(net::wifi80211(25.0, 0.0));
   std::uint64_t received = 0;
   const auto add = [&](Vec2 p) {
     const NodeId id = w.add_node(p);
     w.attach(id, m);
-    w.set_handler(id, [&received](const net::ShardFrame&) { ++received; });
+    w.set_handler(id, net::Proto::kApp, [&received](const net::LinkFrame&) { ++received; });
     return id;
   };
   // `sparse` has its 4 lattice neighbours in range; `dense`, 1 km away,
@@ -71,7 +72,8 @@ TEST(ShardedWorld, BroadcastAllocatesTheSameAtAnyFanOut) {
   // Allocations of one broadcast from `src`, and the receptions it made.
   const auto broadcast = [&](NodeId src) {
     now += duration::millis(1);
-    w.schedule(src, now, [&w, src] { (void)w.broadcast(src, Bytes(64, 0xab)); });
+    w.schedule(src, now,
+               [&w, src] { (void)w.link_broadcast(src, net::Proto::kApp, Bytes(64, 0xab)); });
     const std::uint64_t before = received;
     const std::uint64_t allocs =
         allocations_in([&] { w.run_until(now + duration::micros(500)); });
@@ -84,10 +86,19 @@ TEST(ShardedWorld, BroadcastAllocatesTheSameAtAnyFanOut) {
 
   const auto [sparse_allocs, sparse_received] = broadcast(sparse);
   const auto [dense_allocs, dense_received] = broadcast(dense);
+  EXPECT_EQ(w.shard_count(), shards);
+  EXPECT_EQ(w.stats().cross_shard_transmissions, 0u);
   EXPECT_EQ(sparse_received, 4u);
   EXPECT_EQ(dense_received, 20u);
   EXPECT_EQ(sparse_allocs, 3u);
   EXPECT_EQ(dense_allocs, 3u);
+}
+
+TEST(ShardedWorld, BroadcastAllocatesTheSameAtAnyFanOut) {
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    expect_three_blocks_per_broadcast(shards);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Tests for the sharded parallel simulation stack: a sharded
 // sim::Simulator (conservative windows, ordered mailboxes, key-ordered
-// execution), net::ShardMap (stripe partition) and net::ShardedWorld
+// execution), net::ShardMap (stripe partition) and a sharded net::World
 // (digest-identical execution for any shard count and any worker count).
+// The sharded World's suites keep the ShardedWorld names, which the CI
+// repeat and ThreadSanitizer filters select.
 // The digest-equality tests here are the contract sharding rides on: a
 // sharded run is not "approximately" the single-shard run, it is
 // byte-identical.
@@ -18,8 +20,9 @@
 #include "common/rng.hpp"
 #include "net/faults.hpp"
 #include "net/shard_map.hpp"
-#include "net/sharded_world.hpp"
 #include "net/world.hpp"
+#include "net/world_stack.hpp"
+#include "node/runtime.hpp"
 #include "sim/simulator.hpp"
 
 namespace ndsm {
@@ -137,12 +140,42 @@ TEST(ShardMap, TransmissionsReachOnlyAdjacentStripes) {
 struct RunOutcome {
   std::uint64_t digest = 0;
   std::vector<std::uint64_t> shard_digests;
-  net::ShardedWorld::Totals totals;
+  net::WorldStats totals;
   std::size_t shards = 0;
   std::uint64_t mailbox_posts = 0;
   // Per-node delivery log: (delivery time, sender id, was_broadcast).
   std::vector<std::vector<std::tuple<Time, std::uint64_t, bool>>> logs;
 };
+
+constexpr Time kLatticeRun = duration::millis(30);
+
+// Channel faults drawn the way arm_random_faults (tests/test_helpers.hpp)
+// draws an app soak's, scaled to the lattice's 30 ms run: up to two
+// windows that each split off a random island of `nodes`, starting
+// between 1 and 12 ms and lasting 0.4 to 9 ms, burst loss on `medium`,
+// and duplication and jitter late by at most 500 us.
+net::ChannelFaults random_channel_faults(std::uint64_t seed, const std::vector<NodeId>& nodes,
+                                         MediumId medium) {
+  constexpr Time kMaxDelay = duration::micros(500);
+  Rng rng{seed};
+  net::ChannelFaults faults;
+  for (std::int64_t k = rng.uniform_int(0, 2); k > 0; --k) {
+    std::vector<NodeId> island;
+    for (const NodeId n : nodes) {
+      if (rng.bernoulli(0.3)) island.push_back(n);
+    }
+    const Time start = rng.uniform_int(duration::millis(1), kLatticeRun * 4 / 10);
+    const Time length = rng.uniform_int(duration::micros(400), kLatticeRun * 3 / 10);
+    faults.partitions.push_back({island, start, start + length});
+  }
+  faults.bursts[medium] = net::BurstLossSpec{rng.uniform(0.001, 0.05), rng.uniform(0.1, 0.5),
+                                             rng.uniform(0.0, 0.02), rng.uniform(0.2, 0.8)};
+  faults.duplicate_p = rng.uniform(0.0, 0.1);
+  faults.duplicate_max = rng.uniform_int(1, kMaxDelay);
+  faults.jitter_p = rng.uniform(0.0, 0.2);
+  faults.jitter_max = rng.uniform_int(1, kMaxDelay);
+  return faults;
+}
 
 // A cols x rows lattice (20 m spacing, 25 m range: 4-connected) where
 // every node broadcasts three staggered rounds and replies to a subset of
@@ -151,10 +184,12 @@ struct RunOutcome {
 // fault script plus scripted kill/revive cycles runs on top: 5% flat
 // loss, a partition window splitting off the nodes left of the middle,
 // delay jitter and, with `bursts_and_duplicates`, burst loss and frame
-// duplication.
+// duplication. A nonzero `random_plan` replaces that script with
+// random_channel_faults(random_plan).
 RunOutcome run_lattice(std::size_t cols, std::size_t rows, std::size_t shards,
-                       std::size_t workers, bool chaos, bool bursts_and_duplicates = true) {
-  net::ShardedWorld w({.shards = shards, .workers = workers, .seed = 99});
+                       std::size_t workers, bool chaos, bool bursts_and_duplicates = true,
+                       std::uint64_t random_plan = 0) {
+  net::World w({.shards = shards, .workers = workers, .seed = 99});
   const double spacing = 20.0;
   const MediumId medium = w.add_medium(net::wifi80211(25.0, chaos ? 0.05 : 0.0));
 
@@ -169,11 +204,11 @@ RunOutcome run_lattice(std::size_t cols, std::size_t rows, std::size_t shards,
   RunOutcome out;
   out.logs.resize(ids.size());
   for (const NodeId id : ids) {
-    w.set_handler(id, [&w, &out, id](const net::ShardFrame& f) {
+    w.set_handler(id, net::Proto::kApp, [&w, &out, id](const net::LinkFrame& f) {
       const bool bcast = f.dst == net::kBroadcast;
-      out.logs[id.value()].emplace_back(f.at, f.src.value(), bcast);
+      out.logs[id.value()].emplace_back(w.sim().now(w.shard_of(id)), f.src.value(), bcast);
       if (bcast && (f.src.value() + id.value()) % 5 == 0) {
-        (void)w.send(id, f.src, Bytes{0x42});
+        (void)w.link_send(id, f.src, net::Proto::kApp, Bytes{0x42});
       }
     });
   }
@@ -192,7 +227,7 @@ RunOutcome run_lattice(std::size_t cols, std::size_t rows, std::size_t shards,
       faults.duplicate_p = 0.1;
       faults.duplicate_max = duration::micros(50);
     }
-    w.set_faults(faults);
+    w.set_faults(random_plan != 0 ? random_channel_faults(random_plan, ids, medium) : faults);
     for (std::size_t i = 0; i < ids.size(); i += 7) {
       w.kill_at(ids[i], duration::millis(4));
       w.revive_at(ids[i], duration::millis(12));
@@ -204,18 +239,19 @@ RunOutcome run_lattice(std::size_t cols, std::size_t rows, std::size_t shards,
     for (int round = 0; round < 3; ++round) {
       const Time at = duration::millis(1 + static_cast<Time>(id.value() % 7)) +
                       round * duration::millis(5);
-      w.schedule(id, at, [&w, id, payload] { (void)w.broadcast(id, payload); });
+      w.schedule(id, at,
+                 [&w, id, payload] { (void)w.link_broadcast(id, net::Proto::kApp, payload); });
     }
   }
 
-  w.run_until(duration::millis(30));
+  w.run_until(kLatticeRun);
   out.digest = w.digest();
   for (std::size_t s = 0; s < w.shard_count(); ++s) {
     out.shard_digests.push_back(w.shard_digest(s));
   }
-  out.totals = w.totals();
+  out.totals = w.stats();
   out.shards = w.shard_count();
-  out.mailbox_posts = w.engine().stats().mailbox_posts;
+  out.mailbox_posts = w.sim().stats().mailbox_posts;
   return out;
 }
 
@@ -275,7 +311,7 @@ TEST(ShardedWorld, BoundaryStraddlingChainStaysDeterministic) {
 }
 
 TEST(ShardedWorld, UnicastCrossesShards) {
-  net::ShardedWorld w({.shards = 4, .workers = 2, .seed = 5});
+  net::World w({.shards = 4, .workers = 2, .seed = 5});
   const MediumId m = w.add_medium(net::wifi80211(25.0, 0.0));
   // Two nodes astride a cut: 8 nodes spread the extent so 4 stripes fit.
   std::vector<NodeId> ids;
@@ -286,29 +322,30 @@ TEST(ShardedWorld, UnicastCrossesShards) {
   }
   Time got = -1;
   NodeId got_src = NodeId::invalid();
-  w.set_handler(ids[4], [&](const net::ShardFrame& f) {
-    got = f.at;
+  w.set_handler(ids[4], net::Proto::kApp, [&](const net::LinkFrame& f) {
+    got = w.sim().now(w.shard_of(ids[4]));
     got_src = f.src;
   });
-  w.schedule(ids[3], duration::millis(1),
-             [&w, &ids] { ASSERT_TRUE(w.send(ids[3], ids[4], Bytes{1, 2, 3}).is_ok()); });
+  w.schedule(ids[3], duration::millis(1), [&w, &ids] {
+    ASSERT_TRUE(w.link_send(ids[3], ids[4], net::Proto::kApp, Bytes{1, 2, 3}).is_ok());
+  });
   w.run_until(duration::millis(5));
   ASSERT_NE(w.shard_of(ids[3]), w.shard_of(ids[4]));
   EXPECT_EQ(got_src, ids[3]);
   EXPECT_GT(got, duration::millis(1));
-  EXPECT_EQ(w.totals().cross_shard_transmissions, 1u);
-  EXPECT_EQ(w.delivered(ids[4]), 1u);
+  EXPECT_EQ(w.stats().cross_shard_transmissions, 1u);
+  EXPECT_EQ(w.stats(ids[4]).frames_received, 1u);
 }
 
 TEST(ShardedWorld, OutOfRangeUnicastIsUnreachable) {
-  net::ShardedWorld w({.shards = 1, .workers = 1, .seed = 5});
+  net::World w({.shards = 1, .workers = 1, .seed = 5});
   const MediumId m = w.add_medium(net::wifi80211(25.0, 0.0));
   const NodeId a = w.add_node({0, 0});
   const NodeId b = w.add_node({500, 0});
   w.attach(a, m);
   w.attach(b, m);
   Status st = Status::ok();
-  w.schedule(a, 1000, [&] { st = w.send(a, b, Bytes{9}); });
+  w.schedule(a, 1000, [&] { st = w.link_send(a, b, net::Proto::kApp, Bytes{9}); });
   w.run_until(2000);
   EXPECT_EQ(st.code(), ErrorCode::kUnreachable);
 }
@@ -329,6 +366,28 @@ TEST(ShardedWorld, ChaosSoakDigestIdenticalAcrossShardingsAndWorkers) {
   }
 }
 
+// Random channel fault plans on the chaos lattice (its flat loss and
+// kill/revive cycles included): eight seeded plans, each run at shards
+// {1, 4} x workers {1, 2}, must give identical per-node delivery logs and
+// identical lost, dropped, duplicated and delayed counts.
+TEST(ShardedWorld, RandomChannelFaultPlansAreShardAndWorkerInvariant) {
+  for (std::uint64_t plan = 1; plan <= 8; ++plan) {
+    const RunOutcome base = run_lattice(10, 10, 1, 1, true, true, plan);
+    EXPECT_GT(base.totals.frames_delivered, 0u) << "plan " << plan;
+    EXPECT_GT(base.totals.fault_drops, 0u) << "plan " << plan;
+    EXPECT_GT(base.totals.fault_delays + base.totals.fault_duplicates, 0u) << "plan " << plan;
+    for (const std::size_t shards : {1u, 4u}) {
+      for (const std::size_t workers : {1u, 2u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "plan " << plan << " shards=" << shards << " workers=" << workers);
+        const RunOutcome run = run_lattice(10, 10, shards, workers, true, true, plan);
+        EXPECT_EQ(run.shards, shards);
+        expect_identical_workload(base, run);
+      }
+    }
+  }
+}
+
 // The twin-run and cross-sharding comparisons above hold for any event
 // order that every configuration shares. This pins the absolute digest of
 // the chaos lattice (flat loss, lattice positions: no libm-dependent
@@ -346,7 +405,8 @@ TEST(GoldenDigest, ShardedChaosLattice) {
 // The chaos lattice without burst loss and duplication, recorded when the
 // partition was an x = 100 m cut and the sharded world had a fault
 // script of its own. Its decisions are keyed the same way since, so the
-// digest holds.
+// digest holds. frames_lost counts the medium's loss and the fault drops
+// together.
 TEST(GoldenDigest, ShardedCutAndJitterLattice) {
   for (const std::size_t shards : {1u, 4u}) {
     for (const std::size_t workers : {1u, 2u}) {
@@ -354,13 +414,12 @@ TEST(GoldenDigest, ShardedCutAndJitterLattice) {
       EXPECT_EQ(r.digest, 0x449aacd421950f36ULL) << "shards=" << shards << " workers=" << workers;
       EXPECT_EQ(r.totals.frames_delivered, 1021u) << "shards=" << shards << " workers=" << workers;
       EXPECT_EQ(r.totals.fault_delays, 196u) << "shards=" << shards << " workers=" << workers;
-      EXPECT_EQ(r.totals.frames_lost + r.totals.fault_drops, 59u)
-          << "shards=" << shards << " workers=" << workers;
+      EXPECT_EQ(r.totals.frames_lost, 59u) << "shards=" << shards << " workers=" << workers;
     }
   }
 }
 
-// --- one fault model, two worlds -----------------------------------------------
+// --- one fault model, on one shard and many --------------------------------------
 
 // What a lattice run delivered, and what its channel did.
 struct ModelRun {
@@ -459,7 +518,7 @@ ModelRun run_model_world(net::ChannelFaults& script) {
 
 ModelRun run_model_sharded(const net::ChannelFaults& script, std::size_t shards,
                            std::size_t workers) {
-  net::ShardedWorld w({.shards = shards, .workers = workers, .seed = kModelSeed});
+  net::World w({.shards = shards, .workers = workers, .seed = kModelSeed});
   const MediumId medium = w.add_medium(net::wifi80211(25.0, 0.05));
   // One log and one counter per node: only its owner shard touches them.
   std::vector<ModelRun> logs(kModelSide * kModelSide);
@@ -467,17 +526,20 @@ ModelRun run_model_sharded(const net::ChannelFaults& script, std::size_t shards,
   for (std::size_t i = 0; i < logs.size(); ++i) {
     const NodeId id = w.add_node(model_position(i));
     w.attach(id, medium);
-    w.set_handler(id, [&logs, id](const net::ShardFrame& f) {
+    w.set_handler(id, net::Proto::kApp, [&w, &logs, id](const net::LinkFrame& f) {
       logs[id.value()].deliveries.emplace_back(id.value(), f.src.value(),
-                                               counter_of(f.payload()), f.at);
+                                               counter_of(f.payload()),
+                                               w.sim().now(w.shard_of(id)));
     });
   }
   w.set_faults(script);
   script_model_traffic(
       [&w](std::size_t i, Time t, std::function<void()> fn) { w.schedule(NodeId{i}, t, fn); },
-      [&](std::size_t i) { (void)w.broadcast(NodeId{i}, counter_bytes(sent[i]++)); },
+      [&](std::size_t i) {
+        (void)w.link_broadcast(NodeId{i}, net::Proto::kApp, counter_bytes(sent[i]++));
+      },
       [&](std::size_t i, std::size_t peer) {
-        (void)w.send(NodeId{i}, NodeId{peer}, counter_bytes(sent[i]++));
+        (void)w.link_send(NodeId{i}, NodeId{peer}, net::Proto::kApp, counter_bytes(sent[i]++));
       });
   w.run_until(duration::millis(20));
   EXPECT_EQ(w.shard_count(), shards);
@@ -486,18 +548,18 @@ ModelRun run_model_sharded(const net::ChannelFaults& script, std::size_t shards,
     run.deliveries.insert(run.deliveries.end(), log.deliveries.begin(), log.deliveries.end());
   }
   std::sort(run.deliveries.begin(), run.deliveries.end());
-  const net::ShardedWorld::Totals t = w.totals();
-  run.lost = t.frames_lost;
+  const net::WorldStats t = w.stats();
+  run.lost = t.frames_lost - t.fault_drops;
   run.dropped = t.fault_drops;
   run.duplicated = t.fault_duplicates;
   run.delayed = t.fault_delays;
   return run;
 }
 
-// One fault model: the same lattice, seed and fault script on World
-// (through a FaultPlan) and on ShardedWorld (through the plan's channel
-// script) take every loss, drop, jitter and duplicate decision alike, at
-// any shard and worker count.
+// One fault model: the same lattice, seed and fault script on a one-shard
+// World (through a FaultPlan) and on sharded Worlds (through the plan's
+// channel script) take every loss, drop, jitter and duplicate decision
+// alike, at any shard and worker count.
 TEST(ShardedWorld, EvaluatesTheSameFaultPlanAsWorld) {
   net::ChannelFaults script;
   const ModelRun serial = run_model_world(script);
@@ -574,7 +636,7 @@ using Reception = std::tuple<std::uint64_t, std::size_t, std::uint64_t>;  // src
 
 // Every node broadcasts once on all its media; returns what arrived.
 std::vector<Reception> run_fanout(const FanoutLayout& l, std::size_t shards, std::size_t& got) {
-  net::ShardedWorld w({.shards = shards, .workers = shards > 1 ? 2u : 1u, .seed = 17});
+  net::World w({.shards = shards, .workers = shards > 1 ? 2u : 1u, .seed = 17});
   std::vector<MediumId> media;
   for (const double range : FanoutLayout::kRanges) {
     media.push_back(w.add_medium(net::wifi80211(range, 0.0)));
@@ -585,12 +647,12 @@ std::vector<Reception> run_fanout(const FanoutLayout& l, std::size_t shards, std
   for (std::size_t i = 0; i < l.pos.size(); ++i) {
     const NodeId id = w.add_node(l.pos[i]);
     for (const std::size_t m : l.media[i]) w.attach(id, media[m]);
-    w.set_handler(id, [&logs, id](const net::ShardFrame& f) {
+    w.set_handler(id, net::Proto::kApp, [&logs, id](const net::LinkFrame& f) {
       logs[id.value()].emplace_back(f.src.value(), f.medium.value(), id.value());
     });
     if (l.killed[i]) w.kill_at(id, duration::millis(1));
     w.schedule(id, duration::millis(2) + static_cast<Time>(i) * 10,
-               [&w, id] { (void)w.broadcast(id, Bytes{0x5}); });
+               [&w, id] { (void)w.link_broadcast(id, net::Proto::kApp, Bytes{0x5}); });
   }
   w.run_until(duration::millis(10));
   got = w.shard_count();
@@ -637,9 +699,9 @@ TEST(ShardedWorld, KillAndReviveAreDigestVisible) {
   // Same workload, one run with a scripted crash window: the digests must
   // differ (deliveries were suppressed while down) — liveness is part of
   // the observable execution, not a side channel.
-  net::ShardedWorld quiet({.shards = 2, .workers = 1, .seed = 7});
-  net::ShardedWorld churn({.shards = 2, .workers = 1, .seed = 7});
-  for (net::ShardedWorld* w : {&quiet, &churn}) {
+  net::World quiet({.shards = 2, .workers = 1, .seed = 7});
+  net::World churn({.shards = 2, .workers = 1, .seed = 7});
+  for (net::World* w : {&quiet, &churn}) {
     const MediumId m = w->add_medium(net::wifi80211(25.0, 0.0));
     std::vector<NodeId> ids;
     for (int i = 0; i < 6; ++i) {
@@ -650,7 +712,7 @@ TEST(ShardedWorld, KillAndReviveAreDigestVisible) {
     for (const NodeId id : ids) {
       for (int round = 0; round < 4; ++round) {
         w->schedule(id, duration::millis(1 + round * 2), [w, id] {
-          (void)w->broadcast(id, Bytes{0x1});
+          (void)w->link_broadcast(id, net::Proto::kApp, Bytes{0x1});
         });
       }
     }
@@ -660,7 +722,63 @@ TEST(ShardedWorld, KillAndReviveAreDigestVisible) {
   quiet.run_until(duration::millis(10));
   churn.run_until(duration::millis(10));
   EXPECT_NE(quiet.digest(), churn.digest());
-  EXPECT_LT(churn.totals().frames_delivered, quiet.totals().frames_delivered);
+  EXPECT_LT(churn.stats().frames_delivered, quiet.stats().frames_delivered);
+}
+
+// --- one-shard-only features on a sharded World ---------------------------------
+
+// A sharded World of two nodes 100 m apart on one 25 m wireless medium,
+// sealed when `seal` is set.
+struct SmallSharded {
+  explicit SmallSharded(bool seal) : w({.shards = 2, .workers = 1, .seed = 1}) {
+    medium = w.add_medium(net::wifi80211(25.0, 0.0));
+    for (const double x : {0.0, 100.0}) w.attach(w.add_node({x, 0}), medium);
+    if (seal) w.seal();
+  }
+  net::World w;
+  MediumId medium;
+};
+
+TEST(ShardedWorldDeath, WiredMediaAbort) {
+  EXPECT_DEATH(SmallSharded(false).w.add_medium(net::ethernet100()), "wireless media only");
+}
+
+TEST(ShardedWorldDeath, MobilityAborts) {
+  EXPECT_DEATH((SmallSharded(true).w.set_position(NodeId{0}, {5, 0})), "mobility");
+  EXPECT_DEATH((SmallSharded(true).w.set_medium_range(MediumId{0}, 30)), "set_medium_range");
+  EXPECT_DEATH((SmallSharded(false).w.move_linear(NodeId{0}, {50, 0}, 1.0)), "mobility");
+}
+
+TEST(ShardedWorldDeath, FiniteBatteriesAndDeathHandlersAbort) {
+  EXPECT_DEATH((SmallSharded(false).w.add_node({10, 0}, net::Battery{5.0})), "finite battery");
+  EXPECT_DEATH((SmallSharded(false).w.set_battery(NodeId{1}, net::Battery{5.0})),
+               "finite battery");
+  EXPECT_DEATH(SmallSharded(false).w.set_death_handler([](NodeId) {}), "set_death_handler");
+}
+
+TEST(ShardedWorldDeath, FaultInjectorAborts) {
+  EXPECT_DEATH(
+      {
+        SmallSharded small(true);
+        net::FaultPlan plan{small.w};
+      },
+      "FaultInjector");
+}
+
+TEST(ShardedWorldDeath, LayeredStacksAbort) {
+  EXPECT_DEATH(
+      {
+        SmallSharded small(false);
+        net::WorldStack stack(small.w, NodeId{0});
+      },
+      "WorldStack");
+  EXPECT_DEATH(
+      {
+        SmallSharded small(false);
+        node::Runtime runtime(small.w, NodeId{0});
+      },
+      "WorldStack");
+  EXPECT_DEATH((void)SmallSharded(true).w.neighbors(NodeId{0}), "neighbors");
 }
 
 }  // namespace
