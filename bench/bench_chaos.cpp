@@ -38,6 +38,7 @@ struct RunResult {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
   std::uint64_t dup_deliveries = 0;  // at-most-once violations
+  net::WorldStats net;
   net::FaultStats faults;
 };
 
@@ -125,6 +126,7 @@ RunResult run_level(const ChaosLevel& level, std::size_t n, Time run_for,
     out.delivered += static_cast<std::uint64_t>(count);
     if (count > 1) out.dup_deliveries += static_cast<std::uint64_t>(count - 1);
   }
+  out.net = world.stats();
   out.faults = faults.stats();
   return out;
 }
@@ -179,9 +181,8 @@ int main() {
     std::printf("%-10s %10llu %10llu %12llu %12llu %10llu %10llu %8.4f %8s\n", level.name,
                 static_cast<unsigned long long>(a.sent),
                 static_cast<unsigned long long>(a.delivered),
-                static_cast<unsigned long long>(a.faults.partition_drops +
-                                                a.faults.burst_drops),
-                static_cast<unsigned long long>(a.faults.duplicates_injected),
+                static_cast<unsigned long long>(a.net.fault_drops),
+                static_cast<unsigned long long>(a.net.fault_duplicates),
                 static_cast<unsigned long long>(a.dup_deliveries),
                 static_cast<unsigned long long>(a.faults.crashes), goodput,
                 twin_ok ? "yes" : "NO");

@@ -9,6 +9,9 @@ namespace ndsm::apps::mazewar {
 
 namespace {
 
+constexpr double kFireProbability = 0.2;  // per tick, when no missile is in flight
+constexpr std::uint64_t kRngSalt = 0x6d617a65;  // "maze"
+
 // Wire kinds on Proto::kMazewar. State and join carry the same body; join
 // additionally tells receivers to treat the sender as newly arrived.
 enum class Kind : std::uint8_t {
@@ -71,7 +74,7 @@ void encode_state(serialize::Writer& w, const RatState& s) {
 Player::Player(net::Stack& stack, MazeConfig config)
     : stack_(stack),
       config_(config),
-      rng_(stack.fork_rng(config.rng_salt ^ stack.self().value())),
+      rng_(stack.fork_rng(kRngSalt ^ stack.self().value())),
       ticker_(stack, config.state_period, [this] { tick(); }) {
   metrics_.set_labels("apps.mazewar", static_cast<std::int64_t>(stack_.self().value()));
   metrics_.counter("apps.mazewar.states_sent", &stats_.states_sent);
@@ -145,7 +148,7 @@ void Player::autopilot_move() {
   for (int attempts = 0; attempts < 4 && !step_forward(); ++attempts) {
     self_state_.dir = static_cast<Dir>((static_cast<std::uint8_t>(self_state_.dir) + 1) % 4);
   }
-  if (!self_state_.missile_live && rng_.uniform() < config_.fire_probability) fire();
+  if (!self_state_.missile_live && rng_.uniform() < kFireProbability) fire();
 }
 
 void Player::advance_missile() {

@@ -52,8 +52,6 @@ struct MazeConfig {
   // Autopilot (deterministic, from stack.fork_rng): wander the maze and
   // fire at will. Off for example binaries that take keyboard input.
   bool autopilot = true;
-  double fire_probability = 0.2;  // per tick, when no missile is in flight
-  std::uint64_t rng_salt = 0x6d617a65;  // "maze"
 };
 
 [[nodiscard]] constexpr bool is_wall(const MazeConfig& cfg, std::int32_t x, std::int32_t y) {

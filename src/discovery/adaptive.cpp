@@ -7,6 +7,13 @@
 
 namespace ndsm::discovery {
 
+namespace {
+
+constexpr double kEmaAlpha = 0.3;    // weight of the newest window
+constexpr double kHysteresis = 1.25;  // switch only when the other mode is this much cheaper
+
+}  // namespace
+
 AdaptiveDiscovery::AdaptiveDiscovery(transport::ReliableTransport& transport,
                                      std::vector<NodeId> directories, AdaptiveConfig config,
                                      DensityEstimator density)
@@ -83,8 +90,8 @@ void AdaptiveDiscovery::evaluate_policy() {
   const double c_inst = static_cast<double>(window_churn_) / window_s;
   window_queries_ = 0;
   window_churn_ = 0;
-  query_rate_ = config_.ema_alpha * q_inst + (1 - config_.ema_alpha) * query_rate_;
-  churn_rate_ = config_.ema_alpha * c_inst + (1 - config_.ema_alpha) * churn_rate_;
+  query_rate_ = kEmaAlpha * q_inst + (1 - kEmaAlpha) * query_rate_;
+  churn_rate_ = kEmaAlpha * c_inst + (1 - kEmaAlpha) * churn_rate_;
 
   const double n = std::max(2.0, density_());
   const double est_path = std::sqrt(n);
@@ -92,10 +99,10 @@ void AdaptiveDiscovery::evaluate_policy() {
   const double cost_distributed = query_rate_ * n;
 
   if (mode_ == DiscoveryMode::kDistributed &&
-      cost_centralized * config_.hysteresis < cost_distributed) {
+      cost_centralized * kHysteresis < cost_distributed) {
     switch_mode(DiscoveryMode::kCentralized);
   } else if (mode_ == DiscoveryMode::kCentralized &&
-             cost_distributed * config_.hysteresis < cost_centralized) {
+             cost_distributed * kHysteresis < cost_centralized) {
     switch_mode(DiscoveryMode::kDistributed);
   }
 }

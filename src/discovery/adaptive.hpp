@@ -25,9 +25,6 @@ namespace ndsm::discovery {
 
 struct AdaptiveConfig {
   Time evaluation_period = duration::seconds(5);
-  double ema_alpha = 0.3;          // weight of the newest window
-  double hysteresis = 1.25;        // switch only when the other mode is this much cheaper
-  Time default_lease = duration::seconds(60);
 };
 
 enum class DiscoveryMode { kCentralized, kDistributed };

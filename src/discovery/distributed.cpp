@@ -112,7 +112,7 @@ void DistributedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
   auto& stack = transport_.router().stack();
   stats_.queries_issued++;
 
-  if (config_.answer_from_cache && config_.advertise_period > 0) {
+  if (config_.advertise_period > 0) {
     auto cached = match_cache(consumer, max_results);
     auto own = match_local(consumer, max_results);
     for (auto& rec : own) cached.push_back(std::move(rec));

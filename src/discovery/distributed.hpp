@@ -16,11 +16,10 @@
 namespace ndsm::discovery {
 
 struct DistributedConfig {
-  // 0 disables proactive advertisement (purely reactive mode).
-  Time advertise_period = 0;
-  // Serve queries from the advertisement cache when it has enough fresh
+  // 0 disables proactive advertisement (purely reactive mode). Otherwise
+  // queries are served from the advertisement cache when it has fresh
   // matches, skipping the flood entirely.
-  bool answer_from_cache = true;
+  Time advertise_period = 0;
   Time cache_entry_ttl = duration::seconds(30);
 };
 

@@ -4,13 +4,19 @@
 
 namespace ndsm::discovery {
 
+namespace {
+
+constexpr Time kGossipPeriod = duration::seconds(2);
+
+}  // namespace
+
 GossipDiscovery::GossipDiscovery(transport::ReliableTransport& transport,
                                  std::vector<NodeId> seed_peers, GossipConfig config)
     : transport_(transport),
       config_(config),
       rng_(transport.router().stack().fork_rng(transport.self().value() ^ 0x90551b)),
       peers_(std::move(seed_peers)),
-      timer_(transport.router().stack(), config.gossip_period, [this] { gossip(); }) {
+      timer_(transport.router().stack(), kGossipPeriod, [this] { gossip(); }) {
   peers_.erase(std::remove(peers_.begin(), peers_.end(), transport_.self()), peers_.end());
   register_stats_metrics("gossip", static_cast<std::int64_t>(transport.self().value()));
   metrics_.counter("discovery.gossip.rounds", &rounds_);

@@ -1,7 +1,7 @@
 #pragma once
 // Epidemic (gossip) service discovery — the third point in §3.3's design
 // space between "completely centralized" and "completely distributed":
-// no directory and no query floods. Every `gossip_period` a node pushes
+// no directory and no query floods. Every 2 s a node pushes
 // its known record set (own services + cache) to `fanout` random peers;
 // knowledge spreads in O(log N) rounds with per-node traffic independent
 // of the query rate. Queries are answered instantly from the local cache,
@@ -20,7 +20,6 @@
 namespace ndsm::discovery {
 
 struct GossipConfig {
-  Time gossip_period = duration::seconds(2);
   std::size_t fanout = 2;                      // peers contacted per round
   Time cache_entry_ttl = duration::seconds(30);  // drop un-refreshed entries
 };

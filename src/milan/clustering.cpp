@@ -7,6 +7,12 @@
 
 namespace ndsm::milan {
 
+namespace {
+
+constexpr std::size_t kAggregateBytes = 64;  // head -> sink payload
+
+}  // namespace
+
 ClusterManager::ClusterManager(net::World& world, NodeId sink, std::vector<NodeId> members,
                                RouterOf router_of, ClusterConfig config)
     : world_(world),
@@ -136,7 +142,7 @@ void ClusterManager::flush_heads() {
     stats_.aggregates_out++;
     // Fixed-size aggregate regardless of the sample count: the data-fusion
     // assumption of LEACH-style clustering.
-    if (router->send(sink_, routing::Proto::kApp, Bytes(config_.aggregate_bytes, 0xa9))
+    if (router->send(sink_, routing::Proto::kApp, Bytes(kAggregateBytes, 0xa9))
             .is_ok()) {
       stats_.aggregates_forwarded++;
     }

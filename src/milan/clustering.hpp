@@ -27,7 +27,6 @@ struct ClusterConfig {
   Time round_length = duration::seconds(20); // head rotation period
   Time frame_length = duration::seconds(2);  // aggregation window
   std::size_t sample_bytes = 24;             // member -> head payload
-  std::size_t aggregate_bytes = 64;          // head -> sink payload
 };
 
 struct ClusterStats {

@@ -46,17 +46,20 @@ double ChannelFaults::step_burst(const DrawSeeds& seeds, const Transmission& tx,
 
 // --- the plan on a World -------------------------------------------------------
 
-FaultPlan::FaultPlan(World& world, std::uint64_t fault_seed)
-    : world_(world), seeds_(draw_seeds(world.sim().seed())) {
-  NDSM_INVARIANT(world_.fault_injector() == nullptr,
-                 "a World supports at most one attached FaultPlan");
-  channel_.salt = fault_seed;
-  world_.set_fault_injector(this);
+FaultPlan::FaultPlan(World& world, std::uint64_t fault_seed) : world_(world) {
+  NDSM_INVARIANT(!world_.sharded(),
+                 "a FaultPlan on a sharded World (its windows, pauses and crashes run on one "
+                 "timeline; script the channel through World::faults() before seal())");
+  NDSM_INVARIANT(!world_.fault_plan_, "a World supports at most one attached FaultPlan");
+  world_.fault_plan_ = true;
+  world_.faults().salt = fault_seed;
   register_metrics();
 }
 
 FaultPlan::~FaultPlan() {
-  if (world_.fault_injector() == this) world_.set_fault_injector(nullptr);
+  world_.fault_plan_ = false;
+  world_.faults() = ChannelFaults{};
+  world_.shards_.front().bursting.clear();
   for (const EventId id : scheduled_) {
     if (id.valid()) world_.sim().cancel(id);
   }
@@ -64,11 +67,6 @@ FaultPlan::~FaultPlan() {
 
 void FaultPlan::register_metrics() {
   metrics_.set_labels("net.faults");
-  metrics_.counter("net.faults.partition_drops", &stats_.partition_drops);
-  metrics_.counter("net.faults.burst_drops", &stats_.burst_drops);
-  metrics_.counter("net.faults.duplicates_injected", &stats_.duplicates_injected);
-  metrics_.counter("net.faults.frames_jittered", &stats_.frames_jittered);
-  metrics_.counter("net.faults.bursts_entered", &stats_.bursts_entered);
   metrics_.counter("net.faults.partitions_started", &stats_.partitions_started);
   metrics_.counter("net.faults.partitions_healed", &stats_.partitions_healed);
   metrics_.counter("net.faults.pauses", &stats_.pauses);
@@ -87,14 +85,15 @@ void FaultPlan::partition(Time at, std::vector<NodeId> island, Time heal_after) 
   std::sort(island.begin(), island.end());
   island.erase(std::unique(island.begin(), island.end()), island.end());
   const Time start = world_.sim().now() + at;
-  channel_.partitions.push_back({std::move(island), start, start + heal_after});
-  const std::size_t index = channel_.partitions.size() - 1;
+  std::vector<ChannelFaults::Partition>& partitions = world_.faults().partitions;
+  partitions.push_back({std::move(island), start, start + heal_after});
+  const std::size_t index = partitions.size() - 1;
   // The window alone decides every drop; these events count and trace
   // its edges.
   schedule(at, [this, index, heal_after] {
     stats_.partitions_started++;
     NDSM_INFO("faults", "partition " << index << " started ("
-                                     << channel_.partitions[index].island.size()
+                                     << world_.faults().partitions[index].island.size()
                                      << "-node island)");
     obs::Tracer::instance().event("net.faults", "partition_start",
                                   static_cast<std::int64_t>(index), {});
@@ -149,45 +148,30 @@ void FaultPlan::set_lifecycle_hooks(LifecycleHook crash_hook, LifecycleHook rest
 void FaultPlan::burst_loss(MediumId medium, BurstLossSpec spec) {
   assert(spec.p_good_to_bad >= 0 && spec.p_good_to_bad <= 1);
   assert(spec.p_bad_to_good >= 0 && spec.p_bad_to_good <= 1);
-  channel_.bursts[medium] = spec;
+  world_.faults().bursts[medium] = spec;
 }
 
 void FaultPlan::duplication(double probability, Time max_extra_delay) {
   assert(probability >= 0 && probability <= 1);
   assert(max_extra_delay >= 0);
-  channel_.duplicate_p = probability;
-  channel_.duplicate_max = max_extra_delay;
+  ChannelFaults& script = world_.faults();
+  script.duplicate_p = probability;
+  script.duplicate_max = max_extra_delay;
 }
 
 void FaultPlan::jitter(double probability, Time max_extra_delay) {
   assert(probability >= 0 && probability <= 1);
   assert(max_extra_delay >= 0);
-  channel_.jitter_p = probability;
-  channel_.jitter_max = max_extra_delay;
+  ChannelFaults& script = world_.faults();
+  script.jitter_p = probability;
+  script.jitter_max = max_extra_delay;
 }
 
 std::size_t FaultPlan::active_partitions() const {
   const Time now = world_.sim().now();
   std::size_t n = 0;
-  for (const ChannelFaults::Partition& p : channel_.partitions) n += p.start <= now && now < p.end;
+  for (const auto& p : world_.faults().partitions) n += p.start <= now && now < p.end;
   return n;
-}
-
-void FaultPlan::on_transmit(Transmission& tx) {
-  if (channel_.bursts.empty()) return;
-  const std::size_t bad_before = bursting_.size();
-  tx.burst_loss = channel_.step_burst(seeds_, tx, bursting_);
-  stats_.bursts_entered += bursting_.size() > bad_before ? 1 : 0;
-}
-
-FaultDecision FaultPlan::on_frame(const Transmission& tx, NodeId dst) {
-  const FaultDecision d = channel_.decide(seeds_, tx, dst);
-  if (d.drop) {
-    (channel_.separated(tx.src, dst, tx.sent_at) ? stats_.partition_drops : stats_.burst_drops)++;
-  }
-  stats_.frames_jittered += d.extra_delay > 0 ? 1 : 0;
-  stats_.duplicates_injected += d.duplicate ? 1 : 0;
-  return d;
 }
 
 }  // namespace ndsm::net

@@ -4,19 +4,18 @@
 // media's own loss (LinkSpec) is independent per frame; a fault plan
 // scripts everything else against it.
 //
-// The channel faults are one value, net::ChannelFaults, that the World
-// evaluates the same way for every (frame, receiver) at any shard count:
-// a one-shard World through the net::FaultPlan attached as its
-// FaultInjector, any World through set_faults() (a sharded World takes
-// no injector).
+// The channel faults are one script, net::ChannelFaults, that the World
+// holds (World::faults()) and evaluates the same way for every (frame,
+// receiver) at any shard count. A net::FaultPlan writes it on a one-shard
+// World; a sharded World's caller writes it before seal().
 //
 //   * partitions — an "island" node set is split off, and every frame
 //     crossing its edge that is sent in [start, end) is dropped,
 //   * Gilbert–Elliott burst loss per medium — each sender keeps its own
 //     two-state (good/bad) chain per medium, stepped once per
 //     transmission, so its losses arrive in bursts instead of
-//     independently; the bad chains live with the senders (in the
-//     FaultPlan, or in the shard that owns the sender),
+//     independently; the bad chains live in the shard that owns the
+//     sender,
 //   * frame duplication — a copy of the frame arrives again at least 1 µs
 //     and less than `max_extra_delay` after the original,
 //   * bounded delay jitter — frames are held back by a random extra
@@ -27,7 +26,7 @@
 //     retransmission timeout — keep `max_extra_delay` under
 //     `TransportConfig::initial_rto`.
 //
-// A FaultPlan also scripts node lifecycles on a World:
+// A FaultPlan also scripts node lifecycles on a one-shard World:
 //
 //   * pause()/resume — the node goes link-dead (World::kill) with its
 //     stack intact, then rejoins (World::revive) unless something else
@@ -117,8 +116,8 @@ struct BurstLossSpec {
   double loss_bad = 0.0;       // extra loss while bad
 };
 
-// The channel half of a fault plan: a script, and the const decisions
-// the World takes from it on every shard.
+// The channel script a World holds (World::faults()), and the const
+// decisions the World takes from it on every shard.
 struct ChannelFaults {
   struct Partition {
     std::vector<NodeId> island;  // sorted
@@ -172,22 +171,9 @@ inline FaultDecision ChannelFaults::decide(const DrawSeeds& seeds, const Transmi
   return d;
 }
 
-// Seam through which the World consults a fault plan: on_transmit once
-// per transmission, on the sender; on_frame once per (transmission,
-// receiver), after the medium's own loss draw, never for loopback.
-class FaultInjector {
- public:
-  virtual ~FaultInjector() = default;
-  virtual void on_transmit(Transmission& /*tx*/) {}
-  virtual FaultDecision on_frame(const Transmission& tx, NodeId dst) = 0;
-};
-
+// What a FaultPlan's script did beyond the channel; the World counts the
+// per-frame outcomes (WorldStats).
 struct FaultStats {
-  std::uint64_t partition_drops = 0;      // frames dropped crossing a partition
-  std::uint64_t burst_drops = 0;          // frames lost to the G-E channel
-  std::uint64_t duplicates_injected = 0;
-  std::uint64_t frames_jittered = 0;
-  std::uint64_t bursts_entered = 0;       // good -> bad transitions
   std::uint64_t partitions_started = 0;
   std::uint64_t partitions_healed = 0;
   std::uint64_t pauses = 0;
@@ -196,15 +182,16 @@ struct FaultStats {
   std::uint64_t restarts = 0;
 };
 
-class FaultPlan final : public FaultInjector {
+class FaultPlan {
  public:
   using LifecycleHook = std::function<void(NodeId)>;
 
-  // Attaches itself as the world's fault injector. `fault_seed` salts the
-  // fault draws, so two plans with the same script but different seeds
-  // draw different (but each reproducible) fault sequences.
+  // Takes over the script of `world`, a one-shard World with no other
+  // plan, and leaves it empty on destruction. `fault_seed` salts the fault
+  // draws, so two plans with the same script but different seeds draw
+  // different (but each reproducible) fault sequences.
   explicit FaultPlan(World& world, std::uint64_t fault_seed = 0xfa017);
-  ~FaultPlan() override;
+  ~FaultPlan();
 
   FaultPlan(const FaultPlan&) = delete;
   FaultPlan& operator=(const FaultPlan&) = delete;
@@ -225,7 +212,7 @@ class FaultPlan final : public FaultInjector {
   void crash(Time at, NodeId node, Time restart_after);
   void set_lifecycle_hooks(LifecycleHook crash_hook, LifecycleHook restart_hook);
 
-  // --- stochastic channels (armed immediately, applied per frame) ----------
+  // --- stochastic channels (written into the World's script at once) -------
   void burst_loss(MediumId medium, BurstLossSpec spec);
   // Duplicate each frame with `probability`; the copy arrives at least
   // 1 µs and less than `max_extra_delay` after the original.
@@ -235,22 +222,14 @@ class FaultPlan final : public FaultInjector {
   // (see header comment).
   void jitter(double probability, Time max_extra_delay);
 
-  // The channel script, for a sharded World to evaluate the same faults.
-  [[nodiscard]] const ChannelFaults& channel() const { return channel_; }
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t active_partitions() const;
-
-  void on_transmit(Transmission& tx) override;
-  FaultDecision on_frame(const Transmission& tx, NodeId dst) override;
 
  private:
   void schedule(Time after, std::function<void()> fn);
   void register_metrics();
 
   World& world_;
-  DrawSeeds seeds_;
-  ChannelFaults channel_;
-  BurstStates bursting_;
   FaultStats stats_;
   // Each node a pause holds down, and when that pause ends (crash()
   // releases it).

@@ -88,10 +88,8 @@ UdpStack::UdpStack(NodeId self, UdpStackConfig config)
     : self_(self),
       config_(std::move(config)),
       epoch_(next_epoch()),
-      rng_(config_.rng_seed != 0
-               ? config_.rng_seed
-               : splitmix64(epoch_ ^ (static_cast<std::uint64_t>(getpid()) << 32) ^
-                            self.value())) {
+      // Seeded from process entropy (pid + real time): not reproducible.
+      rng_(splitmix64(epoch_ ^ (static_cast<std::uint64_t>(getpid()) << 32) ^ self.value())) {
   if (!node_port(config_.port_base, self_)) {
     throw std::invalid_argument("UdpStack: port_base " + std::to_string(config_.port_base) +
                                 " + node id " + std::to_string(self_.value()) +

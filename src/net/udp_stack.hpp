@@ -55,10 +55,6 @@ struct UdpStackConfig {
   // position and, optionally, known peer positions for position_of().
   Vec2 position{};
   std::map<NodeId, Vec2> peer_positions;
-  // 0 = seed from process entropy (pid + real time); fixed values make a
-  // single process's jitter reproducible, which eases debugging but is
-  // NOT a cross-run determinism guarantee.
-  std::uint64_t rng_seed = 0;
 };
 
 struct UdpStats {

@@ -41,8 +41,10 @@ constexpr std::pair<const char*, std::uint64_t WorldStats::*> kWorldCounters[] =
     {"grid_candidates", &WorldStats::grid_candidates},
     {"payload_copies_avoided", &WorldStats::payload_copies_avoided},
     {"fault_drops", &WorldStats::fault_drops},
+    {"partition_drops", &WorldStats::partition_drops},
     {"fault_duplicates", &WorldStats::fault_duplicates},
     {"fault_delays", &WorldStats::fault_delays},
+    {"bursts_entered", &WorldStats::bursts_entered},
     {"cross_shard_transmissions", &WorldStats::cross_shard_transmissions},
 };
 
@@ -446,11 +448,9 @@ Transmission World::transmit(Node& sender, NodeId src, MediumId medium_id,
   sh.stats.frames_sent++;
   sh.stats.bytes_on_wire += wire_bytes;
   Transmission tx{src, sender.tx_seq++, medium_id, sim_->now(sender.shard)};
-  if (injector_ != nullptr) {
-    injector_->on_transmit(tx);
-  } else {
-    tx.burst_loss = faults_.step_burst(seeds_, tx, sh.bursting);
-  }
+  const std::size_t bad_before = sh.bursting.size();
+  tx.burst_loss = faults_.step_burst(seeds_, tx, sh.bursting);
+  sh.stats.bursts_entered += sh.bursting.size() > bad_before ? 1 : 0;
   return tx;
 }
 
@@ -458,14 +458,14 @@ Transmission World::transmit(Node& sender, NodeId src, MediumId medium_id,
 inline std::optional<FaultDecision> World::fate(Shard& sh, const Transmission& tx, NodeId dst,
                                                 double loss_p) {
   if (!channel_lost(seeds_, tx, dst, loss_p)) {
-    const FaultDecision d =
-        injector_ != nullptr ? injector_->on_frame(tx, dst) : faults_.decide(seeds_, tx, dst);
+    const FaultDecision d = faults_.decide(seeds_, tx, dst);
     if (!d.drop) {
       sh.stats.fault_delays += d.extra_delay > 0 ? 1 : 0;
       sh.stats.fault_duplicates += d.duplicate ? 1 : 0;
       return d;
     }
     sh.stats.fault_drops++;
+    sh.stats.partition_drops += faults_.separated(tx.src, dst, tx.sent_at) ? 1 : 0;
   }
   sh.stats.frames_lost++;
   return std::nullopt;
@@ -684,15 +684,9 @@ std::uint64_t World::shard_digest(std::size_t s) const { return fold_digests(s);
 
 // --- faults -------------------------------------------------------------------------
 
-void World::set_faults(ChannelFaults faults) {
-  assert_unsealed("set_faults() on a sealed sharded World");
-  faults_ = std::move(faults);
-}
-
-void World::set_fault_injector(FaultInjector* injector) {
-  NDSM_INVARIANT(injector == nullptr || !sharded(),
-                 "a FaultInjector on a sharded World (it takes set_faults())");
-  injector_ = injector;
+ChannelFaults& World::faults() {
+  assert_unsealed("faults() on a sealed sharded World");
+  return faults_;
 }
 
 World::Node& World::node_ref(NodeId id) {

@@ -8,17 +8,17 @@
 // One World, on one shard or many (DESIGN §13):
 //   * World(sim::Simulator&) runs on the caller's one-shard engine, under
 //     the whole middleware stack (WorldStack), with mobility, batteries,
-//     wired media and an attached FaultInjector (net::FaultPlan).
+//     wired media and a net::FaultPlan scripting its faults.
 //   * World(WorldConfig) builds its own engine at seal(): the nodes are
 //     partitioned into ShardMap stripes along x, and each stripe is one
 //     timeline of a sharded sim::Simulator run by up to `workers`
 //     threads. Its scope is what a partition can keep invariant today:
 //     wireless media, positions and ranges fixed at seal(), mains power,
-//     no death handler, channel faults through set_faults() instead of an
-//     injector, and no layered stack. Each of those aborts through
-//     NDSM_INVARIANT instead of running. Node handlers run on their
-//     node's shard and may touch only that node (owner-shard affinity is
-//     checked through Simulator::current_shard).
+//     no death handler, channel faults written through faults() before
+//     seal() instead of by a FaultPlan, and no layered stack. Each of
+//     those aborts through NDSM_INVARIANT instead of running. Node
+//     handlers run on their node's shard and may touch only that node
+//     (owner-shard affinity is checked through Simulator::current_shard).
 //
 // Both run the same code. Everything the World schedules takes a key
 // that names simulation identities, never insertion order: a node's
@@ -85,8 +85,10 @@ struct WorldStats {
   std::uint64_t payload_copies_avoided = 0; // receivers sharing a broadcast buffer
   // Injected-fault outcomes.
   std::uint64_t fault_drops = 0;       // frames a partition or burst swallowed
+  std::uint64_t partition_drops = 0;   // of fault_drops, those a partition swallowed
   std::uint64_t fault_duplicates = 0;  // extra deliveries added
   std::uint64_t fault_delays = 0;      // deliveries jittered
+  std::uint64_t bursts_entered = 0;    // burst chains turned bad
   std::uint64_t cross_shard_transmissions = 0;  // events posted to another shard
 };
 
@@ -214,15 +216,10 @@ class World {
   [[nodiscard]] std::uint64_t shard_digest(std::size_t s) const;
 
   // --- faults -----------------------------------------------------------------
-  // The channel faults every transmission is evaluated against, as an
-  // attached FaultPlan's (FaultPlan::channel()). On a sharded World only
-  // before seal.
-  void set_faults(ChannelFaults faults);
-  // Attach (or detach, with nullptr) a fault injector (one shard). At most
-  // one at a time; it replaces set_faults() while attached and must
-  // outlive its attachment (FaultPlan detaches itself in its destructor).
-  void set_fault_injector(FaultInjector* injector);
-  [[nodiscard]] FaultInjector* fault_injector() const { return injector_; }
+  // The channel script every transmission is evaluated against
+  // (net/faults.hpp), to read or write; a FaultPlan writes it on one shard.
+  // On a sharded World only before seal.
+  [[nodiscard]] ChannelFaults& faults();
 
   // Spatial-index consistency verifier (callable from any build): each
   // shard's cell index of the medium, brought up to date as a query
@@ -236,6 +233,9 @@ class World {
   static constexpr std::uint64_t kGridAuditSample = 64;
 
  private:
+  // It claims faults_ (fault_plan_) and clears the burst chains it leaves.
+  friend class FaultPlan;
+
   // Same-instant order of the World's own events (ascending): node
   // timers, kill/revive, transmission fan-outs, then late receptions,
   // each ordered within by simulation identity.
@@ -275,7 +275,7 @@ class World {
     WorldStats stats;
     std::vector<CellIndex> cells;   // per medium: the members in this stripe
     std::vector<NodeId> receivers;  // fan-out scratch, reused
-    BurstStates bursting;           // set_faults() bursts of the senders it owns
+    BurstStates bursting;           // bad burst chains of the senders it owns
     std::uint64_t queries = 0;      // index queries, for the NDSM_AUDIT sample
   };
 
@@ -326,7 +326,7 @@ class World {
                                       std::size_t payload_bytes, std::size_t wire_bytes);
   // Whether no loss or fault can touch any receiver of `tx`.
   [[nodiscard]] bool spared(const Transmission& tx, double loss_p) const {
-    return loss_p == 0 && injector_ == nullptr && faults_.spares(tx);
+    return loss_p == 0 && faults_.spares(tx);
   }
   // The channel's verdict on one (transmission, receiver) pair, counted in
   // `sh`; none if the frame is lost or dropped.
@@ -393,7 +393,7 @@ class World {
   std::vector<Battery> batteries_;
   std::map<NodeId, EventId> motion_;  // the pending step of each moving node
   ChannelFaults faults_;
-  FaultInjector* injector_ = nullptr;
+  bool fault_plan_ = false;  // a FaultPlan writes faults_ (at most one)
   DeathHandler on_death_;
   // Declared last: the registry views read the state above.
   obs::MetricGroup metrics_;

@@ -155,12 +155,6 @@ class Runtime {
   [[nodiscard]] bool up() const { return up_; }
   // The network backend this node runs on.
   [[nodiscard]] net::Stack& net_stack() { return *stack_; }
-  // Sim-only accessors: assert when running on a non-sim backend.
-  [[nodiscard]] net::World& world() {
-    assert(world_ && "runtime is not on a simulated World");
-    return *world_;
-  }
-  [[nodiscard]] sim::Simulator& sim() { return world().sim(); }
   [[nodiscard]] const StackConfig& config() const { return config_; }
   [[nodiscard]] const RuntimeStats& stats() const { return stats_; }
 

@@ -3,8 +3,9 @@
 // and MiLAN tracking — run for a simulated minute under a composed
 // net::FaultPlan schedule (burst loss, duplication, delay jitter,
 // partitions, pauses, 21 crash/restarts including the directory node
-// crashing with a torn final WAL append). The soak asserts the
-// end-to-end invariants the fault layer exists to flush out:
+// crashing with a torn final WAL append), and again under eight seeded
+// random plans. The soak asserts the end-to-end invariants the fault
+// layer exists to flush out:
 //
 //   * at-most-once delivery per receiver incarnation (the dedup floor +
 //     sender-epoch machinery; a receiver that crashes loses its dedup
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -57,8 +59,30 @@ struct ChaosReport {
   std::uint64_t directory_rehydrated = 0;
   std::uint64_t milan_samples = 0;
   std::uint64_t malformed_dropped = 0;  // hostile/corrupt frames seen (§15)
-  net::FaultStats faults;
+  // The engine's digest and the channel and lifecycle counts, as plain
+  // numbers whichever stats struct holds them.
+  std::uint64_t sim_digest = 0;
+  std::uint64_t frames_sent = 0;
+  std::uint64_t frames_delivered = 0;
+  std::uint64_t frames_lost = 0;
+  std::uint64_t fault_drops = 0;
+  std::uint64_t partition_drops = 0;
+  std::uint64_t burst_drops = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t delays = 0;
+  std::uint64_t bursts_entered = 0;
+  std::uint64_t partitions_started = 0;
+  std::uint64_t partitions_healed = 0;
+  std::uint64_t crashes = 0;
+  std::uint64_t restarts = 0;
+  std::uint64_t pauses = 0;
+  std::uint64_t resumes = 0;
 };
+
+// Arms the soak's fault plan. Its lifecycle hooks are wired already:
+// crash() and restart() of the node's Runtime, and a crash of node 0
+// tears the directory's last WAL append.
+using ChaosFaults = std::function<void(Lan&, net::FaultPlan&)>;
 
 qos::SupplierQos temperature_qos() {
   qos::SupplierQos q;
@@ -67,7 +91,10 @@ qos::SupplierQos temperature_qos() {
   return q;
 }
 
-std::string chaos_run(std::uint64_t seed, ChaosReport* report = nullptr) {
+// One full soak under the plan `script` arms; returns the dump that must
+// be byte-identical across twin runs with the same seed. Checks the
+// invariants every plan must keep.
+std::string chaos_soak(std::uint64_t seed, const ChaosFaults& script, ChaosReport& report) {
   net::LinkSpec spec = net::ethernet100();
   spec.loss_probability = 0.01;  // baseline loss under the fault channels
   Lan lan{kNodes, seed, spec};
@@ -207,72 +234,65 @@ std::string chaos_run(std::uint64_t seed, ChaosReport* report = nullptr) {
         lan.runtime(i).restart();
         bind_app(i);  // crash dropped the whole stack, handlers included
       });
-  // 20 staggered victim crash/restarts plus the directory crash = 21.
-  for (std::size_t k = 0; k < 20; ++k) {
-    faults.crash(duration::seconds(5) + duration::millis(1700) * k, lan.nodes[10 + k],
-                 duration::seconds(3));
-  }
-  faults.crash(duration::seconds(20) + duration::millis(100), dir_node, duration::seconds(3));
-  // Pause cycles: five bystanders twice each, plus the flapping supplier.
-  for (std::size_t k = 0; k < 5; ++k) {
-    faults.pause(duration::seconds(8) + duration::seconds(2) * k, lan.nodes[30 + k],
-                 duration::seconds(4));
-    faults.pause(duration::seconds(30) + duration::seconds(2) * k, lan.nodes[30 + k],
-                 duration::seconds(4));
-  }
-  faults.pause(duration::seconds(10), lan.nodes[5], duration::seconds(5));
-  faults.pause(duration::seconds(26), lan.nodes[5], duration::seconds(5));
-  // Two healing partitions over disjoint bystander blocks.
-  std::vector<NodeId> island_a(lan.nodes.begin() + 40, lan.nodes.begin() + 60);
-  std::vector<NodeId> island_b(lan.nodes.begin() + 60, lan.nodes.begin() + 80);
-  faults.partition(duration::seconds(12), island_a, duration::seconds(8));
-  faults.partition(duration::seconds(35), island_b, duration::seconds(6));
-  // Stochastic channels. Jitter stays below the 200ms initial RTO.
-  net::BurstLossSpec ge;
-  ge.p_good_to_bad = 0.002;
-  ge.p_bad_to_good = 0.1;
-  ge.loss_bad = 0.6;
-  faults.burst_loss(lan.medium, ge);
-  faults.duplication(0.02, duration::millis(30));
-  faults.jitter(0.05, duration::millis(50));
+  script(lan, faults);
 
   lan.sim.run_until(kRunFor);
 
   // --- invariant accounting + determinism dump -----------------------------
-  std::uint64_t total = 0;
-  std::uint64_t dups = 0;
   for (const auto& [key, count] : delivered) {
-    total += static_cast<std::uint64_t>(count);
-    if (count > 1) dups += static_cast<std::uint64_t>(count - 1);
+    report.app_deliveries += static_cast<std::uint64_t>(count);
+    if (count > 1) report.duplicate_app_deliveries += static_cast<std::uint64_t>(count - 1);
   }
   auto* directory = lan.runtime(0).service<discovery::DirectoryServer>("directory");
-
-  if (report != nullptr) {
-    report->app_deliveries = total;
-    report->duplicate_app_deliveries = dups;
-    report->tx_end_counts = end_counts;
-    report->tx_end_ok = end_ok;
-    report->tx_samples = samples;
-    for (const auto& mgr : consumer_mgrs) report->live_transactions += mgr->active_count();
-    report->directory_rehydrated = directory->stats().records_rehydrated;
-    report->milan_samples = engine.stats().samples_delivered;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      report->malformed_dropped += lan.transport(i).stats().malformed_dropped;
-    }
-    report->faults = faults.stats();
+  report.tx_end_counts = end_counts;
+  report.tx_end_ok = end_ok;
+  report.tx_samples = samples;
+  for (const auto& mgr : consumer_mgrs) report.live_transactions += mgr->active_count();
+  report.directory_rehydrated = directory->stats().records_rehydrated;
+  report.milan_samples = engine.stats().samples_delivered;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    report.malformed_dropped += lan.transport(i).stats().malformed_dropped;
   }
+  const net::WorldStats ws = lan.world.stats();
+  const net::FaultStats& fs = faults.stats();
+  report.sim_digest = lan.sim.digest();
+  report.frames_sent = ws.frames_sent;
+  report.frames_delivered = ws.frames_delivered;
+  report.frames_lost = ws.frames_lost;
+  report.fault_drops = ws.fault_drops;
+  report.partition_drops = ws.partition_drops;
+  report.burst_drops = ws.fault_drops - ws.partition_drops;
+  report.duplicates = ws.fault_duplicates;
+  report.delays = ws.fault_delays;
+  report.bursts_entered = ws.bursts_entered;
+  report.partitions_started = fs.partitions_started;
+  report.partitions_healed = fs.partitions_healed;
+  report.crashes = fs.crashes;
+  report.restarts = fs.restarts;
+  report.pauses = fs.pauses;
+  report.resumes = fs.resumes;
+
+  // At-most-once: no payload reached any receiver incarnation twice.
+  EXPECT_EQ(report.duplicate_app_deliveries, 0u);
+  // Exactly-once transaction endings, nothing leaked.
+  for (std::size_t c = 0; c < end_counts.size(); ++c) {
+    EXPECT_EQ(end_counts[c], 1) << "consumer " << c;
+  }
+  EXPECT_EQ(report.live_transactions, 0u);
+  // Fault injection corrupts delivery, never frame contents: across the
+  // whole soak no transport may ever have classified a frame as malformed
+  // (a nonzero count here means the stack itself emits bad bytes).
+  EXPECT_EQ(report.malformed_dropped, 0u);
 
   std::ostringstream dump;
-  const auto& ws = lan.world.stats();
-  dump << lan.sim.digest() << ':' << lan.sim.now() << ':' << ws.frames_sent << ':'
-       << ws.frames_delivered << ':' << ws.frames_lost << ':' << ws.fault_drops << ':'
-       << ws.fault_duplicates << ':' << ws.fault_delays;
-  const auto& fs = faults.stats();
-  dump << '|' << fs.partition_drops << ',' << fs.burst_drops << ',' << fs.duplicates_injected
-       << ',' << fs.frames_jittered << ',' << fs.bursts_entered << ',' << fs.crashes << ','
-       << fs.restarts << ',' << fs.pauses << ',' << fs.resumes;
-  dump << '|' << total << ',' << dups << ',' << engine.stats().samples_delivered << ','
-       << directory->stats().records_rehydrated;
+  dump << report.sim_digest << ':' << lan.sim.now() << ':' << report.frames_sent << ':'
+       << report.frames_delivered << ':' << report.frames_lost << ':' << report.fault_drops
+       << ':' << report.duplicates << ':' << report.delays;
+  dump << '|' << report.partition_drops << ',' << report.burst_drops << ','
+       << report.bursts_entered << ',' << report.crashes << ',' << report.restarts << ','
+       << report.pauses << ',' << report.resumes;
+  dump << '|' << report.app_deliveries << ',' << report.duplicate_app_deliveries << ','
+       << report.milan_samples << ',' << report.directory_rehydrated;
   for (const auto& mgr : consumer_mgrs) {
     const auto& ts = mgr->stats();
     dump << '|' << ts.begun << ',' << ts.bound << ',' << ts.rebinds << ',' << ts.ended << ','
@@ -287,41 +307,84 @@ std::string chaos_run(std::uint64_t seed, ChaosReport* report = nullptr) {
   return dump.str();
 }
 
+// The composed schedule: 21 crash/restarts (the directory's tears a WAL
+// append), 12 pauses, two healing partitions over disjoint bystander
+// blocks, and burst loss, duplication and jitter for the whole run.
+void composed_chaos_faults(Lan& lan, net::FaultPlan& faults) {
+  // 20 staggered victim crash/restarts plus the directory crash = 21.
+  for (std::size_t k = 0; k < 20; ++k) {
+    faults.crash(duration::seconds(5) + duration::millis(1700) * k, lan.nodes[10 + k],
+                 duration::seconds(3));
+  }
+  faults.crash(duration::seconds(20) + duration::millis(100), lan.nodes[0],
+               duration::seconds(3));
+  // Pause cycles: five bystanders twice each, plus the flapping supplier.
+  for (std::size_t k = 0; k < 5; ++k) {
+    faults.pause(duration::seconds(8) + duration::seconds(2) * k, lan.nodes[30 + k],
+                 duration::seconds(4));
+    faults.pause(duration::seconds(30) + duration::seconds(2) * k, lan.nodes[30 + k],
+                 duration::seconds(4));
+  }
+  faults.pause(duration::seconds(10), lan.nodes[5], duration::seconds(5));
+  faults.pause(duration::seconds(26), lan.nodes[5], duration::seconds(5));
+  std::vector<NodeId> island_a(lan.nodes.begin() + 40, lan.nodes.begin() + 60);
+  std::vector<NodeId> island_b(lan.nodes.begin() + 60, lan.nodes.begin() + 80);
+  faults.partition(duration::seconds(12), island_a, duration::seconds(8));
+  faults.partition(duration::seconds(35), island_b, duration::seconds(6));
+  // Stochastic channels. Jitter stays below the 200ms initial RTO.
+  net::BurstLossSpec ge;
+  ge.p_good_to_bad = 0.002;
+  ge.p_bad_to_good = 0.1;
+  ge.loss_bad = 0.6;
+  faults.burst_loss(lan.medium, ge);
+  faults.duplication(0.02, duration::millis(30));
+  faults.jitter(0.05, duration::millis(50));
+}
+
+std::string chaos_run(std::uint64_t seed, ChaosReport* report = nullptr) {
+  ChaosReport r;
+  const std::string dump = chaos_soak(seed, composed_chaos_faults, r);
+  if (report != nullptr) *report = r;
+  return dump;
+}
+
 TEST(Chaos, SoakHoldsInvariantsUnderComposedFaults) {
   ChaosReport report;
   const std::string dump = chaos_run(2024, &report);
   ASSERT_FALSE(dump.empty());
 
   // Every fault type actually engaged.
-  EXPECT_EQ(report.faults.crashes, 21u);
-  EXPECT_EQ(report.faults.restarts, 21u);
-  EXPECT_EQ(report.faults.pauses, 12u);
-  EXPECT_EQ(report.faults.resumes, 12u);
-  EXPECT_EQ(report.faults.partitions_started, 2u);
-  EXPECT_EQ(report.faults.partitions_healed, 2u);
-  EXPECT_GT(report.faults.partition_drops, 0u);
-  EXPECT_GT(report.faults.burst_drops, 0u);
-  EXPECT_GT(report.faults.duplicates_injected, 0u);
-  EXPECT_GT(report.faults.frames_jittered, 0u);
+  EXPECT_EQ(report.crashes, 21u);
+  EXPECT_EQ(report.restarts, 21u);
+  EXPECT_EQ(report.pauses, 12u);
+  EXPECT_EQ(report.resumes, 12u);
+  EXPECT_EQ(report.partitions_started, 2u);
+  EXPECT_EQ(report.partitions_healed, 2u);
+  EXPECT_GT(report.partition_drops, 0u);
+  EXPECT_GT(report.burst_drops, 0u);
+  EXPECT_GT(report.duplicates, 0u);
+  EXPECT_GT(report.delays, 0u);
 
-  // At-most-once: no payload reached any receiver incarnation twice.
-  EXPECT_EQ(report.duplicate_app_deliveries, 0u);
+  // The serial run under the composed plan, pinned: the engine's digest
+  // and every channel count.
+  EXPECT_EQ(report.sim_digest, 0xc710abab23a7349dULL);
+  EXPECT_EQ(report.frames_sent, 30396u);
+  EXPECT_EQ(report.frames_delivered, 25562u);
+  EXPECT_EQ(report.frames_lost, 5234u);
+  EXPECT_EQ(report.fault_drops, 4943u);
+  EXPECT_EQ(report.partition_drops, 4625u);
+  EXPECT_EQ(report.burst_drops, 318u);
+  EXPECT_EQ(report.duplicates, 517u);
+  EXPECT_EQ(report.delays, 1229u);
+  EXPECT_EQ(report.bursts_entered, 61u);
+
   EXPECT_GT(report.app_deliveries, 5000u);  // traffic genuinely flowed
-
-  // Exactly-once transaction endings, nothing leaked.
+  // Every transaction ended well and was fed.
   ASSERT_EQ(report.tx_end_counts.size(), 4u);
   for (std::size_t c = 0; c < report.tx_end_counts.size(); ++c) {
-    EXPECT_EQ(report.tx_end_counts[c], 1) << "consumer " << c;
     EXPECT_TRUE(report.tx_end_ok[c]) << "consumer " << c;
     EXPECT_GT(report.tx_samples[c], 0) << "consumer " << c;
   }
-  EXPECT_EQ(report.live_transactions, 0u);
-
-  // Fault injection corrupts delivery, never frame contents: across the
-  // whole soak no transport may ever have classified a frame as malformed
-  // (a nonzero count here means the stack itself emits bad bytes).
-  EXPECT_EQ(report.malformed_dropped, 0u);
-
   // The directory came back from its torn WAL with real records.
   EXPECT_GE(report.directory_rehydrated, 1u);
   // MiLAN kept tracking through the whole schedule.
@@ -331,6 +394,30 @@ TEST(Chaos, SoakHoldsInvariantsUnderComposedFaults) {
   // so the post-mortem starts from evidence instead of a rerun.
   if (HasFailure()) {
     obs::flight_record("chaos-soak", "Chaos.SoakHoldsInvariantsUnderComposedFaults failed");
+  }
+}
+
+// Seeded random plans (testing::arm_random_faults): partitions, burst
+// loss, duplication, jitter, pauses and crashes, all healed by 42 s, before
+// the transactions' lifetimes end. Only nodes whose services rebuild on
+// restart crash: the directory, the suppliers and the victims (consumers
+// 1..4 hold raw transports). chaos_soak checks the invariants every plan
+// must keep.
+TEST(Chaos, RandomFaultPlansKeepDeliveryAtMostOnce) {
+  for (std::uint64_t plan = 1; plan <= 8; ++plan) {
+    std::string armed;
+    ChaosReport report;
+    (void)chaos_soak(0xc4a05 + plan, [&armed, plan](Lan& lan, net::FaultPlan& faults) {
+      std::vector<NodeId> crashable{lan.nodes[0], lan.nodes[5], lan.nodes[6]};
+      crashable.insert(crashable.end(), lan.nodes.begin() + 10, lan.nodes.begin() + 30);
+      armed = testing::arm_random_faults(lan.sim, faults, plan, lan.medium, lan.nodes,
+                                         crashable, kRunFor, duration::millis(50));
+    }, report);
+    EXPECT_GT(report.app_deliveries, 5000u) << "plan " << plan << ": " << armed;
+    if (HasFailure()) {
+      ADD_FAILURE() << "plan " << plan << ": " << armed;
+      return;
+    }
   }
 }
 

@@ -671,6 +671,59 @@ TEST(KeyedDraws, AnExtraSenderRedrawsNothingElse) {
   EXPECT_GT(quiet.size(), 300u);
 }
 
+// The plan's channel script lives in the World while the plan does:
+// destroying the plan leaves the World fault-free, and the next plan
+// starts with every burst chain good.
+TEST(FaultPlan, DestroyedPlanLeavesTheWorldFaultFree) {
+  sim::Simulator sim{1};
+  World world{sim};
+  const MediumId m = world.add_medium(ethernet100());
+  const NodeId a = world.add_node({0, 0});
+  const NodeId b = world.add_node({10, 0});
+  world.attach(a, m);
+  world.attach(b, m);
+  const auto send = [&] {
+    ASSERT_TRUE(world.link_send(a, b, Proto::kApp, Bytes(1, 0)).is_ok());
+    sim.run_until(sim.now() + duration::millis(1));
+  };
+  {
+    FaultPlan faults{world, 0x77};
+    faults.partition(0, {a}, duration::seconds(1));
+    // a's chain turns bad on its first step and stays bad.
+    faults.burst_loss(m, BurstLossSpec{1.0, 0.0, 0.0, 1.0});
+    faults.jitter(0.3, duration::micros(400));
+    EXPECT_EQ(world.faults().salt, 0x77u);
+    send();
+  }
+  EXPECT_EQ(world.stats().fault_drops, 1u);
+  EXPECT_EQ(world.stats().partition_drops, 1u);
+  EXPECT_EQ(world.stats().bursts_entered, 1u);
+  const ChannelFaults& left = world.faults();
+  EXPECT_TRUE(left.partitions.empty());
+  EXPECT_TRUE(left.bursts.empty());
+  EXPECT_EQ(left.jitter_p, 0.0);
+  EXPECT_EQ(left.salt, 0u);
+
+  FaultPlan next{world};
+  EXPECT_EQ(world.faults().salt, 0xfa017u);
+  // Loss only in the bad state, which a good chain never leaves for.
+  next.burst_loss(m, BurstLossSpec{0.0, 0.0, 0.0, 1.0});
+  send();
+  EXPECT_EQ(world.stats().fault_drops, 1u);
+  EXPECT_EQ(world.stats().frames_delivered, 1u);
+}
+
+TEST(FaultPlanDeath, SecondPlanOnOneWorldAborts) {
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim{1};
+        World world{sim};
+        FaultPlan first{world};
+        FaultPlan second{world};
+      },
+      "at most one attached FaultPlan");
+}
+
 TEST(LossModel, BitErrorRateScalesWithFrameLength) {
   LinkSpec spec;
   spec.bit_error_rate = 1e-4;

@@ -470,8 +470,9 @@ std::string replfs_soak(std::uint64_t seed, const ReplfsFaults& script,
          << net.server(i).stats().commit_nacks << ","
          << net.server(i).stats().indoubt_recovered;
   }
-  dump << "|f:" << stats.crashes << "," << stats.burst_drops << "," << stats.partition_drops
-       << "," << stats.duplicates_injected;
+  const net::WorldStats ws = lan.world.stats();
+  dump << "|f:" << stats.crashes << "," << ws.fault_drops - ws.partition_drops << ","
+       << ws.partition_drops << "," << ws.fault_duplicates;
   return dump.str();
 }
 

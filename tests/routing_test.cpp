@@ -504,7 +504,7 @@ TEST(DistanceVector, PartitionExpiresRoutesAndHealReconverges) {
   // updates is 3.5s, so cross-partition routes age out well within it.
   faults.partition(0, {grid.nodes[0], grid.nodes[3], grid.nodes[6]}, duration::seconds(15));
   grid.sim.run_until(duration::seconds(20));
-  EXPECT_GT(faults.stats().partition_drops, 0u);
+  EXPECT_GT(grid.world.stats().partition_drops, 0u);
   EXPECT_EQ(faults.active_partitions(), 1u);
   EXPECT_EQ(grid.dv(0).route_metric(grid.nodes[8]), DistanceVectorRouter::kInfinity);
   EXPECT_LT(grid.dv(0).route_metric(grid.nodes[6]), DistanceVectorRouter::kInfinity)
@@ -553,7 +553,7 @@ TEST(GeoRouting, PartitionBlocksGreedyForwardingUntilHeal) {
       grid.router(5).stats().drops + grid.router(0).stats().drops;
   EXPECT_GT(drops_after, drops_before)
       << "the outage must surface in routing.* drop counters";
-  EXPECT_GT(faults.stats().partition_drops, 0u);
+  EXPECT_GT(grid.world.stats().partition_drops, 0u);
 
   // After the heal, beacons re-cross the cut and delivery resumes.
   grid.sim.run_until(duration::seconds(18));  // heal at 10s + re-beacon slack

@@ -227,7 +227,7 @@ RunOutcome run_lattice(std::size_t cols, std::size_t rows, std::size_t shards,
       faults.duplicate_p = 0.1;
       faults.duplicate_max = duration::micros(50);
     }
-    w.set_faults(random_plan != 0 ? random_channel_faults(random_plan, ids, medium) : faults);
+    w.faults() = random_plan != 0 ? random_channel_faults(random_plan, ids, medium) : faults;
     for (std::size_t i = 0; i < ids.size(); i += 7) {
       w.kill_at(ids[i], duration::millis(4));
       w.revive_at(ids[i], duration::millis(12));
@@ -496,7 +496,7 @@ ModelRun run_model_world(net::ChannelFaults& script) {
   }
   net::FaultPlan faults{world, 0x5eed};
   script_model_faults(faults, medium);
-  script = faults.channel();
+  script = world.faults();
   script_model_traffic(
       [&sim](std::size_t, Time t, std::function<void()> fn) { sim.schedule_at(t, std::move(fn)); },
       [&](std::size_t i) {
@@ -532,7 +532,7 @@ ModelRun run_model_sharded(const net::ChannelFaults& script, std::size_t shards,
                                                w.sim().now(w.shard_of(id)));
     });
   }
-  w.set_faults(script);
+  w.faults() = script;
   script_model_traffic(
       [&w](std::size_t i, Time t, std::function<void()> fn) { w.schedule(NodeId{i}, t, fn); },
       [&](std::size_t i) {
@@ -557,9 +557,9 @@ ModelRun run_model_sharded(const net::ChannelFaults& script, std::size_t shards,
 }
 
 // One fault model: the same lattice, seed and fault script on a one-shard
-// World (through a FaultPlan) and on sharded Worlds (through the plan's
-// channel script) take every loss, drop, jitter and duplicate decision
-// alike, at any shard and worker count.
+// World (written by a FaultPlan) and on sharded Worlds (a copy of that
+// script, written before seal) take every loss, drop, jitter and duplicate
+// decision alike, at any shard and worker count.
 TEST(ShardedWorld, EvaluatesTheSameFaultPlanAsWorld) {
   net::ChannelFaults script;
   const ModelRun serial = run_model_world(script);
@@ -756,13 +756,14 @@ TEST(ShardedWorldDeath, FiniteBatteriesAndDeathHandlersAbort) {
   EXPECT_DEATH(SmallSharded(false).w.set_death_handler([](NodeId) {}), "set_death_handler");
 }
 
-TEST(ShardedWorldDeath, FaultInjectorAborts) {
+TEST(ShardedWorldDeath, FaultPlanAborts) {
   EXPECT_DEATH(
       {
-        SmallSharded small(true);
+        SmallSharded small(false);
         net::FaultPlan plan{small.w};
       },
-      "FaultInjector");
+      "FaultPlan on a sharded World");
+  EXPECT_DEATH((void)SmallSharded(true).w.faults(), "faults\\(\\) on a sealed sharded World");
 }
 
 TEST(ShardedWorldDeath, LayeredStacksAbort) {
