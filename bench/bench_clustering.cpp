@@ -49,7 +49,6 @@ Outcome run(bool clustered, std::uint64_t seed) {
   milan::ClusterConfig cfg;
   cfg.cluster_count = 5;
   cfg.round_length = duration::seconds(20);
-  cfg.frame_length = duration::seconds(2);
   milan::ClusterManager clusters{field.world, sink, members,
                                  [&](NodeId n) { return field.router_of(n); }, cfg};
   if (clustered) clusters.start();

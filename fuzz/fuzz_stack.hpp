@@ -4,9 +4,12 @@
 // except the last one, which is kept for inspection (the fuzzer plays the
 // whole network); inbound frames are injected straight into the registered
 // handler, which is exactly what a hostile datagram does on the UDP
-// backend. Timers run on a manually advanced clock with a hard fire budget
-// so no input can make a target spin. Tests use it as a Stack double too.
+// backend. Timers live on a one-shard sim::Simulator, the event queue of
+// every other backend, whose clock only advance() moves, with a hard fire
+// budget so no input can make a target spin. Tests use it as a Stack
+// double too.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -14,6 +17,7 @@
 #include <utility>
 
 #include "net/stack.hpp"
+#include "sim/simulator.hpp"
 
 namespace ndsm::fuzz {
 
@@ -46,21 +50,11 @@ class FuzzStack final : public net::Stack {
   }
   void clear_frame_handler(net::Proto proto) override { handlers_.erase(proto); }
 
-  [[nodiscard]] Time now() const override { return now_; }
+  [[nodiscard]] Time now() const override { return timers_.now(); }
   EventId schedule_after(Time delay, std::function<void()> fn) override {
-    const Time deadline = now_ + (delay > 0 ? delay : 0);
-    const std::uint64_t id = next_timer_id_++;
-    timers_.emplace(std::make_pair(deadline, id), std::move(fn));
-    return EventId{id};
+    return timers_.schedule_after(std::max<Time>(delay, 0), std::move(fn));
   }
-  void cancel(EventId id) override {
-    for (auto it = timers_.begin(); it != timers_.end(); ++it) {
-      if (it->first.second == id.value()) {
-        timers_.erase(it);
-        return;
-      }
-    }
-  }
+  void cancel(EventId id) override { timers_.cancel(id); }
 
   // Fixed-seed fork: fuzz inputs must be the only source of variation.
   [[nodiscard]] Rng fork_rng(std::uint64_t salt) override { return Rng{0x9e3779b9, salt | 1}; }
@@ -91,15 +85,14 @@ class FuzzStack final : public net::Stack {
   // knows is down.
   void refuse_frames_to(NodeId dst) { refused_ = dst; }
 
-  // Advance the clock to `until`, firing due timers in deadline order.
-  // The fire budget bounds re-arming loops (retransmit backoff chains).
+  // Fire the timers due by `until` in (deadline, creation) order, at most
+  // `max_fired` of them: the budget bounds re-arming loops (retransmit
+  // backoff chains). The clock then moves to `until` only if nothing is
+  // still due by then; after a spent budget it stays at the last timer
+  // that fired rather than jump past the unfired ones.
   void advance(Time until, int max_fired = 64) {
-    while (max_fired-- > 0 && !timers_.empty() && timers_.begin()->first.first <= until) {
-      auto node = timers_.extract(timers_.begin());
-      now_ = std::max(now_, node.key().first);
-      node.mapped()();
-    }
-    now_ = std::max(now_, until);
+    for (; max_fired > 0 && timers_.next_event_time() <= until; --max_fired) timers_.step();
+    if (timers_.next_event_time() > until) timers_.run_until(until);
   }
 
   [[nodiscard]] std::uint64_t frames_out() const { return frames_out_; }
@@ -112,9 +105,7 @@ class FuzzStack final : public net::Stack {
 
  private:
   NodeId self_;
-  Time now_ = 0;
-  std::uint64_t next_timer_id_ = 1;
-  std::map<std::pair<Time, std::uint64_t>, std::function<void()>> timers_;
+  sim::Simulator timers_{sim::SimulatorConfig{}};
   std::map<net::Proto, FrameHandler> handlers_;
   std::uint64_t frames_out_ = 0;
   std::uint64_t bytes_out_ = 0;

@@ -128,7 +128,6 @@ class Player {
   [[nodiscard]] const std::map<NodeId, PeerView>& peers() const { return peers_; }
   [[nodiscard]] const MazewarStats& stats() const { return stats_; }
   [[nodiscard]] const MazeConfig& config() const { return config_; }
-  [[nodiscard]] bool in_game() const { return in_game_; }
   // Unresolved hit claims still being retransmitted (0 at quiesce).
   [[nodiscard]] std::size_t pending_claims() const { return pending_hits_.size(); }
   // Peer-view staleness in milliseconds, sampled per live peer per tick.

@@ -1,7 +1,7 @@
 #pragma once
-// Leveled logger with pluggable sinks, per-component level filters and
-// virtual-time timestamps. Default threshold is kWarn so tests and benches
-// stay quiet; examples raise it to kInfo.
+// Leveled logger with pluggable sinks and virtual-time timestamps. Default
+// threshold is kWarn so tests and benches stay quiet; examples raise it to
+// kInfo.
 //
 // Each record is rendered into one buffer and handed to the sink as a
 // single complete line ("[12.345s] [INFO] milan: ..."), so interleaved
@@ -13,8 +13,6 @@
 #include <functional>
 #include <sstream>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 
 namespace ndsm {
 
@@ -34,38 +32,21 @@ class Logger {
   void set_level(LogLevel level) { level_ = level; }
   [[nodiscard]] LogLevel level() const { return level_; }
 
-  // Per-component override of the global threshold, e.g.
-  //   set_component_level("transport", LogLevel::kDebug)
-  // to debug one layer while everything else stays at kWarn.
-  void set_component_level(const std::string& component, LogLevel level) {
-    component_levels_[component] = level;
-  }
-  void clear_component_levels() { component_levels_.clear(); }
-
   [[nodiscard]] bool enabled(LogLevel level) const { return level >= level_; }
-  // The string is only materialised when a per-component override exists,
-  // so the disabled-log fast path stays allocation-free.
-  [[nodiscard]] bool enabled(LogLevel level, std::string_view component) const {
-    if (component_levels_.empty()) return level >= level_;
-    const auto it = component_levels_.find(std::string(component));
-    return level >= (it != component_levels_.end() ? it->second : level_);
-  }
 
   // Replace the output sink; an empty sink restores the stderr default.
   void set_sink(Sink sink) { sink_ = std::move(sink); }
-  [[nodiscard]] bool has_custom_sink() const { return static_cast<bool>(sink_); }
 
   void write(LogLevel level, const std::string& component, const std::string& message);
 
  private:
   LogLevel level_ = LogLevel::kWarn;
-  std::unordered_map<std::string, LogLevel> component_levels_;
   Sink sink_;
 };
 
 #define NDSM_LOG(level, component, expr)                                 \
   do {                                                                   \
-    if (::ndsm::Logger::instance().enabled(level, component)) {          \
+    if (::ndsm::Logger::instance().enabled(level)) {                     \
       std::ostringstream ndsm_log_os_;                                   \
       ndsm_log_os_ << expr;                                              \
       ::ndsm::Logger::instance().write(level, component, ndsm_log_os_.str()); \

@@ -45,7 +45,6 @@ class AdaptiveDiscovery : public ServiceDiscovery {
   [[nodiscard]] DiscoveryMode mode() const { return mode_; }
   [[nodiscard]] std::uint64_t mode_switches() const { return switches_; }
   [[nodiscard]] double query_rate_per_s() const { return query_rate_; }
-  [[nodiscard]] double churn_rate_per_s() const { return churn_rate_; }
 
   // Force an immediate policy evaluation (normally timer-driven).
   void evaluate_policy();

@@ -31,8 +31,6 @@ class CentralizedDiscovery : public ServiceDiscovery {
   void query(const qos::ConsumerQos& consumer, QueryCallback callback,
              std::uint32_t max_results, Time timeout) override;
 
-  [[nodiscard]] std::size_t active_registrations() const { return registered_.size(); }
-
  private:
   struct Registration {
     ServiceRecord record;

@@ -33,7 +33,6 @@ class DistributedDiscovery : public ServiceDiscovery {
   void query(const qos::ConsumerQos& consumer, QueryCallback callback,
              std::uint32_t max_results, Time timeout) override;
 
-  [[nodiscard]] std::size_t local_service_count() const { return local_.size(); }
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
 
  private:

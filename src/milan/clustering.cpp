@@ -21,7 +21,7 @@ ClusterManager::ClusterManager(net::World& world, NodeId sink, std::vector<NodeI
       router_of_(std::move(router_of)),
       config_(config),
       round_timer_(world.sim(), config.round_length, [this] { elect(); }),
-      frame_timer_(world.sim(), config.frame_length, [this] { flush_heads(); }) {}
+      frame_timer_(world.sim(), kClusterFrameLength, [this] { flush_heads(); }) {}
 
 ClusterManager::~ClusterManager() { stop(); }
 

@@ -22,10 +22,12 @@
 
 namespace ndsm::milan {
 
+// Aggregation window: heads flush what their members sent once per frame.
+inline constexpr Time kClusterFrameLength = duration::seconds(2);
+
 struct ClusterConfig {
   std::size_t cluster_count = 3;             // heads per round
   Time round_length = duration::seconds(20); // head rotation period
-  Time frame_length = duration::seconds(2);  // aggregation window
   std::size_t sample_bytes = 24;             // member -> head payload
 };
 

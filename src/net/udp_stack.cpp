@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <ctime>
@@ -40,13 +41,6 @@ constexpr std::size_t kMaxDatagram = 65000;
   clock_gettime(CLOCK_REALTIME, &ts);
   return static_cast<std::uint64_t>(ts.tv_sec) * 1000000 +
          static_cast<std::uint64_t>(ts.tv_nsec) / 1000;
-}
-
-// Process-wide monotonic base so every stack in one process (and the
-// global_sim_time hook) shares a single timeline starting near zero.
-[[nodiscard]] Time process_now() {
-  static const Time base = monotonic_micros();
-  return monotonic_micros() - base;
 }
 
 // Strictly increasing across successive constructions within a process
@@ -89,7 +83,9 @@ UdpStack::UdpStack(NodeId self, UdpStackConfig config)
       config_(std::move(config)),
       epoch_(next_epoch()),
       // Seeded from process entropy (pid + real time): not reproducible.
-      rng_(splitmix64(epoch_ ^ (static_cast<std::uint64_t>(getpid()) << 32) ^ self.value())) {
+      timers_(sim::SimulatorConfig{
+          .seed = splitmix64(epoch_ ^ (static_cast<std::uint64_t>(getpid()) << 32) ^
+                             self.value())}) {
   if (!node_port(config_.port_base, self_)) {
     throw std::invalid_argument("UdpStack: port_base " + std::to_string(config_.port_base) +
                                 " + node id " + std::to_string(self_.value()) +
@@ -111,8 +107,8 @@ UdpStack::UdpStack(NodeId self, UdpStackConfig config)
   metrics_.counter("net.udp.frames_dropped", &stats_.frames_dropped);
   metrics_.counter("net.udp.polls", &stats_.polls);
   metrics_.counter("net.udp.eintr_retries", &stats_.eintr_retries);
-  // Stamp log/trace records with this process's monotonic stack time.
-  bind_sim_clock(this, [](const void*) { return process_now(); });
+  // Stamp log/trace records with the host's monotonic time.
+  bind_sim_clock(this, [](const void*) { return monotonic_micros(); });
 }
 
 UdpStack::~UdpStack() {
@@ -315,49 +311,32 @@ void UdpStack::drain_fd(int fd) {
   }
 }
 
-Time UdpStack::now() const { return process_now(); }
+Time UdpStack::now() const { return monotonic_micros(); }
 
 EventId UdpStack::schedule_after(Time delay, std::function<void()> fn) {
-  const Time deadline = now() + (delay > 0 ? delay : 0);
-  const std::uint64_t id = next_timer_id_++;
-  timers_.emplace(id, Timer{deadline, std::move(fn)});
-  by_deadline_.emplace(std::make_pair(deadline, id), id);
-  return EventId{id};
+  return timers_.schedule_at(now() + std::max<Time>(delay, 0), std::move(fn));
 }
 
-void UdpStack::cancel(EventId id) {
-  const auto it = timers_.find(id.value());
-  if (it == timers_.end()) return;
-  by_deadline_.erase(std::make_pair(it->second.deadline, id.value()));
-  timers_.erase(it);
-}
+void UdpStack::cancel(EventId id) { timers_.cancel(id); }
 
-Rng UdpStack::fork_rng(std::uint64_t salt) { return rng_.fork(salt); }
+Rng UdpStack::fork_rng(std::uint64_t salt) { return timers_.rng().fork(salt); }
 
-Time UdpStack::next_deadline() const {
-  return by_deadline_.empty() ? kTimeNever : by_deadline_.begin()->first.first;
-}
-
-void UdpStack::run_due_timers() {
-  while (!by_deadline_.empty() && by_deadline_.begin()->first.first <= now()) {
-    const std::uint64_t id = by_deadline_.begin()->second;
-    by_deadline_.erase(by_deadline_.begin());
-    const auto it = timers_.find(id);
-    if (it == timers_.end()) continue;
-    std::function<void()> fn = std::move(it->second.fn);
-    timers_.erase(it);
-    stats_.timers_fired++;
-    fn();
+// Advances the engine to the host clock until nothing more is due: a
+// zero-delay timer armed by a firing one lands after the time read for
+// that advance, so one advance alone would leave it for the next pass.
+// Returns whether any timer fired.
+bool UdpStack::run_due_timers() {
+  bool fired = false;
+  for (Time t = now(); timers_.next_event_time() <= t; t = now()) {
+    timers_.run_until(t);
+    fired = true;
   }
+  return fired;
 }
 
 bool UdpStack::poll_once(Time max_wait) {
-  Time wait = max_wait;
-  const Time deadline = next_deadline();
-  if (deadline != kTimeNever) {
-    const Time until = deadline - now();
-    if (until < wait) wait = until;
-  }
+  const Time next = timers_.next_event_time();
+  Time wait = next == kTimeNever ? max_wait : std::min(max_wait, next - now());
   if (wait < 0) wait = 0;
 
   // Broadcasts drain before unicasts. On loopback one sender's datagrams
@@ -402,9 +381,8 @@ bool UdpStack::poll_once(Time max_wait) {
   for (nfds_t i = 0; i < nfds; ++i) {
     if ((fds[i].revents & POLLIN) != 0) drain_fd(fds[i].fd);
   }
-  const bool timers_due = next_deadline() <= now();
-  run_due_timers();
-  return ready > 0 || timers_due;
+  const bool timers_fired = run_due_timers();
+  return ready > 0 || timers_fired;
 }
 
 void UdpStack::run_for(Time duration) {

@@ -4,8 +4,8 @@
 // process: unicast frames travel as UDP datagrams to 127.0.0.1:(port_base
 // + node id), broadcast frames ride a loopback multicast group (with a
 // unicast fan-out fallback for environments where multicast join fails,
-// e.g. minimal containers), and the clock/timer source is the OS
-// monotonic clock driven by a single-threaded poll loop.
+// e.g. minimal containers), and the clock is the host's monotonic clock,
+// read by a single-threaded poll loop.
 //
 // What carries over from the sim and what does not (DESIGN §14):
 //   * carries over — the entire middleware above the seam: routing,
@@ -14,6 +14,15 @@
 //   * does not — determinism. now() is real time, fork_rng() seeds from
 //     process entropy, delivery order is whatever the kernel gives us.
 //     The sim remains the substrate for every reproducibility claim.
+//
+// Timers: one event queue under every timeline. Timers live on a
+// one-shard sim::Simulator, the engine every simulated timeline runs on,
+// so they fire in the same (deadline, creation) order on both backends.
+// What differs is only how the engine's clock moves: poll_once() advances
+// it to the host's monotonic time until nothing more is due, so a
+// zero-delay timer armed by a firing one runs in the same pass. A
+// cancelled timer stays in the engine's heap until its deadline reaches
+// the top; pending_timers() counts live timers only (DESIGN §14).
 //
 // Receive order: each poll_once() drains the multicast socket before the
 // unicast one. A sender's datagrams reach the two sockets in send order on
@@ -35,6 +44,7 @@
 
 #include "net/stack.hpp"
 #include "obs/metrics.hpp"
+#include "sim/simulator.hpp"
 
 namespace ndsm::net {
 
@@ -72,13 +82,12 @@ struct UdpStats {
   // or no handler bound for the proto. Distinct from bad_datagrams so
   // stray-traffic noise never masks a demux/wiring problem.
   std::uint64_t frames_dropped = 0;
-  std::uint64_t timers_fired = 0;
   // One increment per poll_once() pass. The idle loop must block in
   // ppoll for the real remaining wait, so polls stays proportional to
-  // timers_fired + datagrams — not to CPU speed. A busy-spin regression
+  // timers fired + datagrams — not to CPU speed. A busy-spin regression
   // (e.g. truncating a sub-millisecond wait to a 0 ms poll timeout)
   // shows up here as polls exploding past the timer count; pinned by
-  // UdpStackTest.IdleLoopDoesNotBusySpin.
+  // UdpStackTest.SubMillisecondTimerWaitsDoNotBusySpin.
   std::uint64_t polls = 0;
   // Syscalls (ppoll/sendto/recvfrom/nanosleep) retried after EINTR.
   // Signals must never surface as send errors or dropped datagrams.
@@ -90,7 +99,7 @@ class UdpStack final : public Stack {
   // Opens the sockets (throws std::invalid_argument if port_base + self
   // exceeds 65535, std::runtime_error if the unicast bind fails) and binds
   // the process-global clock hook so log/trace records are stamped with
-  // this stack's monotonic time.
+  // the host's monotonic time.
   explicit UdpStack(NodeId self, UdpStackConfig config = {});
   ~UdpStack() override;
 
@@ -114,8 +123,8 @@ class UdpStack final : public Stack {
   void set_frame_handler(Proto proto, FrameHandler handler) override;
   void clear_frame_handler(Proto proto) override;
 
-  // Microseconds since this process's first UdpStack clock read — a
-  // monotonic timeline shared by every stack in the process.
+  // CLOCK_MONOTONIC in microseconds: one timeline shared by every stack
+  // and every process on the host, so a fleet's records line up by time.
   [[nodiscard]] Time now() const override;
   EventId schedule_after(Time delay, std::function<void()> fn) override;
   void cancel(EventId id) override;
@@ -143,21 +152,15 @@ class UdpStack final : public Stack {
   // False when the stack fell back to unicast fan-out for broadcasts.
   [[nodiscard]] bool using_multicast() const { return mcast_recv_fd_ >= 0; }
   [[nodiscard]] std::uint16_t unicast_port() const;
-  [[nodiscard]] std::size_t pending_timers() const { return timers_.size(); }
+  [[nodiscard]] std::size_t pending_timers() const { return timers_.pending(); }
 
  private:
-  struct Timer {
-    Time deadline;
-    std::function<void()> fn;
-  };
-
   void open_sockets();
   void close_sockets();
   Status send_datagram(const Bytes& wire, std::uint16_t port, bool multicast);
   void drain_fd(int fd);
   void on_datagram(const std::uint8_t* data, std::size_t len);
-  void run_due_timers();
-  [[nodiscard]] Time next_deadline() const;
+  bool run_due_timers();
 
   NodeId self_;
   UdpStackConfig config_;
@@ -165,14 +168,9 @@ class UdpStack final : public Stack {
   bool online_ = false;
   int ucast_fd_ = -1;
   int mcast_recv_fd_ = -1;  // -1 = multicast unavailable, fan-out in use
-  Rng rng_;
+  // The timer queue, on host monotonic time; its rng() seeds fork_rng().
+  sim::Simulator timers_;
   std::map<Proto, FrameHandler> handlers_;
-  // Timers: id -> entry (erased on cancel/fire) + a sorted deadline index
-  // so firing order is (deadline, creation order) — same tiebreak the sim
-  // uses. Both are std::map: iteration order must not depend on hashing.
-  std::uint64_t next_timer_id_ = 1;
-  std::map<std::uint64_t, Timer> timers_;
-  std::map<std::pair<Time, std::uint64_t>, std::uint64_t> by_deadline_;
   UdpStats stats_;
   obs::MetricGroup metrics_;  // declared after stats_: views outlive their source
 };

@@ -199,7 +199,6 @@ class World {
   [[nodiscard]] double link_tx_cost(NodeId a, NodeId b, std::size_t payload_bytes) const;
 
   [[nodiscard]] const EnergyModel& energy_model() const { return energy_; }
-  void set_energy_model(EnergyModel model) { energy_ = model; }
 
   [[nodiscard]] const NodeStats& stats(NodeId node) const;
   // Summed over the shards.

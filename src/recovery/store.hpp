@@ -49,7 +49,6 @@ class RecoverableStore {
   RecoveryReport recover();
 
   [[nodiscard]] std::uint64_t log_records() const { return wal_.record_count(); }
-  [[nodiscard]] const StorageStats& log_io() const { return log_storage_.stats(); }
 
  private:
   void apply(const LogRecord& rec);

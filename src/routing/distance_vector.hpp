@@ -25,7 +25,6 @@ class DistanceVectorRouter : public Router {
 
   [[nodiscard]] int route_metric(NodeId dst) const;  // kInfinity if unknown
   [[nodiscard]] NodeId next_hop(NodeId dst) const;   // invalid() if unknown
-  [[nodiscard]] std::size_t table_size() const { return table_.size(); }
 
  private:
   struct Route {

@@ -24,10 +24,6 @@ void HandoffManager::register_session_type(const std::string& session_type,
   handlers_[session_type] = std::move(handler);
 }
 
-void HandoffManager::unregister_session_type(const std::string& session_type) {
-  handlers_.erase(session_type);
-}
-
 void HandoffManager::handoff(const std::string& session_type, Bytes state, NodeId target,
                              CompletionHandler done, Time timeout) {
   auto& stack = transport_.router().stack();

@@ -42,7 +42,6 @@ class HandoffManager {
 
   // Declare that this node can resume sessions of `session_type`.
   void register_session_type(const std::string& session_type, ResumeHandler handler);
-  void unregister_session_type(const std::string& session_type);
 
   // Transfer a session to `target`. `done` fires exactly once: kOk after
   // the target acknowledged resumption (the caller must then destroy its

@@ -61,7 +61,6 @@ class Value {
 
   [[nodiscard]] Type type() const;
 
-  [[nodiscard]] bool is_nil() const { return type() == Type::kNil; }
   [[nodiscard]] bool as_bool() const { return std::get<bool>(data_); }
   [[nodiscard]] std::int64_t as_int() const { return std::get<std::int64_t>(data_); }
   [[nodiscard]] double as_float() const { return std::get<double>(data_); }

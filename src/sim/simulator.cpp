@@ -192,6 +192,11 @@ bool Simulator::step() {
   return true;
 }
 
+Time Simulator::next_event_time() {
+  Shard& s = shards_[0];
+  return s.pop_cancelled() ? s.heap.top().at : kTimeNever;
+}
+
 void Simulator::run_all(std::size_t max_events) {
   for (std::size_t i = 0; i < max_events; ++i) {
     if (!step()) return;

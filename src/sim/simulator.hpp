@@ -115,6 +115,9 @@ class Simulator {
 
   // Execute the next pending event; returns false if none remain.
   bool step();
+  // Time of the next pending event, or kTimeNever if none remain. Drops
+  // cancelled entries off the heap top, as step() does.
+  [[nodiscard]] Time next_event_time();
 
   // Run every shard's events with time <= deadline, then advance every
   // clock to exactly `deadline`. Parallel windows when the engine has

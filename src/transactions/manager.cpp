@@ -36,11 +36,6 @@ void TransactionManager::serve(const std::string& service_type, DataSource sourc
   sources_[service_type] = std::move(source);
 }
 
-void TransactionManager::stop_serving(const std::string& service_type) {
-  sources_.erase(service_type);
-  push_period_override_.erase(service_type);
-}
-
 void TransactionManager::set_push_period(const std::string& service_type, Time period) {
   push_period_override_[service_type] = period;
 }

@@ -64,7 +64,6 @@ class TransactionManager {
   // Serve transactions for a service type hosted on this node. (Register
   // the service with discovery separately; the manager only handles flows.)
   void serve(const std::string& service_type, DataSource source);
-  void stop_serving(const std::string& service_type);
   // Supplier-side duty cycling: push no faster than `period` for this
   // service, regardless of what consumers requested. Announced to
   // consumers through the per-sample prediction so their supervision

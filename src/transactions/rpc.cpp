@@ -22,8 +22,6 @@ void RpcEndpoint::register_method(const std::string& name, Handler handler) {
   methods_[name] = std::move(handler);
 }
 
-void RpcEndpoint::unregister_method(const std::string& name) { methods_.erase(name); }
-
 void RpcEndpoint::call(NodeId server, const std::string& method, Bytes args,
                        ResponseCallback callback, Time timeout) {
   auto& stack = transport_.router().stack();

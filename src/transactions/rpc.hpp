@@ -32,7 +32,6 @@ class RpcEndpoint {
   RpcEndpoint& operator=(const RpcEndpoint&) = delete;
 
   void register_method(const std::string& name, Handler handler);
-  void unregister_method(const std::string& name);
 
   // Invoke `method` on `server`. `callback` fires exactly once: with the
   // response payload, or kTimeout / the server-reported error.

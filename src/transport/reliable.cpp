@@ -77,9 +77,8 @@ std::size_t ReliableTransport::fragment_count(std::size_t payload_size) const {
 }
 
 Status ReliableTransport::send(NodeId dst, Port port, Bytes payload, CompletionHandler done) {
-  if (fragment_count(payload.size()) > config_.max_fragments_per_message) {
-    return Status{ErrorCode::kInvalidArgument,
-                  "payload exceeds max_fragments_per_message"};
+  if (fragment_count(payload.size()) > kMaxFragmentsPerMessage) {
+    return Status{ErrorCode::kInvalidArgument, "payload exceeds kMaxFragmentsPerMessage"};
   }
   stats_.messages_sent++;
   stats_.payload_bytes_sent += payload.size();
@@ -305,7 +304,7 @@ std::optional<ReliableTransport::Fragment> ReliableTransport::read_fragment(
   // The count bound is what keeps the resize() sizing the reassembly
   // buffers honest.
   if (!epoch || !msg_id || !port || !index || !count || !data || *count == 0 ||
-      *index >= *count || *count > config_.max_fragments_per_message) {
+      *index >= *count || *count > kMaxFragmentsPerMessage) {
     return std::nullopt;
   }
   return Fragment{AckRef{*epoch, *msg_id, *index}, *port, *count, *data};
@@ -387,7 +386,7 @@ void ReliableTransport::on_fragment(NodeId src, const Fragment& f, const obs::Tr
     }
     it = inbox_.try_emplace({src, msg_id}).first;
     InMessage& in = it->second;
-    in.fragments.resize(f.count);  // bounded by max_fragments_per_message
+    in.fragments.resize(f.count);  // bounded by kMaxFragmentsPerMessage
     in.have.assign(f.count, false);
     in.port = f.port;
     // Arm the reassembly GC: if the sender gives up (retries exhausted)

@@ -69,17 +69,18 @@ namespace ndsm::transport {
 
 using routing::Router;
 
+// Upper bound on the fragment count a single message may declare, on both
+// sides: send() rejects larger payloads up front, and the receiver drops
+// fragments declaring more (a hostile count would otherwise size the
+// reassembly buffers — a 2^60 prefix is an OOM, not a message).
+inline constexpr std::size_t kMaxFragmentsPerMessage = 4096;
+
 struct TransportConfig {
   std::size_t max_fragment_bytes = 96;  // payload bytes per fragment
   Time initial_rto = duration::millis(200);
   double rto_backoff = 2.0;
   int max_retries = 5;
   std::size_t dedup_window = 1024;  // completed ids held per peer above its floor
-  // Upper bound on the fragment count a single message may declare, on
-  // both sides: send() rejects larger payloads up front, and the receiver
-  // drops fragments declaring more (a hostile count would otherwise size
-  // the reassembly buffers — a 2^60 prefix is an OOM, not a message).
-  std::size_t max_fragments_per_message = 4096;
   // A partially reassembled inbound message whose sender has gone quiet
   // for this long is discarded (the sender has exhausted its retries long
   // before; without this, one lost tail fragment leaks reassembly state
@@ -138,8 +139,6 @@ class ReliableTransport {
   [[nodiscard]] Router& router() { return router_; }
   [[nodiscard]] const TransportStats& stats() const { return stats_; }
   [[nodiscard]] const TransportConfig& config() const { return config_; }
-  // Message round-trip time (send to final ack), milliseconds.
-  [[nodiscard]] const obs::Histogram& rtt_histogram() const { return rtt_ms_; }
   // Deterministic trace/span id source for this incarnation. Upper layers
   // (discovery, transactions) draw span ids from here to bridge async
   // gaps (pending queries, push timers) in one causal trace.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -822,6 +823,51 @@ TEST(Transport, FragmentWithATraceTrailerIsStillDeliveredOnceAndAcked) {
   EXPECT_EQ(r.varint(), 1u);
   EXPECT_EQ(r.varint(), 0u);
   EXPECT_TRUE(r.exhausted());
+}
+
+// The fuzz double keeps UdpStack's timer contract: a fired timer's id is
+// spent, so cancelling it, or an id never issued, spares a later timer.
+TEST(FuzzStack, CancellingAFiredTimerSparesALaterOne) {
+  fuzz::FuzzStack stack;
+  int fired = 0;
+  const EventId spent = stack.schedule_after(duration::millis(1), [&] { fired++; });
+  stack.advance(duration::millis(1));
+  ASSERT_EQ(fired, 1);
+  stack.schedule_after(duration::millis(1), [&] { fired++; });
+  stack.cancel(spent);
+  stack.cancel(EventId{987654321});
+  stack.advance(duration::millis(2));
+  EXPECT_EQ(fired, 2);
+}
+
+// The fire budget bounds a timer that re-arms itself on every firing, as a
+// retransmission chain does.
+TEST(FuzzStack, AdvanceStopsAfterItsFireBudget) {
+  fuzz::FuzzStack stack;
+  int fired = 0;
+  std::function<void()> rearm = [&] {
+    fired++;
+    stack.schedule_after(duration::millis(1), rearm);
+  };
+  stack.schedule_after(duration::millis(1), rearm);
+  stack.advance(duration::seconds(1), 5);
+  EXPECT_EQ(fired, 5);
+}
+
+// A spent budget leaves the clock at the last timer that fired, not past
+// the timers still due; with nothing due the clock reaches `until`.
+TEST(FuzzStack, SpentBudgetLeavesTheClockAtTheLastFiring) {
+  fuzz::FuzzStack stack;
+  std::vector<Time> fired_at;
+  for (int i = 1; i <= 3; ++i) {
+    stack.schedule_after(duration::millis(i), [&] { fired_at.push_back(stack.now()); });
+  }
+  stack.advance(duration::seconds(1), 2);
+  EXPECT_EQ(fired_at, (std::vector<Time>{duration::millis(1), duration::millis(2)}));
+  EXPECT_EQ(stack.now(), duration::millis(2));
+  stack.advance(duration::seconds(1));
+  EXPECT_EQ(fired_at.back(), duration::millis(3));
+  EXPECT_EQ(stack.now(), duration::seconds(1));
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "discovery/centralized.hpp"
 #include "discovery/directory_server.hpp"
 #include "net/udp_wire.hpp"
@@ -499,6 +500,81 @@ TEST(UdpStackTest, BackloggedDeadlinesDrainInOrderInOneWakeup) {
   a.poll_once(duration::millis(1));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(a.pending_timers(), 0u);
+}
+
+// now() and the log and trace stamps read the host's CLOCK_MONOTONIC with
+// no per-process base, so every process of a fleet shares one timeline and
+// their trace and flight-recorder dumps line up by timestamp.
+TEST(UdpStackTest, NowIsTheHostMonotonicClock) {
+  const std::uint16_t base = next_port_base();
+  net::UdpStack a{NodeId{1}, fleet_config(base, {NodeId{1}})};
+  const auto host_micros = [] {
+    timespec ts{};
+    // ndsm-lint: allow(wall-clock): the host clock is what now() must read
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return static_cast<Time>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
+  };
+  const Time before = host_micros();
+  const Time now = a.now();
+  const Time stamp = global_sim_time();
+  const Time after = host_micros();
+  EXPECT_LE(before, now);
+  EXPECT_LE(now, stamp);
+  EXPECT_LE(stamp, after);
+}
+
+// A fired timer's id is spent: cancelling it, or an id never issued, must
+// not reach a later timer, even one that took over the fired one's storage.
+TEST(UdpStackTest, CancellingAFiredTimerSparesALaterOne) {
+  const std::uint16_t base = next_port_base();
+  net::UdpStack a{NodeId{1}, fleet_config(base, {NodeId{1}})};
+
+  int fired = 0;
+  const EventId spent = a.schedule_after(0, [&] { fired++; });
+  ASSERT_TRUE(pump({&a}, [&] { return fired == 1; }));
+  a.schedule_after(duration::millis(1), [&] { fired++; });
+  a.cancel(spent);
+  a.cancel(EventId{987654321});
+  EXPECT_EQ(a.pending_timers(), 1u);
+  ASSERT_TRUE(pump({&a}, [&] { return fired == 2; }));
+  EXPECT_EQ(a.pending_timers(), 0u);
+}
+
+// A zero-delay timer armed by a firing timer is due in the same pass, so
+// one poll_once runs both, in order.
+TEST(UdpStackTest, ZeroDelayTimerArmedWhileFiringRunsInTheSamePass) {
+  const std::uint16_t base = next_port_base();
+  net::UdpStack a{NodeId{1}, fleet_config(base, {NodeId{1}})};
+
+  std::vector<int> order;
+  a.schedule_after(0, [&] {
+    order.push_back(1);
+    a.schedule_after(0, [&] {
+      order.push_back(2);
+      a.schedule_after(0, [&] { order.push_back(3); });
+    });
+  });
+  EXPECT_TRUE(a.poll_once(0));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(a.pending_timers(), 0u);
+}
+
+// pending_timers() counts live timers only, and a cancelled deadline does
+// not cut the next poll's wait short.
+TEST(UdpStackTest, CancelledTimersAreNotPending) {
+  const std::uint16_t base = next_port_base();
+  net::UdpStack a{NodeId{1}, fleet_config(base, {NodeId{1}})};
+
+  std::vector<EventId> ids;
+  for (int i = 1; i <= 8; ++i) ids.push_back(a.schedule_after(duration::millis(i), [] {}));
+  EXPECT_EQ(a.pending_timers(), 8u);
+  for (const EventId id : ids) a.cancel(id);
+  EXPECT_EQ(a.pending_timers(), 0u);
+  a.cancel(ids[0]);
+  EXPECT_EQ(a.pending_timers(), 0u);
+  const Time start = a.now();
+  EXPECT_FALSE(a.poll_once(duration::millis(20)));
+  EXPECT_GE(a.now() - start, duration::millis(20));
 }
 
 // The acceptance-criteria path, in-process: three Runtimes on three
