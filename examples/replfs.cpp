@@ -24,6 +24,7 @@
 #include "net/udp_stack.hpp"
 #include "net/world.hpp"
 #include "node/runtime.hpp"
+#include "recovery/storage.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -109,6 +110,11 @@ int main(int argc, char** argv) {
     const auto id = static_cast<std::uint32_t>(std::atoi(argv[3]));
     const auto servers = static_cast<std::uint32_t>(std::atoi(argv[4]));
     const auto base = static_cast<std::uint16_t>(argc > 5 ? std::atoi(argv[5]) : 45100);
+    // With a wal_file the log lives on a file-backed volume and survives
+    // the process; without one, on the Runtime's in-memory volume.
+    const std::string wal_file = argc > 6 ? argv[6] : "";
+    std::unique_ptr<recovery::StableStorage> file_wal;
+    if (!wal_file.empty()) file_wal = std::make_unique<recovery::StableStorage>(wal_file);
     net::UdpStackConfig ncfg;
     ncfg.port_base = base;
     ncfg.peers = server_ids(servers + 1);
@@ -116,15 +122,12 @@ int main(int argc, char** argv) {
     node::StackConfig scfg;
     scfg.router = node::RouterPolicy::kFlooding;
     node::Runtime rt{stack, scfg};
-    apps::replfs::ReplfsConfig rcfg;
-    if (argc > 6) rcfg.wal_file = argv[6];
-    rt.add_service<apps::replfs::Server>("replfs", [rcfg](node::Runtime& r) {
-      return std::make_unique<apps::replfs::Server>(r.transport(), r.net_stack(),
-                                                    r.storage("replfs-wal"), rcfg);
+    rt.add_service<apps::replfs::Server>("replfs", [&file_wal](node::Runtime& r) {
+      return std::make_unique<apps::replfs::Server>(
+          r.transport(), r.net_stack(), file_wal ? *file_wal : r.storage("replfs-wal"));
     });
     std::cout << "replfs server " << id << "/" << servers << " on 127.0.0.1:"
-              << stack.unicast_port()
-              << (rcfg.wal_file.empty() ? "" : " (wal: " + rcfg.wal_file + ")")
+              << stack.unicast_port() << (wal_file.empty() ? "" : " (wal: " + wal_file + ")")
               << "; ctrl-c to stop\n";
     stack.run_until([] { return g_stop != 0; }, duration::hours(24));
     const auto* srv = rt.service<apps::replfs::Server>("replfs");

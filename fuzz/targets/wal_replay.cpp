@@ -4,7 +4,9 @@
 // model a log whose every record the adversary controls. Properties:
 //   * LogRecord::decode and WriteAheadLog::replay never crash/UB;
 //   * stop-at-tear bookkeeping balances: replayed + dropped == records;
-//   * a record that decodes re-encodes and decodes back (digest included).
+//   * a record that decodes re-encodes and decodes back (digest included);
+//   * the redo over the same image accounts for every write it replayed:
+//     applied + discarded + in doubt == the Put and Erase records.
 
 #include "fuzz_target.hpp"
 #include "recovery/wal.hpp"
@@ -46,5 +48,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   NDSM_FUZZ_CHECK(records.size() == stats.records_replayed);
   NDSM_FUZZ_CHECK(stats.records_replayed + stats.records_dropped == storage.size());
   NDSM_FUZZ_CHECK(stats.records_dropped_valid <= stats.records_dropped);
+
+  std::uint64_t writes = 0;
+  for (const auto& rec : records) {
+    if (rec.kind == recovery::LogKind::kPut || rec.kind == recovery::LogKind::kErase) writes++;
+  }
+  std::uint64_t applied = 0;
+  const auto redo = wal.redo([&](const recovery::LogRecord&) { applied++; });
+  std::uint64_t in_doubt = 0;
+  for (const auto& [tx, tx_writes] : redo.in_doubt) in_doubt += tx_writes.size();
+  NDSM_FUZZ_CHECK(wal.last_replay().records_replayed == records.size());
+  NDSM_FUZZ_CHECK(applied == redo.applied);
+  NDSM_FUZZ_CHECK(redo.applied + redo.discarded + in_doubt == writes);
   return 0;
 }

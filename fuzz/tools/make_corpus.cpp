@@ -298,6 +298,24 @@ void wal_replay() {
   emit("wal_replay", "torn_log.bin", frame(torn));
   // Single raw record for the whole-buffer decode path.
   emit("wal_replay", "one_record.bin", records[1]);
+  // Redo shapes: two transactions interleaved with each other and with a
+  // singleton write on one key, committed in reverse order, then id 1
+  // reused by a fresh Begin and left undecided.
+  recovery::StableStorage mixed;
+  recovery::WriteAheadLog mixed_wal{mixed};
+  mixed_wal.append(recovery::LogKind::kBegin, 1);
+  mixed_wal.append(recovery::LogKind::kBegin, 2);
+  mixed_wal.append(recovery::LogKind::kPut, 1, "k", serialize::Value{std::int64_t{1}});
+  mixed_wal.append(recovery::LogKind::kPut, 2, "k", serialize::Value{std::int64_t{2}});
+  mixed_wal.append(recovery::LogKind::kPut, 0, "k", serialize::Value{std::int64_t{0}});
+  mixed_wal.append(recovery::LogKind::kErase, 2, "k");
+  mixed_wal.append(recovery::LogKind::kCommit, 2);
+  mixed_wal.append(recovery::LogKind::kCommit, 1);
+  mixed_wal.append(recovery::LogKind::kBegin, 1);
+  mixed_wal.append(recovery::LogKind::kPut, 1, "k", serialize::Value{std::int64_t{3}});
+  std::vector<Bytes> mixed_records;
+  for (std::size_t i = 0; i < mixed.size(); ++i) mixed_records.push_back(mixed.read(i));
+  emit("wal_replay", "interleaved_tx.bin", frame(mixed_records));
 }
 
 }  // namespace

@@ -39,6 +39,11 @@ rules the simulator's bit-determinism argument rests on:
                       while a discarded read silently desynchronises the
                       decode. Bind, check, then use — or annotate why the
                       read cannot fail (e.g. the byte was already peeked).
+  file-io             Durable file I/O has one home: std::ifstream,
+                      std::ofstream, std::fstream and fopen appear in src/
+                      only in src/recovery/storage.* (file-backed
+                      StableStorage volumes) and the src/obs exporters
+                      (flight, metrics, perfetto, trace).
 
 Any finding can be suppressed with a written reason, on the same line or
 the line directly above the construct:
@@ -77,6 +82,11 @@ CLOCK_EXEMPT_PREFIXES = ("src/sim/", "src/common/clock", "src/net/udp")
 # need primitives the sim-side ban exists to keep out of protocol code).
 CONCURRENCY_EXEMPT_PREFIXES = ("src/sim/simulator.", "src/net/udp")
 
+# The only src/ files that may open files: the file-backed StableStorage
+# volume, and the obs exporters that dump metrics and traces.
+FILE_IO_HOMES = ("src/recovery/storage.", "src/obs/flight.", "src/obs/metrics.",
+                 "src/obs/perfetto.", "src/obs/trace.")
+
 # Directories where container iteration order becomes packet order.
 ORDERING_DIRS = ("src/net/", "src/routing/", "src/discovery/",
                  "src/transactions/", "src/scheduling/")
@@ -101,6 +111,7 @@ RAW_CONCURRENCY_RE = re.compile(
     r"|stop_token|stop_source)\b"
     r"|#\s*include\s*<(?:thread|mutex|shared_mutex|atomic"
     r"|condition_variable|future|barrier|latch|semaphore|stop_token)>")
+FILE_IO_RE = re.compile(r"std::(?:i|o)?fstream\b|\bfopen\b")
 NEW_RE = re.compile(r"\bnew\b")
 DELETE_RE = re.compile(r"\bdelete\b")
 DELETED_FN_RE = re.compile(r"=\s*delete\b|\boperator\s+(?:new|delete)\b")
@@ -263,6 +274,7 @@ def lint_file(root, rel, decl_cache, violations):
     concurrency_exempt = rel.startswith(CONCURRENCY_EXEMPT_PREFIXES)
     ordering = rel.startswith(ORDERING_DIRS)
     in_src = rel.startswith("src/")
+    file_io_rule = in_src and not rel.startswith(FILE_IO_HOMES)
     unordered_names = decls_for(rel, decl_cache, "unordered") if ordering else set()
     # The serialize module is the one place raw primitive reads are the
     # point (the Reader implementation and its immediate composites).
@@ -303,6 +315,15 @@ def lint_file(root, rel, decl_cache, violations):
                         f"iteration over unordered container `{name}` in a "
                         "message-ordering path — hash-bucket order leaks into "
                         "packet order; use std::map or annotate with a reason"))
+
+        if file_io_rule:
+            m = FILE_IO_RE.search(line)
+            if m and not allowed(allows, ln, "file-io"):
+                violations.append(Violation(
+                    rel, ln, "file-io",
+                    f"file I/O `{m.group(0)}` outside src/recovery/storage.* and "
+                    "the src/obs exporters — durable state goes through a "
+                    "file-backed recovery::StableStorage"))
 
         if not DELETED_FN_RE.search(line):
             if NEW_RE.search(line) and not allowed(allows, ln, "raw-new-delete"):
@@ -401,6 +422,16 @@ def run_lint(root, rels=None):
 
 SELF_TEST_CASES = [
     # (relative path, content, set of rules expected to fire)
+    # Durable file I/O outside its home fires; the file-backed volume and
+    # the obs exporters are that home.
+    ("src/apps/own_log.cpp",
+     "#include <fstream>\n"
+     "void f() { std::ofstream out(\"app.log\", std::ios::app); }\n",
+     {"file-io"}),
+    ("src/recovery/storage.cpp",
+     "#include <fstream>\n"
+     "void f() { std::ifstream in(\"volume\"); }\n",
+     set()),
     ("src/milan/clocky.cpp",
      "void f() { auto t = std::chrono::steady_clock::now(); }\n",
      {"wall-clock"}),

@@ -1,6 +1,5 @@
 #include "apps/replfs/replfs.hpp"
 
-#include <fstream>
 #include <utility>
 
 #include "common/bytes.hpp"
@@ -28,8 +27,6 @@ enum class Kind : std::uint8_t {
 // Replies listing missing blocks are clamped: repair proceeds in waves
 // rather than encoding an unbounded index list into one control message.
 constexpr std::size_t kMaxMissingPerVote = 512;
-// wal_file records larger than this are treated as a torn/corrupt tail.
-constexpr std::uint32_t kMaxWalFileRecord = 16u << 20;
 
 [[nodiscard]] Bytes make_simple(Kind kind, std::uint64_t commit_id) {
   serialize::Writer w;
@@ -50,14 +47,25 @@ std::optional<std::uint64_t> make_commit_id(NodeId client, std::uint64_t seq) {
 
 Server::Server(transport::ReliableTransport& transport, net::Stack& stack,
                recovery::StableStorage& wal_storage, ReplfsConfig config)
-    : transport_(transport),
-      stack_(stack),
-      storage_(wal_storage),
-      config_(std::move(config)),
-      wal_(storage_) {
-  if (!config_.wal_file.empty() && storage_.empty()) load_wal_file();
-  persisted_records_ = storage_.size();
-  replay_wal();
+    : transport_(transport), stack_(stack), config_(std::move(config)), wal_(wal_storage) {
+  // Committed writes are redone; an undecided transaction comes back in
+  // doubt (the client's re-driven commit or abort settles it without
+  // re-shipping blocks) only if its Put is in the log. A Begin whose Put
+  // a torn tail cut off was never voted on: the vote follows both appends.
+  const auto is_put = [](const recovery::LogRecord& rec) {
+    return rec.value.type() == serialize::Value::Type::kBytes;
+  };
+  recovery::RedoResult redo = wal_.redo([&](const recovery::LogRecord& rec) {
+    if (is_put(rec)) store_[rec.key] = rec.value.as_bytes();
+  });
+  stats_.wal_records_replayed = wal_.last_replay().records_replayed;
+  committed_.insert(redo.committed.begin(), redo.committed.end());
+  for (auto& [tx, writes] : redo.in_doubt) {
+    for (auto& rec : writes) {
+      if (is_put(rec)) pending_[tx] = PendingTx{std::move(rec.key), rec.value.as_bytes()};
+    }
+  }
+  stats_.indoubt_recovered = pending_.size();
 
   metrics_.set_labels("apps.replfs.server",
                       static_cast<std::int64_t>(transport_.self().value()));
@@ -75,85 +83,6 @@ Server::Server(transport::ReliableTransport& transport, net::Stack& stack,
 Server::~Server() {
   transport_.clear_receiver(transport::ports::kReplfs);
   stack_.clear_frame_handler(net::Proto::kReplfsData);
-}
-
-void Server::load_wal_file() {
-  std::ifstream in(config_.wal_file, std::ios::binary);
-  if (!in) return;  // first boot: no file yet
-  while (true) {
-    std::uint8_t len_buf[4];
-    if (!in.read(reinterpret_cast<char*>(len_buf), 4)) break;
-    const std::uint32_t len = static_cast<std::uint32_t>(len_buf[0]) |
-                              (static_cast<std::uint32_t>(len_buf[1]) << 8) |
-                              (static_cast<std::uint32_t>(len_buf[2]) << 16) |
-                              (static_cast<std::uint32_t>(len_buf[3]) << 24);
-    if (len > kMaxWalFileRecord) break;  // corrupt length: stop at the tear
-    Bytes record(len);
-    if (!in.read(reinterpret_cast<char*>(record.data()),
-                 static_cast<std::streamsize>(len))) {
-      break;  // torn tail: the crash interrupted the final append
-    }
-    storage_.append(std::move(record));
-  }
-}
-
-void Server::persist_wal_tail() {
-  if (config_.wal_file.empty()) return;
-  std::ofstream out(config_.wal_file, std::ios::binary | std::ios::app);
-  if (!out) return;
-  for (std::size_t i = persisted_records_; i < storage_.size(); ++i) {
-    const Bytes& record = storage_.read(i);
-    const auto len = static_cast<std::uint32_t>(record.size());
-    const std::uint8_t len_buf[4] = {
-        static_cast<std::uint8_t>(len & 0xff), static_cast<std::uint8_t>((len >> 8) & 0xff),
-        static_cast<std::uint8_t>((len >> 16) & 0xff),
-        static_cast<std::uint8_t>((len >> 24) & 0xff)};
-    out.write(reinterpret_cast<const char*>(len_buf), 4);
-    out.write(reinterpret_cast<const char*>(record.data()),
-              static_cast<std::streamsize>(record.size()));
-  }
-  out.flush();
-  persisted_records_ = storage_.size();
-}
-
-void Server::replay_wal() {
-  // Redo pass: committed transactions are applied, begun-but-undecided
-  // ones come back as in-doubt (the client's re-driven commit or abort
-  // settles them without re-shipping blocks).
-  std::map<std::uint64_t, PendingTx> staged;
-  for (const recovery::LogRecord& rec : wal_.replay()) {
-    stats_.wal_records_replayed++;
-    switch (rec.kind) {
-      case recovery::LogKind::kBegin:
-        staged[rec.tx] = PendingTx{};
-        break;
-      case recovery::LogKind::kPut: {
-        const auto it = staged.find(rec.tx);
-        if (it != staged.end() && rec.value.type() == serialize::Value::Type::kBytes) {
-          it->second.key = rec.key;
-          it->second.value = rec.value.as_bytes();
-        }
-        break;
-      }
-      case recovery::LogKind::kCommit: {
-        const auto it = staged.find(rec.tx);
-        if (it != staged.end()) {
-          store_[it->second.key] = it->second.value;
-          staged.erase(it);
-        }
-        committed_.insert(rec.tx);
-        break;
-      }
-      case recovery::LogKind::kAbort:
-        staged.erase(rec.tx);
-        break;
-      case recovery::LogKind::kErase:
-      case recovery::LogKind::kCheckpoint:
-        break;
-    }
-  }
-  stats_.indoubt_recovered += staged.size();
-  for (auto& [tx, pending] : staged) pending_.emplace(tx, std::move(pending));
 }
 
 void Server::reply(NodeId dst, Bytes payload) {
@@ -206,7 +135,9 @@ void Server::on_control(NodeId src, const Bytes& payload) {
       const auto commit_id = r.varint();
       const auto block_count = r.varint();
       const auto checksum = r.u64();
-      if (!commit_id || !block_count || !checksum || *block_count == 0 ||
+      // Id 0 is no client's (make_commit_id), and the log's redo would
+      // read its records as writes outside any transaction.
+      if (!commit_id || *commit_id == 0 || !block_count || !checksum || *block_count == 0 ||
           *block_count > config_.max_blocks_per_write) {
         stats_.malformed_dropped++;
         return;
@@ -266,7 +197,6 @@ void Server::on_control(NodeId src, const Bytes& payload) {
       }
       wal_.append(recovery::LogKind::kBegin, *commit_id);
       wal_.append(recovery::LogKind::kPut, *commit_id, key, serialize::Value(value));
-      persist_wal_tail();
       pending_[*commit_id] = PendingTx{key, std::move(value)};
       stats_.votes_yes++;
       reply(src, make_simple(Kind::kVoteYes, *commit_id));
@@ -315,7 +245,6 @@ void Server::on_control(NodeId src, const Bytes& payload) {
         return;
       }
       wal_.append(recovery::LogKind::kCommit, *commit_id);
-      persist_wal_tail();
       store_[it->second.key] = std::move(it->second.value);
       committed_.insert(*commit_id);
       pending_.erase(it);
@@ -332,7 +261,6 @@ void Server::on_control(NodeId src, const Bytes& payload) {
       const auto it = pending_.find(*commit_id);
       if (it != pending_.end()) {
         wal_.append(recovery::LogKind::kAbort, *commit_id);
-        persist_wal_tail();
         pending_.erase(it);
         stats_.aborts++;
       }

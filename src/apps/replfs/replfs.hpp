@@ -17,7 +17,9 @@
 //     crashes and restarts mid-protocol rehydrates its in-doubt
 //     transactions and its committed-id set from the log and re-acks
 //     duplicate commits without re-applying them (§3.6 transactions,
-//     §3.8 log-based recovery).
+//     §3.8 log-based recovery). The log is redone by the shared rule,
+//     recovery::WriteAheadLog::redo; a Begin whose Put was torn off was
+//     never voted on and comes back not prepared.
 //
 // Guarantee, pinned by tests/replfs_test.cpp and the multi-process fleet
 // test: once the client's write callback fires with kOk, the write is
@@ -66,11 +68,6 @@ struct ReplfsConfig {
   // Upper bound on blocks per write, mirrored by the server's prepare
   // validation.
   std::size_t max_blocks_per_write = 4096;
-  // Server only: when non-empty, every WAL record is also appended to
-  // this file (length-prefixed, flushed) and loaded back on construction
-  // — process-level durability for multi-process fleets, on top of the
-  // in-memory StableStorage that covers in-process crash()/restart().
-  std::string wal_file;
 };
 
 // The commit id of client node `client`'s write number `seq`: the node id
@@ -96,8 +93,10 @@ struct ServerStats {
 };
 
 // Replica: stages multicast blocks, votes on prepares, commits through the
-// WAL. Construct inside a Runtime service factory on storage that survives
-// crash():
+// WAL. It keeps protocol state only; the WAL's volume is the caller's.
+// Construct inside a Runtime service factory on storage that survives
+// crash() — a Runtime volume, or a file-backed recovery::StableStorage
+// that also survives the process:
 //   rt.add_service<apps::replfs::Server>("replfs", [&](node::Runtime& rt) {
 //     return std::make_unique<apps::replfs::Server>(
 //         rt.transport(), rt.net_stack(), rt.storage("replfs-wal"));
@@ -134,14 +133,10 @@ class Server {
   // multicast and repair paths: past max_staged_blocks it evicts the
   // oldest other commits' blocks, never those of `commit_id`.
   void stage_block(std::uint64_t commit_id, std::uint32_t index, std::string key, Bytes data);
-  void replay_wal();
-  void load_wal_file();
-  void persist_wal_tail();
   void reply(NodeId dst, Bytes payload);
 
   transport::ReliableTransport& transport_;
   net::Stack& stack_;
-  recovery::StableStorage& storage_;
   ReplfsConfig config_;
   recovery::WriteAheadLog wal_;
   // Raw multicast staging: commit -> block index -> block. Volatile —
@@ -152,7 +147,6 @@ class Server {
   std::map<std::uint64_t, PendingTx> pending_;
   std::set<std::uint64_t> committed_;
   std::map<std::string, Bytes> store_;
-  std::size_t persisted_records_ = 0;  // wal_file high-water mark
   ServerStats stats_;
   obs::MetricGroup metrics_;
 };

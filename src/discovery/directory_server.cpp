@@ -32,23 +32,18 @@ void DirectoryServer::log_mutation(recovery::LogKind kind, const ServiceRecord* 
 }
 
 void DirectoryServer::rehydrate() {
+  // Every directory mutation is written outside a transaction, so the redo
+  // applies each at its own record and leaves nothing in doubt.
   const Time now = transport_.router().stack().now();
-  for (const auto& rec : wal_->replay()) {
-    switch (rec.kind) {
-      case recovery::LogKind::kPut: {
-        if (rec.value.type() != serialize::Value::Type::kBytes) break;
-        serialize::Reader r{rec.value.as_bytes()};
-        auto record = ServiceRecord::decode(r);
-        if (record && !record->expired(now)) records_[record->id] = std::move(*record);
-        break;
-      }
-      case recovery::LogKind::kErase:
-        records_.erase(ServiceId{std::strtoull(rec.key.c_str(), nullptr, 10)});
-        break;
-      default:
-        break;  // tx framing records: directory mutations are auto-committed
+  wal_->redo([&](const recovery::LogRecord& rec) {
+    if (rec.kind == recovery::LogKind::kErase) {
+      records_.erase(ServiceId{std::strtoull(rec.key.c_str(), nullptr, 10)});
+    } else if (rec.value.type() == serialize::Value::Type::kBytes) {
+      serialize::Reader r{rec.value.as_bytes()};
+      auto record = ServiceRecord::decode(r);
+      if (record && !record->expired(now)) records_[record->id] = std::move(*record);
     }
-  }
+  });
   stats_.records_rehydrated = records_.size();
 }
 

@@ -32,7 +32,7 @@ std::string json_escape(std::string_view s) {
 
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) && std::fabs(v) < 1e15) {
+  if (std::fabs(v) < 1e15 && v == static_cast<double>(static_cast<std::int64_t>(v))) {
     return std::to_string(static_cast<std::int64_t>(v));
   }
   char buf[32];

@@ -158,7 +158,7 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
       const std::size_t rows = m.rows();
       for (std::size_t i = 0; i < rows; ++i) {
         out.push_back(MetricSample{m.kind, m.name, {m.labels.component, static_cast<std::int64_t>(i)},
-                                   m.row_value(i), nullptr});
+                                   m.row_value(i), nullptr, std::nullopt});
       }
       continue;
     }
@@ -168,8 +168,8 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
     s.labels = m.labels;
     switch (m.kind) {
       case MetricKind::kCounter:
-        s.value = static_cast<double>(m.counter_ptr != nullptr ? *m.counter_ptr
-                                                               : m.counter_fn());
+        s.count = m.counter_ptr != nullptr ? *m.counter_ptr : m.counter_fn();
+        s.value = static_cast<double>(*s.count);
         break;
       case MetricKind::kGauge:
         s.value = m.gauge_fn();
@@ -208,6 +208,8 @@ void MetricsRegistry::write_table(std::ostream& out) const {
           << " p50=" << json_number(s.hist->quantile(0.50))
           << " p95=" << json_number(s.hist->quantile(0.95))
           << " p99=" << json_number(s.hist->quantile(0.99));
+    } else if (s.count) {
+      out << *s.count;
     } else {
       out << json_number(s.value);
     }
@@ -235,6 +237,8 @@ void MetricsRegistry::write_jsonl(std::ostream& out) const {
       }
       buckets += "]";
       o.raw_field("buckets", buckets);
+    } else if (s.count) {
+      o.field("value", *s.count);
     } else {
       o.field("value", s.value);
     }

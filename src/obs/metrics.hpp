@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -94,6 +95,9 @@ struct MetricSample {
   MetricLabels labels;
   double value = 0.0;
   const Histogram* hist = nullptr;
+  // A counter's exact value, which `value` rounds past 2^53 (family rows
+  // report only `value`). The exporters print it.
+  std::optional<std::uint64_t> count;
 };
 
 class MetricsRegistry {

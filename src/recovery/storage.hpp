@@ -1,12 +1,16 @@
 #pragma once
-// Simulated stable storage. Contents survive crash() of the owning node
-// (the volatile state does not). Costs are modelled, not real: a disk with
-// configurable bandwidth and per-operation latency, so recovery time and
-// logging overhead are measurable in simulation time (§3.8 E9).
+// Stable storage: a volume of records whose contents survive crash() of
+// the owning node (the volatile state does not). A volume lives in memory,
+// or is mirrored to a file so that it also survives the process (the UDP
+// backend's SIGKILL and respawn). Costs are modelled, not real: a disk
+// with configurable bandwidth and per-operation latency, so recovery time
+// and logging overhead are measurable in simulation time (§3.8 E9).
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/audit.hpp"
 #include "common/bytes.hpp"
 #include "common/time.hpp"
 
@@ -35,6 +39,11 @@ struct StorageStats {
 class StableStorage {
  public:
   explicit StableStorage(DiskModel disk = {}) : disk_(disk) {}
+  // A volume mirrored to the file at `path`: loads the file's records up
+  // to the first torn one or the first over 16 MiB (each record is a u32
+  // little-endian length, then its bytes), and append() writes and
+  // flushes every record to the file before it returns.
+  explicit StableStorage(std::string path, DiskModel disk = {});
 
   // Append a record; returns its index. The modelled cost is accumulated
   // in stats().time_spent (callers schedule it on the simulator if they
@@ -43,6 +52,7 @@ class StableStorage {
     stats_.writes++;
     stats_.bytes_written += record.size();
     stats_.time_spent += disk_.write_cost(record.size());
+    if (!path_.empty()) write_through(record);
     records_.push_back(std::move(record));
     return records_.size() - 1;
   }
@@ -60,6 +70,7 @@ class StableStorage {
   // Drop records [0, count) — used after a checkpoint makes the log prefix
   // redundant. Indices shift down by `count`.
   void truncate_front(std::size_t count) {
+    NDSM_INVARIANT(path_.empty(), "truncate_front() on a file-backed volume");
     records_.erase(records_.begin(),
                    records_.begin() + static_cast<std::ptrdiff_t>(std::min(count, records_.size())));
   }
@@ -76,7 +87,10 @@ class StableStorage {
   void reset_stats() { stats_ = StorageStats{}; }
 
  private:
+  void write_through(const Bytes& record) const;
+
   DiskModel disk_;
+  std::string path_;  // empty: memory only
   std::vector<Bytes> records_;
   StorageStats stats_;
 };

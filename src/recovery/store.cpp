@@ -125,26 +125,12 @@ RecoveryReport RecoverableStore::recover() {
     break;
   }
 
-  // 2. Redo the log tail: two passes — find committed transactions, then
-  // apply their ops (plus auto-committed tx 0 ops) in order.
-  const auto records = wal_.replay();
-  report.log_records_replayed = records.size();
-  std::set<std::uint64_t> committed;
-  for (const auto& rec : records) {
-    if (rec.kind == LogKind::kCommit) committed.insert(rec.tx);
-  }
-  std::set<std::uint64_t> seen_tx;
-  for (const auto& rec : records) {
-    if (rec.kind == LogKind::kPut || rec.kind == LogKind::kErase) {
-      if (rec.tx == 0 || committed.count(rec.tx) > 0) {
-        apply(rec);
-        report.ops_applied++;
-      } else {
-        report.uncommitted_discarded++;
-        seen_tx.insert(rec.tx);
-      }
-    }
-  }
+  // 2. Redo the log tail. A transaction the log left undecided is dropped.
+  const RedoResult redo = wal_.redo([this](const LogRecord& rec) { apply(rec); });
+  report.log_records_replayed = wal_.last_replay().records_replayed;
+  report.ops_applied = redo.applied;
+  report.uncommitted_discarded = redo.discarded;
+  for (const auto& [tx, writes] : redo.in_doubt) report.uncommitted_discarded += writes.size();
   report.modelled_time =
       log_storage_.stats().time_spent + checkpoints_.stats().time_spent - io_before;
   return report;

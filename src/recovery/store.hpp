@@ -2,11 +2,12 @@
 // RecoverableStore: the §3.8 recovery system as a component. A key-value
 // state with write-ahead logging, periodic checkpoints to stable storage,
 // transactional mutations (begin/commit/abort), crash injection, and
-// redo recovery that reconstructs exactly the committed state.
+// redo recovery that reconstructs exactly the committed state: the newest
+// intact checkpoint, then the log tail through WriteAheadLog::redo. A
+// transaction the log left undecided is dropped.
 
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "recovery/wal.hpp"

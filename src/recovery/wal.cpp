@@ -97,6 +97,44 @@ std::vector<LogRecord> WriteAheadLog::replay() {
   return out;
 }
 
+RedoResult WriteAheadLog::redo(const std::function<void(const LogRecord&)>& apply) {
+  RedoResult out;
+  // Open transactions collect in out.in_doubt; what is left at the end of
+  // the log is in doubt.
+  for (LogRecord& rec : replay()) {
+    switch (rec.kind) {
+      case LogKind::kPut:
+      case LogKind::kErase:
+        if (rec.tx == 0) {
+          apply(rec);
+          out.applied++;
+        } else {
+          out.in_doubt[rec.tx].push_back(std::move(rec));
+        }
+        break;
+      case LogKind::kBegin: {
+        auto& writes = out.in_doubt[rec.tx];
+        out.discarded += writes.size();
+        writes.clear();
+        break;
+      }
+      case LogKind::kCommit:
+        if (auto tx = out.in_doubt.extract(rec.tx)) {
+          for (const LogRecord& w : tx.mapped()) apply(w);
+          out.applied += tx.mapped().size();
+        }
+        out.committed.push_back(rec.tx);
+        break;
+      case LogKind::kAbort:
+        if (auto tx = out.in_doubt.extract(rec.tx)) out.discarded += tx.mapped().size();
+        break;
+      case LogKind::kCheckpoint:
+        break;
+    }
+  }
+  return out;
+}
+
 void WriteAheadLog::truncate() { storage_.truncate_front(storage_.size()); }
 
 }  // namespace ndsm::recovery

@@ -1,11 +1,16 @@
 #pragma once
 // Write-ahead log (§3.8 "Sometimes a simple log-based scheme can be
 // used"). Redo-only logging with commit records: every mutation is logged
-// before being applied; recovery replays only mutations whose transaction
-// committed.
+// before being applied, and redo() is the one rule that turns a log back
+// into state (DESIGN §9). Each owner keeps its own policy for what the log
+// left undecided: RecoverableStore drops it, the ReplFS replica keeps it
+// in doubt, and the discovery directory never writes in a transaction.
 
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "obs/metrics.hpp"
@@ -46,6 +51,17 @@ struct WalReplayStats {
   [[nodiscard]] bool mid_log_corruption() const { return records_dropped_valid > 0; }
 };
 
+// What redo() did with the writes (Put and Erase records) it replayed.
+// applied + discarded + the writes in doubt == the writes replayed.
+struct RedoResult {
+  std::uint64_t applied = 0;    // handed to the apply callback
+  std::uint64_t discarded = 0;  // dropped by an Abort, or reset by a Begin
+  std::vector<std::uint64_t> committed;  // Commit record ids, in log order
+  // Transactions with no Commit or Abort after their writes, each with its
+  // writes in log order (a Begin alone leaves an empty list).
+  std::map<std::uint64_t, std::vector<LogRecord>> in_doubt;
+};
+
 class WriteAheadLog {
  public:
   explicit WriteAheadLog(StableStorage& storage) : storage_(storage) { register_metrics(); }
@@ -61,6 +77,14 @@ class WriteAheadLog {
   // and logged, so a clean torn tail (one interrupted append) is
   // distinguishable from mid-log corruption (valid records lost).
   [[nodiscard]] std::vector<LogRecord> replay();
+
+  // The redo rule, over replay()'s records in log order. A write outside
+  // any transaction (tx 0) is applied at its own record. A Begin starts
+  // its transaction afresh; a write joins its transaction, opening it if
+  // no Begin came first. A Commit applies the transaction's writes, in
+  // order, at the Commit record and records the id; an Abort drops them.
+  // What is left comes back in doubt, for the owner to decide.
+  RedoResult redo(const std::function<void(const LogRecord&)>& apply);
 
   // Discard log records already covered by a checkpoint.
   void truncate();

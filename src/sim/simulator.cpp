@@ -165,6 +165,12 @@ bool Simulator::cancel(EventId id) {
   if (slot >= s.slots.size() || s.slots[slot].gen != gen) return false;
   s.release(slot);
   --s.live;
+  // A cancelled entry waits in the heap until it reaches the top; once
+  // they outnumber the live ones, drop them. Keys are unique per shard and
+  // instant, so the pop order is a total order that re-heapifying keeps.
+  if (s.heap.size() > 2 * s.live + 64) {
+    s.heap.drop_if([&s](const Entry& e) { return !s.holds(e); });
+  }
   return true;
 }
 

@@ -50,6 +50,7 @@
 // Threads, mutexes and condition variables are confined to simulator.cpp;
 // the ndsm_lint `raw-concurrency` rule bans them everywhere else.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -221,9 +222,16 @@ class Simulator {
   };
 
   // Thin wrapper so audit_verify() can scan the underlying heap storage
-  // (std::priority_queue keeps its container protected).
+  // and cancel() can compact it (std::priority_queue keeps its container
+  // protected).
   struct EntryHeap : std::priority_queue<Entry, std::vector<Entry>, std::greater<>> {
     [[nodiscard]] const std::vector<Entry>& entries() const { return c; }
+    // Drop the entries `dead` picks and restore the heap order in place.
+    template <class Pred>
+    void drop_if(Pred dead) {
+      c.erase(std::remove_if(c.begin(), c.end(), dead), c.end());
+      std::make_heap(c.begin(), c.end(), comp);
+    }
   };
 
   // A cross-shard event waiting in a mailbox for the next barrier.

@@ -2,8 +2,8 @@
 // acceptance criterion that the same apps:: code running in the sim soaks
 // completes a real multi-OS-process session over UDP:
 //
-//   ReplfsFleet   three replfs server processes (each with a crash-durable
-//                 WAL file) and one client process. The parent SIGKILLs a
+//   ReplfsFleet   three replfs server processes (each with its WAL on a
+//                 file-backed StableStorage volume) and one client process. The parent SIGKILLs a
 //                 server mid-write-stream and respawns it on the same WAL
 //                 file; the client's re-driven 2PC walks it back in, and
 //                 at the end the client reads every acked key back from
@@ -32,6 +32,7 @@
 #include "apps/replfs/replfs.hpp"
 #include "net/udp_stack.hpp"
 #include "node/runtime.hpp"
+#include "recovery/storage.hpp"
 
 namespace {
 
@@ -74,15 +75,13 @@ std::string client_value(int i) {
 
 int run_replfs_server(std::uint16_t base, std::uint32_t id) {
   std::signal(SIGTERM, on_sigterm);
+  recovery::StableStorage wal{wal_path(id)};
   net::UdpStack stack{NodeId{id}, udp_config(base, kReplfsServers + 1)};
   node::StackConfig scfg;
   scfg.router = node::RouterPolicy::kFlooding;
   node::Runtime rt{stack, scfg};
-  apps::replfs::ReplfsConfig rcfg;
-  rcfg.wal_file = wal_path(id);
-  rt.add_service<apps::replfs::Server>("replfs", [rcfg](node::Runtime& r) {
-    return std::make_unique<apps::replfs::Server>(r.transport(), r.net_stack(),
-                                                  r.storage("replfs-wal"), rcfg);
+  rt.add_service<apps::replfs::Server>("replfs", [&wal](node::Runtime& r) {
+    return std::make_unique<apps::replfs::Server>(r.transport(), r.net_stack(), wal);
   });
   stack.run_until([] { return g_terminated != 0; }, duration::seconds(120));
   return 0;

@@ -209,12 +209,29 @@ TEST(Metrics, JsonlEscapesAndRendersHistograms) {
   EXPECT_EQ(count, 2);
 }
 
+// A counter exports as its exact integer: the engine's 64-bit event
+// digest, the twin-run witness, must not round to six digits on the way
+// out, where two different digests would print alike.
+TEST(Metrics, CountersExportAsExactIntegers) {
+  MetricsRegistry reg;
+  const std::uint64_t digest = 0xc710abab23a7349dULL;
+  reg.add_counter("test.digest", {"test", 1}, &digest);
+  std::ostringstream jsonl;
+  reg.write_jsonl(jsonl);
+  EXPECT_NE(jsonl.str().find("\"value\":14344153564700947613}"), std::string::npos)
+      << jsonl.str();
+  std::ostringstream table;
+  reg.write_table(table);
+  EXPECT_NE(table.str().find(" 14344153564700947613\n"), std::string::npos) << table.str();
+}
+
 TEST(Json, EscapeAndNumbers) {
   EXPECT_EQ(obs::json_escape("plain"), "plain");
   EXPECT_EQ(obs::json_escape("a\"b\\c\n\t"), "a\\\"b\\\\c\\n\\t");
   EXPECT_EQ(obs::json_escape(std::string_view{"\x01", 1}), "\\u0001");
   EXPECT_EQ(obs::json_number(3.0), "3");
   EXPECT_EQ(obs::json_number(0.0 / 0.0), "null");
+  EXPECT_EQ(obs::json_number(1.5e19), "1.5e+19");  // past int64: no cast
   obs::JsonObject o;
   o.field("s", "x\"y").field("n", 2).field("b", true);
   EXPECT_EQ(o.str(), "{\"s\":\"x\\\"y\",\"n\":2,\"b\":true}");

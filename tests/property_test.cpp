@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
 
 #include "net/world_stack.hpp"
@@ -212,52 +215,86 @@ TEST_P(PlannerProperty, FeasiblePlansSatisfyAndOptimalDominates) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PlannerProperty, ::testing::Range(1, 9));
 
 // ---------------------------------------------------------------------------
-// Recovery: random op/crash sequences recover exactly the committed
+// Recovery: random op/restart sequences recover exactly the committed
 // reference state.
 class RecoveryProperty : public ::testing::TestWithParam<int> {};
 
+// Up to three transactions open at once, their writes interleaved with
+// each other and with singleton writes on four shared keys, committed and
+// aborted in random order; each round ends with the store rebuilt on the
+// same volumes, as a restarted process builds it, while transactions are
+// still open. The reference applies a transaction's writes at its commit.
 TEST_P(RecoveryProperty, RecoversExactlyCommittedState) {
   Rng rng{static_cast<std::uint64_t>(GetParam()) * 7919};
   recovery::StableStorage log;
   recovery::StableStorage checkpoints;
-  recovery::RecoverableStore store{log, checkpoints};
+  auto store = std::make_unique<recovery::RecoverableStore>(log, checkpoints);
   std::map<std::string, std::int64_t> reference;  // committed truth
+  // Open transactions' buffered writes, in order; nullopt is an erase.
+  using Write = std::pair<std::string, std::optional<std::int64_t>>;
+  std::map<std::uint64_t, std::vector<Write>> open;
+  const auto apply = [&](const Write& w) {
+    if (w.second) {
+      reference[w.first] = *w.second;
+    } else {
+      reference.erase(w.first);
+    }
+  };
+  const auto pick_open = [&] {
+    auto it = open.begin();
+    std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(open.size()) - 1));
+    return it;
+  };
 
   for (int round = 0; round < 5; ++round) {
-    const int ops = static_cast<int>(rng.uniform_int(5, 60));
+    const int ops = static_cast<int>(rng.uniform_int(20, 80));
     for (int i = 0; i < ops; ++i) {
-      const std::string key = "k" + std::to_string(rng.uniform_int(0, 9));
-      const auto value = rng.uniform_int(0, 1000);
-      const int action = static_cast<int>(rng.uniform_int(0, 9));
-      if (action < 5) {
-        store.put(key, Value{value});
-        reference[key] = value;
-      } else if (action < 7) {
-        store.erase(key);
-        reference.erase(key);
-      } else if (action < 9) {
-        // A transaction that may commit or abort (or be lost in a crash).
-        const auto tx = store.begin_tx();
-        const std::string tx_key = "t" + std::to_string(rng.uniform_int(0, 4));
-        store.put(tx_key, Value{value}, tx);
-        if (rng.bernoulli(0.6)) {
-          store.commit(tx);
-          reference[tx_key] = value;
+      const std::string key = "k" + std::to_string(rng.uniform_int(0, 3));
+      const Write write{key, rng.bernoulli(0.8) ? std::optional<std::int64_t>{
+                                                      rng.uniform_int(0, 1000)}
+                                                : std::nullopt};
+      const int action = static_cast<int>(rng.uniform_int(0, 39));
+      if (action < 12) {
+        // A singleton write, outside any transaction.
+        if (write.second) {
+          store->put(key, Value{*write.second});
         } else {
-          store.abort(tx);
+          store->erase(key);
         }
-      } else {
-        store.checkpoint();
+        apply(write);
+      } else if (action < 19 && open.size() < 3) {
+        open[store->begin_tx()];
+      } else if (action < 31 && !open.empty()) {
+        const auto it = pick_open();
+        if (write.second) {
+          store->put(key, Value{*write.second}, it->first);
+        } else {
+          store->erase(key, it->first);
+        }
+        it->second.push_back(write);
+      } else if (action < 39 && !open.empty()) {
+        const auto it = pick_open();
+        if (rng.bernoulli(0.6)) {
+          store->commit(it->first);
+          for (const Write& w : it->second) apply(w);
+        } else {
+          store->abort(it->first);
+        }
+        open.erase(it);
+      } else if (action == 39) {
+        store->checkpoint();
       }
     }
-    // Crash & recover; committed state must equal the reference exactly.
-    store.crash();
-    store.recover();
-    ASSERT_EQ(store.size(), reference.size()) << "round " << round;
+    // Restart: a new store on the same volumes; open transactions are lost
+    // with the old one, and committed state must equal the reference.
+    store = std::make_unique<recovery::RecoverableStore>(log, checkpoints);
+    store->recover();
+    open.clear();
+    ASSERT_EQ(store->size(), reference.size()) << "round " << round;
     for (const auto& [key, value] : reference) {
-      const auto got = store.get(key);
-      ASSERT_TRUE(got.has_value()) << key;
-      EXPECT_EQ(*got, Value{value}) << key;
+      const auto got = store->get(key);
+      ASSERT_TRUE(got.has_value()) << key << " round " << round;
+      EXPECT_EQ(*got, Value{value}) << key << " round " << round;
     }
   }
 }

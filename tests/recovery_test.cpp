@@ -4,6 +4,11 @@
 #include "recovery/store.hpp"
 #include "recovery/wal.hpp"
 
+namespace ndsm::serialize {
+// Readable failure messages for Value comparisons.
+void PrintTo(const Value& v, std::ostream* os) { *os << v.to_string(); }
+}  // namespace ndsm::serialize
+
 namespace ndsm::recovery {
 namespace {
 
@@ -111,6 +116,75 @@ TEST_F(StoreTest, RecoveryCombinesCheckpointAndLogTail) {
   EXPECT_EQ(store.get("before"), Value{1});
   EXPECT_EQ(store.get("after"), Value{2});
   EXPECT_EQ(report.ops_applied, 1u);  // only the tail op replayed
+}
+
+// A transaction's writes take effect at its commit, live and in recovery:
+// of two transactions writing one key, the one that commits last decides
+// the value, whatever order their writes were logged in.
+TEST_F(StoreTest, RecoveryAppliesTransactionsInCommitOrder) {
+  const auto first = store.begin_tx();
+  const auto second = store.begin_tx();
+  store.put("k", Value{1}, first);
+  store.put("k", Value{2}, second);
+  store.commit(second);
+  store.commit(first);
+  ASSERT_EQ(store.get("k"), Value{1});
+  store.crash();
+  store.recover();
+  EXPECT_EQ(store.get("k"), Value{1});
+}
+
+// A write outside any transaction takes effect at once; a transaction
+// that writes the same key and commits later overrides it.
+TEST_F(StoreTest, RecoveryOrdersSingletonWritesBeforeALaterCommit) {
+  const auto tx = store.begin_tx();
+  store.put("k", Value{1}, tx);
+  store.put("k", Value{2});
+  store.commit(tx);
+  ASSERT_EQ(store.get("k"), Value{1});
+  store.crash();
+  store.recover();
+  EXPECT_EQ(store.get("k"), Value{1});
+}
+
+// A store rebuilt on the same volumes, as a restarted process builds it,
+// numbers its transactions from 1 again. Its Begin starts the reused id
+// afresh, so the old incarnation's Commit of that id does not commit the
+// new transaction's writes.
+TEST_F(StoreTest, RebuiltStoreDoesNotInheritAnOldCommit) {
+  const auto tx = store.begin_tx();
+  store.put("k", Value{1}, tx);
+  store.commit(tx);
+
+  RecoverableStore reborn{log, checkpoints};
+  reborn.recover();
+  const auto reused = reborn.begin_tx();
+  EXPECT_EQ(reused, tx);
+  reborn.put("k", Value{2}, reused);  // never commits
+  ASSERT_EQ(reborn.get("k"), Value{1});
+  reborn.crash();
+  const auto report = reborn.recover();
+  EXPECT_EQ(reborn.get("k"), Value{1});
+  EXPECT_EQ(report.uncommitted_discarded, 1u);
+}
+
+// The other side of a reused id: the old incarnation left it open, and
+// the new one's Begin resets it, so its Commit applies only its own write.
+TEST_F(StoreTest, ReusedIdCommitsOnlyTheNewIncarnationsWrites) {
+  const auto tx = store.begin_tx();
+  store.put("old", Value{1}, tx);  // the restart leaves this one open
+
+  RecoverableStore reborn{log, checkpoints};
+  reborn.recover();
+  const auto reused = reborn.begin_tx();
+  EXPECT_EQ(reused, tx);
+  reborn.put("new", Value{2}, reused);
+  reborn.commit(reused);
+  reborn.crash();
+  const auto report = reborn.recover();
+  EXPECT_EQ(reborn.get("new"), Value{2});
+  EXPECT_FALSE(reborn.get("old").has_value());
+  EXPECT_EQ(report.uncommitted_discarded, 1u);
 }
 
 TEST_F(StoreTest, OpenTransactionSurvivesCheckpoint) {

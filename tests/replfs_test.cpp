@@ -35,8 +35,11 @@ namespace {
 
 // Control kinds on port kReplfs (mirrors the implementation's private
 // enum; tests forge messages to drive server paths directly).
+constexpr std::uint8_t kKindPrepare = 1;
+constexpr std::uint8_t kKindVoteMissing = 3;
 constexpr std::uint8_t kKindCommit = 4;
 constexpr std::uint8_t kKindCommitAck = 5;
+constexpr std::uint8_t kKindCommitNack = 6;
 constexpr std::uint8_t kKindBlocks = 10;
 
 // N replicas (as Runtime services, so crash()/restart() rebuilds them on
@@ -254,6 +257,76 @@ TEST(Replfs, InDoubtTransactionSettledByLateCommitExactlyOnce) {
   EXPECT_EQ(server.stats().commits_applied, 1u);
   EXPECT_EQ(server.stats().duplicate_commits, 1u);
   EXPECT_EQ(acks, 2);
+}
+
+// Pin of the redo rule: a transaction's write takes effect at its Commit
+// record, so of two transactions prepared on one key the one committed
+// last holds the key after a restart, whatever order the Puts came in.
+TEST(Replfs, ReplayAppliesTransactionsInCommitOrder) {
+  testing::Lan lan{1};
+  {
+    recovery::WriteAheadLog wal{lan.runtime(0).storage("replfs-wal")};
+    wal.append(recovery::LogKind::kBegin, 0x41);
+    wal.append(recovery::LogKind::kPut, 0x41, "shared", serialize::Value(to_bytes("first")));
+    wal.append(recovery::LogKind::kBegin, 0x42);
+    wal.append(recovery::LogKind::kPut, 0x42, "shared", serialize::Value(to_bytes("second")));
+    wal.append(recovery::LogKind::kCommit, 0x42);
+    wal.append(recovery::LogKind::kCommit, 0x41);
+  }
+  lan.runtime(0).add_service<Server>("replfs", [](node::Runtime& rt) {
+    return std::make_unique<Server>(rt.transport(), rt.net_stack(),
+                                    rt.storage("replfs-wal"));
+  });
+  const Server& server = *lan.runtime(0).service<Server>("replfs");
+  EXPECT_EQ(to_string(server.store().at("shared")), "first");
+  EXPECT_EQ(server.store().size(), 1u);
+  EXPECT_EQ(server.stats().wal_records_replayed, 6u);
+  EXPECT_EQ(server.indoubt_count(), 0u);
+  EXPECT_EQ(server.stats().indoubt_recovered, 0u);
+}
+
+// A torn tail between the Begin and the Put of a prepare: the vote is sent
+// only after both records are appended, so this transaction was never
+// voted on and must come back as not prepared. A re-driven prepare is
+// asked for its blocks and a commit is refused.
+TEST(Replfs, BeginWithoutPutIsNotPrepared) {
+  testing::Lan lan{2};
+  constexpr std::uint64_t kTx = 0x43;
+  {
+    recovery::WriteAheadLog wal{lan.runtime(0).storage("replfs-wal")};
+    wal.append(recovery::LogKind::kBegin, kTx);
+  }
+  lan.runtime(0).add_service<Server>("replfs", [](node::Runtime& rt) {
+    return std::make_unique<Server>(rt.transport(), rt.net_stack(),
+                                    rt.storage("replfs-wal"));
+  });
+  const Server& server = *lan.runtime(0).service<Server>("replfs");
+  EXPECT_EQ(server.indoubt_count(), 0u);
+
+  std::vector<std::uint8_t> replies;
+  lan.transport(1).set_receiver(transport::ports::kReplfs,
+                                [&](NodeId, const Bytes& payload) {
+                                  serialize::Reader r{payload};
+                                  replies.push_back(r.u8().value_or(0));
+                                });
+  serialize::Writer prepare;
+  prepare.u8(kKindPrepare);
+  prepare.varint(kTx);
+  prepare.varint(1);  // block count
+  prepare.u64(fnv1a(to_bytes("value")));
+  lan.transport(1).send(lan.nodes[0], transport::ports::kReplfs, std::move(prepare).take());
+  lan.sim.run_until(duration::seconds(1));
+  serialize::Writer commit;
+  commit.u8(kKindCommit);
+  commit.varint(kTx);
+  lan.transport(1).send(lan.nodes[0], transport::ports::kReplfs, std::move(commit).take());
+  lan.sim.run_until(duration::seconds(2));
+
+  EXPECT_EQ(replies, (std::vector<std::uint8_t>{kKindVoteMissing, kKindCommitNack}));
+  EXPECT_EQ(server.store().count(""), 0u);
+  EXPECT_TRUE(server.store().empty());
+  EXPECT_EQ(server.stats().commits_applied, 0u);
+  EXPECT_EQ(server.indoubt_count(), 0u);
 }
 
 TEST(Replfs, HostileTrafficIsCountedAndStagingIsBounded) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -263,6 +264,27 @@ TEST(Simulator, SlabIdReuseAcrossGenerations) {
   }
   EXPECT_EQ(sim.slab_capacity(), 1u);
   EXPECT_EQ(sim.pending(), 0u);
+}
+
+// Cancelled entries wait in the heap for their deadline to reach the top.
+// Behind live timers due first, as a UDP process's retransmission timers
+// sit behind its sooner ones, they must not pile up: the replfs-udp run
+// this reproduces armed 184,822 timers with at most 7 live.
+TEST(Simulator, CancelledEntriesStayBoundedBehindLiveOnes) {
+  Simulator sim;
+  int fired = 0;
+  for (int i = 1; i <= 7; ++i) sim.schedule_at(i, [&] { fired++; });
+  std::size_t peak = 0;
+  for (int i = 0; i < 184822; ++i) {
+    const EventId id = sim.schedule_at(duration::seconds(1) + i, [] {});
+    peak = std::max(peak, sim.heap_depth());
+    ASSERT_TRUE(sim.cancel(id));
+  }
+  EXPECT_LE(peak, 79u);
+  EXPECT_EQ(sim.pending(), 7u);
+  sim.run_all();
+  EXPECT_EQ(fired, 7);
+  EXPECT_EQ(sim.executed_events(), 7u);
 }
 
 TEST(Simulator, SlabGrowsOnlyWithConcurrency) {
