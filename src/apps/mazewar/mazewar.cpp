@@ -1,5 +1,6 @@
 #include "apps/mazewar/mazewar.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/bytes.hpp"
@@ -11,6 +12,11 @@ namespace {
 
 constexpr double kFireProbability = 0.2;  // per tick, when no missile is in flight
 constexpr std::uint64_t kRngSalt = 0x6d617a65;  // "maze"
+
+// The widest state frame: kind, then encode_state's fields at their
+// longest varints (x, y, missile x and y 5 bytes each as int32s; score and
+// seq 10 each; dir, missile flag and missile dir 1 each).
+constexpr std::size_t kMaxStateFrame = 1 + 5 + 5 + 1 + 10 + 10 + 1 + 5 + 5 + 1;
 
 // Wire kinds on Proto::kMazewar. State and join carry the same body; join
 // additionally tells receivers to treat the sender as newly arrived.
@@ -59,6 +65,13 @@ void encode_state(serialize::Writer& w, const RatState& s) {
   s.missile_y = static_cast<std::int32_t>(*my);
   s.missile_dir = static_cast<Dir>(*mdir);
   return s;
+}
+
+// The record for `id` in an id-sorted peer table, or where it would go.
+template <class Table>
+[[nodiscard]] auto find_slot(Table& peers, NodeId id) {
+  return std::lower_bound(peers.begin(), peers.end(), id,
+                          [](const auto& record, NodeId key) { return record.first < key; });
 }
 
 [[nodiscard]] std::int32_t dir_dx(Dir d) {
@@ -163,8 +176,10 @@ void Player::advance_missile() {
   self_state_.missile_y = ny;
   // Hit check against last-known peer positions (shooter-side judgement,
   // as in the original Mazewar: the claim is then settled with the victim
-  // over the acked exchange). std::map order makes the multi-occupant
-  // tiebreak deterministic.
+  // over the acked exchange). The table's id order makes the
+  // multi-occupant tiebreak deterministic: the lowest id is hit. The walk
+  // ends at the claim, so nothing send_claim() might re-enter can insert
+  // into the table under it.
   for (const auto& [peer, view] : peers_) {
     if (view.state.x == nx && view.state.y == ny) {
       self_state_.missile_live = false;
@@ -179,6 +194,7 @@ void Player::advance_missile() {
 void Player::broadcast_state(bool is_join) {
   self_state_.seq++;
   serialize::Writer w;
+  w.reserve(kMaxStateFrame);
   w.u8(static_cast<std::uint8_t>(is_join ? Kind::kJoin : Kind::kState));
   encode_state(w, self_state_);
   stack_.broadcast_frame(net::Proto::kMazewar, std::move(w).take());
@@ -195,16 +211,13 @@ void Player::send_claim(NodeId victim, std::uint64_t hit_id) {
 
 void Player::sample_staleness_and_expire() {
   const Time now = stack_.now();
-  std::vector<NodeId> dead;
-  for (const auto& [peer, view] : peers_) {
-    const Time age = now - view.last_heard;
+  const auto live_end = std::remove_if(peers_.begin(), peers_.end(), [&](const auto& record) {
+    const Time age = now - record.second.last_heard;
     staleness_->observe(static_cast<double>(age) / 1000.0);
-    if (age > config_.peer_timeout) dead.push_back(peer);
-  }
-  for (const NodeId peer : dead) {
-    peers_.erase(peer);
-    stats_.peers_expired++;
-  }
+    return age > config_.peer_timeout;
+  });
+  stats_.peers_expired += static_cast<std::uint64_t>(peers_.end() - live_end);
+  peers_.erase(live_end, peers_.end());
 }
 
 void Player::tick() {
@@ -241,7 +254,11 @@ void Player::on_frame(const net::LinkFrame& frame) {
       return;
     }
     case Kind::kLeave: {
-      if (peers_.erase(frame.src) > 0) stats_.leaves_seen++;
+      const auto departed = find_slot(peers_, frame.src);
+      if (departed != peers_.end() && departed->first == frame.src) {
+        peers_.erase(departed);
+        stats_.leaves_seen++;
+      }
       // Abandon claims against the departed: nobody is left to ack them.
       for (auto it = pending_hits_.begin(); it != pending_hits_.end();) {
         it = (it->second.victim == frame.src) ? pending_hits_.erase(it) : std::next(it);
@@ -272,10 +289,10 @@ void Player::on_frame(const net::LinkFrame& frame) {
 
 void Player::on_state(NodeId src, const RatState& state, bool is_join) {
   stats_.states_received++;
-  auto it = peers_.find(src);
-  if (it == peers_.end()) {
+  const auto it = find_slot(peers_, src);
+  if (it == peers_.end() || it->first != src) {
     stats_.joins_seen += is_join ? 1 : 0;
-    peers_.emplace(src, PeerView{state, stack_.now()});
+    peers_.emplace(it, src, PeerView{state, stack_.now()});
     return;
   }
   // Any valid packet proves liveness; only newer state replaces the view
@@ -290,17 +307,20 @@ void Player::on_state(NodeId src, const RatState& state, bool is_join) {
 
 void Player::on_hit(NodeId shooter, std::uint64_t hit_id) {
   if (!in_game_) return;  // a departed player is not a target
+  // A shooter numbers its claims in increasing order, so the insert is
+  // almost always an append.
   auto& applied = hits_applied_[shooter];
-  if (applied.count(hit_id) == 0) {
-    applied.insert(hit_id);
+  const auto at = std::lower_bound(applied.begin(), applied.end(), hit_id);
+  if (at == applied.end() || *at != hit_id) {
+    applied.insert(at, hit_id);
     self_state_.score -= kHitPenalty;
     stats_.hits_suffered++;
     respawn();
   } else {
     stats_.duplicate_claims++;
   }
-  // Always re-ack: the previous ack may have been lost, and the dedup set
-  // above keeps the re-application from double-counting.
+  // Always re-ack: the previous ack may have been lost, and the dedup
+  // table above keeps the re-application from double-counting.
   serialize::Writer w;
   w.u8(static_cast<std::uint8_t>(Kind::kHitAck));
   w.varint(hit_id);
@@ -313,6 +333,11 @@ void Player::on_hit_ack(NodeId /*victim*/, std::uint64_t hit_id) {
   pending_hits_.erase(it);
   self_state_.score += kHitReward;
   stats_.hits_confirmed++;
+}
+
+const PeerView* Player::peer(NodeId id) const {
+  const auto it = find_slot(peers_, id);
+  return it != peers_.end() && it->first == id ? &it->second : nullptr;
 }
 
 std::uint64_t Player::digest() const {

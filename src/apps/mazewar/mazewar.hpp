@@ -25,7 +25,7 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -125,7 +125,11 @@ class Player {
   void set_autopilot(bool enabled) { config_.autopilot = enabled; }
 
   [[nodiscard]] const RatState& self_state() const { return self_state_; }
-  [[nodiscard]] const std::map<NodeId, PeerView>& peers() const { return peers_; }
+  // Live peers as (id, view) records in ascending id order.
+  [[nodiscard]] const std::vector<std::pair<NodeId, PeerView>>& peers() const { return peers_; }
+  // The view of peer `id`, or nullptr when it is not live. The pointer
+  // holds until a peer joins, leaves or expires.
+  [[nodiscard]] const PeerView* peer(NodeId id) const;
   [[nodiscard]] const MazewarStats& stats() const { return stats_; }
   [[nodiscard]] const MazeConfig& config() const { return config_; }
   // Unresolved hit claims still being retransmitted (0 at quiesce).
@@ -160,13 +164,19 @@ class Player {
   Rng rng_;
   bool in_game_ = false;
   RatState self_state_;
-  std::map<NodeId, PeerView> peers_;
+  // Sorted by id: a received state is one binary search, and every walk
+  // (missile tiebreak, digest, expiry) visits peers in id order.
+  std::vector<std::pair<NodeId, PeerView>> peers_;
   // Shooter side: claim id -> retransmit state, resolved by the ack.
   std::uint64_t next_hit_id_ = 1;
   std::map<std::uint64_t, PendingHit> pending_hits_;
-  // Victim side: claim ids already applied, per shooter — the dedup set
-  // that makes at-least-once claim delivery exactly-once on the score.
-  std::map<NodeId, std::set<std::uint64_t>> hits_applied_;
+  // Victim side: claim ids already applied, sorted, per shooter — the
+  // dedup table that makes at-least-once claim delivery exactly-once on
+  // the score. It outlives peer expiry, so a claim re-sent after a
+  // partition is not applied twice, and it is no DedupWindow: claim ids
+  // count across all victims, so one victim's ids have gaps that a
+  // window's floor would pass over unapplied (DESIGN §16).
+  std::map<NodeId, std::vector<std::uint64_t>> hits_applied_;
   MazewarStats stats_;
   obs::MetricGroup metrics_;
   obs::Histogram* staleness_ = nullptr;  // owned by the registry via metrics_

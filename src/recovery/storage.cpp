@@ -1,5 +1,6 @@
 #include "recovery/storage.hpp"
 
+#include <filesystem>
 #include <fstream>
 #include <utility>
 
@@ -13,6 +14,7 @@ constexpr std::uint32_t kMaxFileRecord = 16u << 20;
 StableStorage::StableStorage(std::string path, DiskModel disk)
     : disk_(disk), path_(std::move(path)) {
   std::ifstream in(path_, std::ios::binary);  // no file yet: first boot
+  std::uintmax_t whole = 0;  // file bytes up to the end of the last whole record
   std::uint8_t len_buf[4];
   while (in.read(reinterpret_cast<char*>(len_buf), 4)) {
     std::uint32_t len = 0;
@@ -23,7 +25,14 @@ StableStorage::StableStorage(std::string path, DiskModel disk)
       break;  // torn tail: the crash interrupted the final append
     }
     records_.push_back(std::move(record));
+    whole += 4 + len;
   }
+  in.close();
+  // Cut the tear off, so that the next append follows the last whole
+  // record: appended after bytes no load can get past, it would be lost.
+  std::error_code no_file;
+  const std::uintmax_t size = std::filesystem::file_size(path_, no_file);
+  if (!no_file && size > whole) std::filesystem::resize_file(path_, whole);
 }
 
 void StableStorage::write_through(const Bytes& record) const {

@@ -41,8 +41,9 @@ class StableStorage {
   explicit StableStorage(DiskModel disk = {}) : disk_(disk) {}
   // A volume mirrored to the file at `path`: loads the file's records up
   // to the first torn one or the first over 16 MiB (each record is a u32
-  // little-endian length, then its bytes), and append() writes and
-  // flushes every record to the file before it returns.
+  // little-endian length, then its bytes) and trims the file to the end
+  // of the last record loaded; append() writes and flushes every record
+  // to the file before it returns.
   explicit StableStorage(std::string path, DiskModel disk = {});
 
   // Append a record; returns its index. The modelled cost is accumulated

@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -64,7 +66,18 @@ Bytes claim_frame(std::uint8_t kind, std::uint64_t hit_id) {
   return std::move(w).take();
 }
 
-// One player plus a bare "attacker" stack that forges raw kMazewar frames.
+// Payloads of kind `kind` among `payloads`.
+int count_kind(const std::vector<Bytes>& payloads, std::uint8_t kind) {
+  int n = 0;
+  for (const Bytes& payload : payloads) {
+    serialize::Reader r{payload};
+    if (r.u8().value_or(0) == kind) n++;
+  }
+  return n;
+}
+
+// One player plus a bare "attacker" stack that forges raw kMazewar frames,
+// and optionally more forging stacks.
 struct Harness {
   sim::Simulator sim{42};
   net::World world{sim};
@@ -73,8 +86,12 @@ struct Harness {
   std::unique_ptr<net::WorldStack> player_stack, attacker_stack;
   std::unique_ptr<Player> player;
   std::vector<Bytes> attacker_got;  // payloads the player sent back to us
+  // Stacks added after the attacker, so their ids ascend from the
+  // attacker's in index order; forger_got[k] is what forgers[k] received.
+  std::vector<std::unique_ptr<net::WorldStack>> forgers;
+  std::vector<std::vector<Bytes>> forger_got;
 
-  explicit Harness(MazeConfig cfg = {}) {
+  explicit Harness(MazeConfig cfg = {}, std::size_t extra_forgers = 0) {
     player_id = world.add_node(Vec2{0.0, 0.0});
     world.attach(player_id, medium);
     attacker_id = world.add_node(Vec2{5.0, 0.0});
@@ -84,15 +101,40 @@ struct Harness {
     attacker_stack->set_frame_handler(net::Proto::kMazewar, [this](const net::LinkFrame& f) {
       attacker_got.push_back(Bytes{f.payload().begin(), f.payload().end()});
     });
+    forger_got.resize(extra_forgers);
+    for (std::size_t k = 0; k < extra_forgers; ++k) {
+      const NodeId id = world.add_node(Vec2{5.0 * static_cast<double>(k + 2), 0.0});
+      world.attach(id, medium);
+      forgers.push_back(std::make_unique<net::WorldStack>(world, id));
+      forgers.back()->set_frame_handler(net::Proto::kMazewar, [this, k](const net::LinkFrame& f) {
+        forger_got[k].push_back(Bytes{f.payload().begin(), f.payload().end()});
+      });
+    }
     player = std::make_unique<Player>(*player_stack, cfg);
   }
 
-  void send(Bytes frame) {
-    ASSERT_TRUE(
-        attacker_stack->send_frame(player_id, net::Proto::kMazewar, std::move(frame)).is_ok());
+  void send_from(net::WorldStack& from, Bytes frame) {
+    ASSERT_TRUE(from.send_frame(player_id, net::Proto::kMazewar, std::move(frame)).is_ok());
   }
+  void send(Bytes frame) { send_from(*attacker_stack, std::move(frame)); }
   void run(Time d) { sim.run_until(sim.now() + d); }
 };
+
+// Turns the harness's player toward an open neighbouring cell (every open
+// cell has at least one) and returns that cell: the next cell its missile
+// enters.
+std::pair<std::int32_t, std::int32_t> aim_at_open_neighbour(Harness& h) {
+  const RatState& self = h.player->self_state();
+  for (const Dir d : {Dir::kEast, Dir::kWest, Dir::kSouth, Dir::kNorth}) {
+    const std::int32_t nx = self.x + (d == Dir::kEast ? 1 : d == Dir::kWest ? -1 : 0);
+    const std::int32_t ny = self.y + (d == Dir::kSouth ? 1 : d == Dir::kNorth ? -1 : 0);
+    if (!is_wall(h.player->config(), nx, ny)) {
+      h.player->turn(d);
+      return {nx, ny};
+    }
+  }
+  return {self.x, self.y};
+}
 
 TEST(Mazewar, PillarMazeGeometry) {
   const MazeConfig cfg;
@@ -145,13 +187,7 @@ TEST(Mazewar, DuplicateHitClaimsApplyExactlyOnce) {
   EXPECT_EQ(h.player->stats().hits_suffered, 1u);
   EXPECT_EQ(h.player->stats().duplicate_claims, 2u);
   EXPECT_EQ(h.player->self_state().score, -kHitPenalty);
-
-  int acks = 0;
-  for (const Bytes& payload : h.attacker_got) {
-    serialize::Reader r{payload};
-    if (r.u8().value_or(0) == kKindHitAck) acks++;
-  }
-  EXPECT_EQ(acks, 3);
+  EXPECT_EQ(count_kind(h.attacker_got, kKindHitAck), 3);
 
   // A distinct claim id applies again.
   h.send(claim_frame(kKindHit, 78));
@@ -168,41 +204,32 @@ TEST(Mazewar, StaleStateNeverRollsAPeerBackwards) {
   h.run(duration::millis(50));
   ASSERT_EQ(h.player->peers().size(), 1u);
   EXPECT_EQ(h.player->stats().joins_seen, 1u);
-  EXPECT_EQ(h.player->peers().at(h.attacker_id).state.seq, 100u);
+  ASSERT_NE(h.player->peer(h.attacker_id), nullptr);
+  EXPECT_EQ(h.player->peer(h.attacker_id)->state.seq, 100u);
 
   // A delayed older packet must refresh liveness but not the view.
   h.send(state_frame(kKindState, 9, 9, /*seq=*/5));
   h.run(duration::millis(50));
   EXPECT_EQ(h.player->stats().stale_states_dropped, 1u);
-  EXPECT_EQ(h.player->peers().at(h.attacker_id).state.x, 2);
-  EXPECT_EQ(h.player->peers().at(h.attacker_id).state.seq, 100u);
+  EXPECT_EQ(h.player->peer(h.attacker_id)->state.x, 2);
+  EXPECT_EQ(h.player->peer(h.attacker_id)->state.seq, 100u);
 
   // Newer state advances it.
   h.send(state_frame(kKindState, 4, 2, /*seq=*/101));
   h.run(duration::millis(50));
-  EXPECT_EQ(h.player->peers().at(h.attacker_id).state.x, 4);
+  EXPECT_EQ(h.player->peer(h.attacker_id)->state.x, 4);
+  EXPECT_EQ(h.player->peer(h.player_id), nullptr);  // never its own peer
 }
 
 TEST(Mazewar, LeaveDropsPeerAndAbandonsClaimsAgainstIt) {
   MazeConfig cfg;
   cfg.autopilot = false;
   Harness h{cfg};
-  // Park the "attacker rat" in the player's line of fire: pick whichever
-  // neighbouring cell is open (every open cell has at least one).
+  // Park the "attacker rat" in the player's line of fire.
   h.run(duration::millis(150));
-  const RatState& self = h.player->self_state();
-  std::int32_t tx = self.x, ty = self.y;
-  for (const Dir d : {Dir::kEast, Dir::kWest, Dir::kSouth, Dir::kNorth}) {
-    const std::int32_t nx = self.x + (d == Dir::kEast ? 1 : d == Dir::kWest ? -1 : 0);
-    const std::int32_t ny = self.y + (d == Dir::kSouth ? 1 : d == Dir::kNorth ? -1 : 0);
-    if (!is_wall(cfg, nx, ny)) {
-      h.player->turn(d);
-      tx = nx;
-      ty = ny;
-      break;
-    }
-  }
-  ASSERT_NE(std::make_pair(tx, ty), std::make_pair(self.x, self.y));
+  const auto [tx, ty] = aim_at_open_neighbour(h);
+  ASSERT_NE(std::make_pair(tx, ty),
+            std::make_pair(h.player->self_state().x, h.player->self_state().y));
   h.send(state_frame(kKindJoin, tx, ty, 1));
   h.run(duration::millis(150));
   ASSERT_EQ(h.player->peers().size(), 1u);
@@ -240,6 +267,129 @@ TEST(Mazewar, SilentPeerExpiresAfterTimeout) {
   EXPECT_EQ(h.player->peers().size(), 0u);
   EXPECT_EQ(h.player->stats().peers_expired, 1u);
   EXPECT_GT(h.player->staleness().count(), 0u);
+}
+
+// The dedup history outlives the shooter's peer record: a claim whose ack
+// was lost and that is re-sent after the shooter expired (say, across a
+// partition) is re-acked, not applied a second time.
+TEST(Mazewar, ClaimResentAfterExpiryIsNotReapplied) {
+  MazeConfig cfg;
+  cfg.autopilot = false;
+  cfg.peer_timeout = duration::millis(800);
+  Harness h{cfg};
+  h.send(state_frame(kKindJoin, 2, 2, 1));
+  h.send(claim_frame(kKindHit, 77));
+  h.run(duration::millis(300));
+  ASSERT_NE(h.player->peer(h.attacker_id), nullptr);
+  ASSERT_EQ(h.player->stats().hits_suffered, 1u);
+
+  h.run(duration::seconds(2));  // silence: the attacker expires
+  ASSERT_EQ(h.player->peer(h.attacker_id), nullptr);
+  ASSERT_EQ(h.player->stats().peers_expired, 1u);
+
+  h.send(claim_frame(kKindHit, 77));
+  h.run(duration::millis(300));
+  EXPECT_EQ(h.player->stats().hits_suffered, 1u);
+  EXPECT_EQ(h.player->stats().duplicate_claims, 1u);
+  EXPECT_EQ(h.player->self_state().score, -kHitPenalty);
+  EXPECT_EQ(count_kind(h.attacker_got, kKindHitAck), 2);
+}
+
+// Joins arriving out of id order still leave peers() in ascending id
+// order, each record holding its own sender's view.
+TEST(Mazewar, PeerTableKeepsIdOrderWhateverTheJoinOrder) {
+  MazeConfig cfg;
+  cfg.autopilot = false;
+  Harness h{cfg, 3};
+  std::map<NodeId, std::int32_t> sent_x;
+  std::int32_t x = 2;
+  for (net::WorldStack* from : {h.forgers[2].get(), h.attacker_stack.get(),
+                                h.forgers[0].get(), h.forgers[1].get()}) {
+    h.send_from(*from, state_frame(kKindJoin, x, 2, 1));
+    sent_x[from->self()] = x;
+    x += 2;
+    h.run(duration::millis(10));
+  }
+  const auto& peers = h.player->peers();
+  ASSERT_EQ(peers.size(), 4u);
+  EXPECT_EQ(h.player->stats().joins_seen, 4u);
+  auto expected = sent_x.begin();  // std::map: ascending id
+  for (const auto& [id, view] : peers) {
+    EXPECT_EQ(id, expected->first);
+    EXPECT_EQ(view.state.x, expected->second);
+    EXPECT_EQ(h.player->peer(id), &view);
+    ++expected;
+  }
+}
+
+// A leave and an expiry of middle peers close the gap without disturbing
+// the order or the views of the peers around them.
+TEST(Mazewar, LeaveAndExpiryOfAMiddlePeerKeepTheRestInOrder) {
+  MazeConfig cfg;
+  cfg.autopilot = false;
+  cfg.peer_timeout = duration::millis(800);
+  Harness h{cfg, 3};
+  const std::vector<net::WorldStack*> senders{h.attacker_stack.get(), h.forgers[0].get(),
+                                              h.forgers[1].get(), h.forgers[2].get()};
+  for (std::size_t k = 0; k < senders.size(); ++k) {
+    h.send_from(*senders[k], state_frame(kKindJoin, static_cast<std::int32_t>(2 * k + 2), 4, 1));
+  }
+  h.run(duration::millis(50));
+  ASSERT_EQ(h.player->peers().size(), 4u);
+  const auto expect_peers = [&h, &senders](const std::vector<std::size_t>& live,
+                                           std::uint64_t seq) {
+    ASSERT_EQ(h.player->peers().size(), live.size());
+    auto k = live.begin();
+    for (const auto& [id, view] : h.player->peers()) {
+      EXPECT_EQ(id, senders[*k]->self());
+      EXPECT_EQ(view.state.x, static_cast<std::int32_t>(2 * *k + 2));
+      EXPECT_EQ(view.state.y, 4);
+      EXPECT_EQ(view.state.seq, seq);
+      ++k;
+    }
+  };
+
+  serialize::Writer leave;
+  leave.u8(kKindLeave);
+  h.send_from(*senders[1], std::move(leave).take());
+  h.run(duration::millis(50));
+  EXPECT_EQ(h.player->stats().leaves_seen, 1u);
+  expect_peers({0, 2, 3}, 1);
+
+  // Senders 0 and 3 keep talking; sender 2 falls silent and expires.
+  std::uint64_t seq = 1;
+  for (int round = 0; round < 10; ++round) {
+    ++seq;
+    for (const std::size_t k : {0u, 3u}) {
+      h.send_from(*senders[k],
+                  state_frame(kKindState, static_cast<std::int32_t>(2 * k + 2), 4, seq));
+    }
+    h.run(duration::millis(200));
+  }
+  EXPECT_EQ(h.player->stats().peers_expired, 1u);
+  expect_peers({0, 3}, seq);
+}
+
+// A missile entering a cell that two peers share claims the lower id,
+// even when the higher id joined first.
+TEST(Mazewar, MissileIntoASharedCellClaimsTheLowerId) {
+  MazeConfig cfg;
+  cfg.autopilot = false;
+  Harness h{cfg, 1};
+  h.run(duration::millis(150));
+  const auto [tx, ty] = aim_at_open_neighbour(h);
+  ASSERT_LT(h.attacker_id, h.forgers[0]->self());
+  h.send_from(*h.forgers[0], state_frame(kKindJoin, tx, ty, 1));
+  h.run(duration::millis(10));
+  h.send(state_frame(kKindJoin, tx, ty, 1));
+  h.run(duration::millis(150));
+  ASSERT_EQ(h.player->peers().size(), 2u);
+
+  ASSERT_TRUE(h.player->fire());
+  h.run(duration::millis(500));
+  EXPECT_EQ(h.player->pending_claims(), 1u);
+  EXPECT_GT(count_kind(h.attacker_got, kKindHit), 0);
+  EXPECT_EQ(count_kind(h.forger_got[0], kKindHit), 0);
 }
 
 TEST(Mazewar, MalformedFramesCountedAndIgnored) {

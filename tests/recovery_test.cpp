@@ -1,4 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+#include <system_error>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "recovery/store.hpp"
@@ -365,6 +371,57 @@ TEST_F(StoreTest, RecoveryTimeGrowsWithLogLength) {
   store.crash();
   const auto long_log = store.recover();
   EXPECT_GT(long_log.modelled_time, short_log.modelled_time * 5);
+}
+
+// A file-backed volume cut at every byte of its last two records, as a
+// crash in the middle of an append leaves it: reopened, it loads every
+// whole record before the cut, and two records appended then load again
+// on the next open (the load trims the torn bytes, so the appends do not
+// land behind them).
+TEST(StableStorageFile, AppendsAfterATornTailLoadOnTheNextOpen) {
+  namespace fs = std::filesystem;
+  struct TempDir {
+    fs::path path = fs::temp_directory_path() / ("ndsm-storage-" + std::to_string(getpid()));
+    TempDir() {
+      fs::remove_all(path);
+      fs::create_directories(path);
+    }
+    ~TempDir() {
+      std::error_code ignored;
+      fs::remove_all(path, ignored);
+    }
+  } dir;
+  const auto record = [](std::size_t i) {
+    return Bytes(3 + 7 * i, static_cast<std::uint8_t>(0xa0 + i));
+  };
+  const fs::path full = dir.path / "full";
+  std::vector<std::uintmax_t> ends;  // file size after each record
+  {
+    StableStorage volume{full.string()};
+    for (std::size_t i = 0; i < 5; ++i) {
+      (void)volume.append(record(i));
+      ends.push_back(fs::file_size(full));
+    }
+  }
+  const fs::path cut = dir.path / "cut";
+  for (std::uintmax_t at = ends[2]; at < ends[4]; ++at) {
+    SCOPED_TRACE(::testing::Message() << "cut at byte " << at);
+    fs::copy_file(full, cut, fs::copy_options::overwrite_existing);
+    fs::resize_file(cut, at);
+    std::size_t whole = 0;
+    while (ends[whole] <= at) whole++;
+    {
+      StableStorage volume{cut.string()};
+      ASSERT_EQ(volume.size(), whole);
+      (void)volume.append(record(5));
+      (void)volume.append(record(6));
+    }
+    StableStorage reopened{cut.string()};
+    ASSERT_EQ(reopened.size(), whole + 2);
+    for (std::size_t i = 0; i < whole; ++i) EXPECT_EQ(reopened.read(i), record(i));
+    EXPECT_EQ(reopened.read(whole), record(5));
+    EXPECT_EQ(reopened.read(whole + 1), record(6));
+  }
 }
 
 TEST(LogRecord, CodecRejectsTampering) {
