@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
+#include "common/bytes.hpp"
 #include "discovery/centralized.hpp"
 #include "discovery/directory_server.hpp"
 
@@ -18,6 +19,10 @@ struct Outcome {
   double latency_ms = 0;
   std::uint64_t max_dir_load = 0;
   double answered_pct = 0;
+  // The integers the row is computed from, folded into rows_digest.
+  std::uint64_t issued = 0;
+  std::uint64_t answered = 0;
+  Time latency_sum = 0;
 };
 
 Outcome run(std::size_t mirrors, double query_rate_hz) {
@@ -80,6 +85,9 @@ Outcome run(std::size_t mirrors, double query_rate_hz) {
   field.sim.run_until(horizon + duration::seconds(3));
 
   Outcome out;
+  out.issued = issued;
+  out.answered = answered;
+  out.latency_sum = latency_sum;
   out.latency_ms =
       answered > 0 ? to_seconds(latency_sum) * 1000.0 / static_cast<double>(answered) : -1;
   for (const auto& server : servers) {
@@ -100,9 +108,18 @@ int main() {
   bench::row_sep();
   Outcome single_hot;
   Outcome mirrored_hot;
+  // FNV-1a over every integer behind the printed rows, so a change in any
+  // row (not only the summary fields) shows as a digest mismatch.
+  std::uint64_t rows_digest = kFnvBasis;
   for (const std::size_t mirrors : {1u, 2u, 4u, 8u}) {
     for (const double rate : {20.0, 80.0, 200.0}) {
       const Outcome o = run(mirrors, rate);
+      for (const std::uint64_t v : {std::uint64_t{mirrors}, static_cast<std::uint64_t>(rate),
+                                    o.issued, o.answered,
+                                    static_cast<std::uint64_t>(o.latency_sum),
+                                    o.max_dir_load}) {
+        rows_digest = fnv_mix(rows_digest, v);
+      }
       std::printf("%-10zu %-10.0f %14.2f %18llu %12.1f\n", mirrors, rate, o.latency_ms,
                   static_cast<unsigned long long>(o.max_dir_load), o.answered_pct);
       if (rate == 200.0) {
@@ -116,6 +133,6 @@ int main() {
                    single_hot.latency_ms, "latency_ms_8mirrors_200hz",
                    mirrored_hot.latency_ms, "answered_pct_8mirrors_200hz",
                    mirrored_hot.answered_pct, "max_dir_load_8mirrors_200hz",
-                   mirrored_hot.max_dir_load);
+                   mirrored_hot.max_dir_load, "rows_digest", rows_digest);
   return 0;
 }

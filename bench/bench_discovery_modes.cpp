@@ -11,8 +11,10 @@
 // adaptive mode tracks the winner.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/bytes.hpp"
 #include "discovery/adaptive.hpp"
 #include "discovery/centralized.hpp"
 #include "discovery/directory_server.hpp"
@@ -29,6 +31,11 @@ struct Outcome {
   double latency_ms = 0;
   double answered_pct = 0;
   std::string mode_note;
+  // The integers the row is computed from, folded into rows_digest.
+  std::uint64_t bytes_on_wire = 0;
+  std::uint64_t issued = 0;
+  std::uint64_t answered = 0;
+  Time latency_sum = 0;
 };
 
 qos::SupplierQos service() {
@@ -103,6 +110,10 @@ Outcome run(std::size_t n, const std::string& mode, double query_rate_hz) {
   field.sim.run_until(horizon + duration::seconds(3));
 
   Outcome out;
+  out.bytes_on_wire = field.world.stats().bytes_on_wire;
+  out.issued = issued;
+  out.answered = answered;
+  out.latency_sum = latency_sum;
   out.bytes_per_query = issued > 0
                             ? static_cast<double>(field.world.stats().bytes_on_wire) /
                                   static_cast<double>(issued)
@@ -135,9 +146,19 @@ int main() {
   bench::row_sep();
   double min_answered_pct = 100.0;
   std::string adaptive_choice_n64;
+  // FNV-1a over every integer behind the printed rows, so a change in any
+  // row (not only the two summary fields) shows as a digest mismatch.
+  std::uint64_t rows_digest = kFnvBasis;
+  const std::vector<std::string> modes{"distributed", "centralized", "gossip", "adaptive"};
   for (const std::size_t n : {4u, 16u, 36u, 64u}) {
-    for (const std::string mode : {"distributed", "centralized", "gossip", "adaptive"}) {
+    for (std::size_t m = 0; m < modes.size(); ++m) {
+      const std::string& mode = modes[m];
       const Outcome o = run(n, mode, 4.0);
+      for (const std::uint64_t v : {std::uint64_t{n}, std::uint64_t{m}, o.bytes_on_wire,
+                                    o.issued, o.answered,
+                                    static_cast<std::uint64_t>(o.latency_sum)}) {
+        rows_digest = fnv_mix(rows_digest, v);
+      }
       std::printf("%-6zu %-13s %16.0f %12.2f %10.1f %s\n", n, mode.c_str(),
                   o.bytes_per_query, o.latency_ms, o.answered_pct, o.mode_note.c_str());
       if (o.answered_pct < min_answered_pct) min_answered_pct = o.answered_pct;
@@ -178,6 +199,7 @@ int main() {
       });
     }
     field.sim.run_until(duration::seconds(62));
+    rows_digest = fnv_mix(rows_digest, field.world.stats().bytes_on_wire);
     std::printf("  %-13s total bytes on wire: %10llu%s\n", mode.c_str(),
                 static_cast<unsigned long long>(field.world.stats().bytes_on_wire),
                 mode == "distributed"
@@ -185,6 +207,6 @@ int main() {
                     : "");
   }
   bench::emit_json("discovery_modes", "min_answered_pct", min_answered_pct,
-                   "adaptive_choice_n64", adaptive_choice_n64);
+                   "adaptive_choice_n64", adaptive_choice_n64, "rows_digest", rows_digest);
   return 0;
 }

@@ -73,12 +73,7 @@ void AdaptiveDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback ca
   active().query(
       consumer,
       [this, callback = std::move(callback)](std::vector<ServiceRecord> records) {
-        if (records.empty()) {
-          stats_.queries_empty++;
-        } else {
-          stats_.queries_answered++;
-        }
-        stats_.records_received += records.size();
+        count_finished_query(records);
         callback(std::move(records));
       },
       max_results, timeout);

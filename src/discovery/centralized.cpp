@@ -10,7 +10,10 @@ namespace ndsm::discovery {
 CentralizedDiscovery::CentralizedDiscovery(transport::ReliableTransport& transport,
                                            std::vector<NodeId> directories,
                                            MirrorPolicy policy)
-    : transport_(transport), directories_(std::move(directories)), policy_(policy) {
+    : transport_(transport),
+      directories_(std::move(directories)),
+      policy_(policy),
+      table_(transport.self()) {
   assert(!directories_.empty());
   // Stagger round-robin start positions across clients so synchronized
   // query waves do not all land on the same mirror.
@@ -24,9 +27,7 @@ CentralizedDiscovery::~CentralizedDiscovery() {
   transport_.clear_receiver(transport::ports::kDiscoveryReplyCent);
   auto& stack = transport_.router().stack();
   // ndsm-lint: allow(unordered-iter): cancel order is irrelevant — cancel() is an O(1) tombstone with no observable ordering effect
-  for (auto& [id, reg] : registered_) {
-    if (reg.renewal.valid()) stack.cancel(reg.renewal);
-  }
+  for (auto& [id, renewal] : renewals_) stack.cancel(renewal);
   // ndsm-lint: allow(unordered-iter): cancel order is irrelevant — cancel() is an O(1) tombstone with no observable ordering effect
   for (auto& [id, pending] : pending_) {
     if (pending.timer.valid()) stack.cancel(pending.timer);
@@ -63,39 +64,33 @@ NodeId CentralizedDiscovery::pick_directory() {
 }
 
 ServiceId CentralizedDiscovery::register_service(qos::SupplierQos qos, Time lease) {
-  const ServiceId id = make_service_id(transport_.self(), next_service_++);
-  Registration reg;
-  reg.record.id = id;
-  reg.record.provider = transport_.self();
-  reg.record.qos = std::move(qos);
-  reg.record.registered = transport_.router().stack().now();
-  reg.lease = lease;
-  registered_.emplace(id, std::move(reg));
+  const ServiceId id = table_.add_own(std::move(qos), lease, transport_.router().stack().now());
   stats_.registrations++;
   send_register(id);
   return id;
 }
 
 void CentralizedDiscovery::send_register(ServiceId id) {
-  const auto it = registered_.find(id);
-  if (it == registered_.end()) return;
   auto& stack = transport_.router().stack();
-  Registration& reg = it->second;
-  reg.record.expires =
-      reg.lease == kTimeNever ? kTimeNever : stack.now() + reg.lease;
-  transport_.send(directories_.front(), transport::ports::kDiscovery,
-                  encode_register(reg.record));
-  if (reg.lease != kTimeNever) {
-    reg.renewal =
-        stack.schedule_after(reg.lease / 2, [this, id] { send_register(id); });
+  // A renewal keeps the registration date and moves only the expiry.
+  const ServiceRecord* record = table_.renew(id, stack.now());
+  if (record == nullptr) return;
+  const Time expires = record->expires;
+  transport_.send(directories_.front(), transport::ports::kDiscovery, encode_register(*record));
+  if (expires != kTimeNever) {
+    // Renewed again at half-life.
+    renewals_[id] =
+        stack.schedule_after((expires - stack.now()) / 2, [this, id] { send_register(id); });
   }
 }
 
 void CentralizedDiscovery::unregister_service(ServiceId id) {
-  const auto it = registered_.find(id);
-  if (it == registered_.end()) return;
-  if (it->second.renewal.valid()) transport_.router().stack().cancel(it->second.renewal);
-  registered_.erase(it);
+  if (!table_.remove_own(id)) return;
+  const auto it = renewals_.find(id);
+  if (it != renewals_.end()) {
+    transport_.router().stack().cancel(it->second);
+    renewals_.erase(it);
+  }
   stats_.unregistrations++;
   transport_.send(directories_.front(), transport::ports::kDiscovery, encode_unregister(id));
 }
@@ -138,7 +133,7 @@ void CentralizedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
     auto cb = std::move(it->second.callback);
     const obs::TraceContext qctx = it->second.trace;
     pending_.erase(it);
-    stats_.queries_empty++;
+    count_finished_query({});
     obs::Tracer& tr = obs::Tracer::instance();
     if (tr.enabled()) {
       tr.event_traced("discovery.centralized", "query_timeout",
@@ -171,12 +166,7 @@ void CentralizedDiscovery::on_message(NodeId /*src*/, const Bytes& frame) {
       auto cb = std::move(it->second.callback);
       const obs::TraceContext qctx = it->second.trace;
       pending_.erase(it);
-      stats_.records_received += reply->records.size();
-      if (reply->records.empty()) {
-        stats_.queries_empty++;
-      } else {
-        stats_.queries_answered++;
-      }
+      count_finished_query(reply->records);
       obs::Tracer& tracer = obs::Tracer::instance();
       if (tracer.enabled() && qctx.valid()) {
         // Parent on the reply's delivery, which descends from the

@@ -32,11 +32,6 @@ class CentralizedDiscovery : public ServiceDiscovery {
              std::uint32_t max_results, Time timeout) override;
 
  private:
-  struct Registration {
-    ServiceRecord record;
-    Time lease;
-    EventId renewal = EventId::invalid();
-  };
   struct PendingQuery {
     QueryCallback callback;
     EventId timer = EventId::invalid();
@@ -52,9 +47,9 @@ class CentralizedDiscovery : public ServiceDiscovery {
   std::vector<NodeId> directories_;
   MirrorPolicy policy_;
   std::size_t rr_next_ = 0;
-  std::uint32_t next_service_ = 1;
   std::uint64_t next_query_ = 1;
-  std::unordered_map<ServiceId, Registration> registered_;
+  RecordTable table_;  // own records only; the directory holds the copies
+  std::unordered_map<ServiceId, EventId> renewals_;
   std::unordered_map<std::uint64_t, PendingQuery> pending_;
 };
 

@@ -9,6 +9,7 @@ namespace ndsm::discovery {
 DirectoryServer::DirectoryServer(transport::ReliableTransport& transport, Time sweep_period,
                                  recovery::StableStorage* stable)
     : transport_(transport),
+      records_(transport.self()),
       sweeper_(transport.router().stack(), sweep_period, [this] { sweep_leases(); }) {
   if (stable != nullptr) {
     wal_ = std::make_unique<recovery::WriteAheadLog>(*stable);
@@ -37,52 +38,39 @@ void DirectoryServer::rehydrate() {
   const Time now = transport_.router().stack().now();
   wal_->redo([&](const recovery::LogRecord& rec) {
     if (rec.kind == recovery::LogKind::kErase) {
-      records_.erase(ServiceId{std::strtoull(rec.key.c_str(), nullptr, 10)});
+      records_.remove_copy(ServiceId{std::strtoull(rec.key.c_str(), nullptr, 10)});
     } else if (rec.value.type() == serialize::Value::Type::kBytes) {
       serialize::Reader r{rec.value.as_bytes()};
-      auto record = ServiceRecord::decode(r);
-      if (record && !record->expired(now)) records_[record->id] = std::move(*record);
+      if (auto record = ServiceRecord::decode(r)) records_.keep(std::move(*record), now);
     }
   });
-  stats_.records_rehydrated = records_.size();
+  stats_.records_rehydrated = records_.copy_count();
 }
 
 DirectoryServer::~DirectoryServer() {
   transport_.clear_receiver(transport::ports::kDiscovery);
 }
 
-std::vector<ServiceRecord> DirectoryServer::snapshot() const {
-  std::vector<ServiceRecord> out;
-  out.reserve(records_.size());
-  // records_ is id-ordered, so the snapshot comes out sorted.
-  for (const auto& [id, rec] : records_) out.push_back(rec);
-  return out;
-}
+std::vector<ServiceRecord> DirectoryServer::snapshot() const { return records_.records(); }
 
 void DirectoryServer::apply_register(ServiceRecord record, bool replicate_out) {
   stats_.registers++;
   log_mutation(recovery::LogKind::kPut, &record, record.id);
   if (replicate_out) replicate(record, /*removal=*/false);
-  records_[record.id] = std::move(record);
+  records_.keep(std::move(record), transport_.router().stack().now());
 }
 
 void DirectoryServer::apply_unregister(ServiceId id, bool replicate_out) {
-  const auto it = records_.find(id);
-  if (it == records_.end()) return;
+  const auto record = records_.remove_copy(id);
+  if (!record) return;
   stats_.unregisters++;
   log_mutation(recovery::LogKind::kErase, nullptr, id);
-  if (replicate_out) replicate(it->second, /*removal=*/true);
-  records_.erase(it);
+  if (replicate_out) replicate(*record, /*removal=*/true);
 }
 
 std::vector<ServiceRecord> DirectoryServer::match(const qos::ConsumerQos& consumer,
-                                                  std::uint32_t max_results) const {
-  const Time now = transport_.router().stack().now();
-  std::vector<const ServiceRecord*> live;
-  for (const auto& [id, rec] : records_) {
-    if (!rec.expired(now)) live.push_back(&rec);
-  }
-  return best_matches(consumer, live, max_results);
+                                                  std::uint32_t max_results) {
+  return records_.match(consumer, max_results, transport_.router().stack().now());
 }
 
 void DirectoryServer::replicate(const ServiceRecord& record, bool removal) {
@@ -107,7 +95,7 @@ void DirectoryServer::serve_query(const QueryMessage& query, const obs::TraceCon
                         static_cast<std::int64_t>(node().value()), ctx.trace_id, ctx.span_id,
                         parent.span_id,
                         {{"query_id", std::to_string(query.query_id)},
-                         {"records", std::to_string(records_.size())}});
+                         {"records", std::to_string(records_.copy_count())}});
   }
   QueryReply reply;
   reply.query_id = query.query_id;
@@ -131,15 +119,7 @@ void DirectoryServer::drain_query_queue() {
 }
 
 void DirectoryServer::sweep_leases() {
-  const Time now = transport_.router().stack().now();
-  for (auto it = records_.begin(); it != records_.end();) {
-    if (it->second.expired(now)) {
-      stats_.leases_expired++;
-      it = records_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  stats_.leases_expired += records_.evict(transport_.router().stack().now());
 }
 
 void DirectoryServer::on_message(NodeId src, const Bytes& frame) {
@@ -182,10 +162,10 @@ void DirectoryServer::on_message(NodeId src, const Bytes& frame) {
       stats_.replications_applied++;
       if (rep->second) {
         log_mutation(recovery::LogKind::kErase, nullptr, rep->first.id);
-        records_.erase(rep->first.id);
+        records_.remove_copy(rep->first.id);
       } else {
         log_mutation(recovery::LogKind::kPut, &rep->first, rep->first.id);
-        records_[rep->first.id] = std::move(rep->first);
+        records_.keep(std::move(rep->first), transport_.router().stack().now());
       }
       break;
     }

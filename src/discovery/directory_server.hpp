@@ -5,7 +5,6 @@
 // further increase scalability, mirroring approaches can be introduced").
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -52,7 +51,7 @@ class DirectoryServer {
   void set_processing_time(Time processing_time) { processing_time_ = processing_time; }
 
   [[nodiscard]] NodeId node() const { return transport_.self(); }
-  [[nodiscard]] std::size_t record_count() const { return records_.size(); }
+  [[nodiscard]] std::size_t record_count() const { return records_.copy_count(); }
   [[nodiscard]] std::vector<ServiceRecord> snapshot() const;
   [[nodiscard]] const DirectoryStats& stats() const { return stats_; }
 
@@ -60,7 +59,7 @@ class DirectoryServer {
   void apply_register(ServiceRecord record, bool replicate_out);
   void apply_unregister(ServiceId id, bool replicate_out);
   [[nodiscard]] std::vector<ServiceRecord> match(const qos::ConsumerQos& consumer,
-                                                 std::uint32_t max_results) const;
+                                                 std::uint32_t max_results);
 
  private:
   void on_message(NodeId src, const Bytes& frame);
@@ -75,10 +74,9 @@ class DirectoryServer {
 
   transport::ReliableTransport& transport_;
   std::unique_ptr<recovery::WriteAheadLog> wal_;  // null = no persistence
-  // Ordered: match() and sweep_leases() iterate the table; an id-ordered
-  // map keeps lease-expiry sequence and equal-score match order a pure
-  // function of the record set (and lets snapshot() skip sorting).
-  std::map<ServiceId, ServiceRecord> records_;
+  // The registered records, held as copies with no age limit: only their
+  // leases expire them.
+  RecordTable records_;
   std::vector<NodeId> mirrors_;
   DirectoryStats stats_;
   Time processing_time_ = 0;

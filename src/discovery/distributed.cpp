@@ -6,11 +6,14 @@ DistributedDiscovery::DistributedDiscovery(transport::ReliableTransport& transpo
                                            DistributedConfig config)
     : transport_(transport),
       config_(config),
+      table_(transport.self(), config.cache_entry_ttl),
       advertiser_(transport.router().stack(),
                   config.advertise_period > 0 ? config.advertise_period
                                               : duration::seconds(1),
                   [this] { advertise(); }) {
   register_stats_metrics("distributed", static_cast<std::int64_t>(transport.self().value()));
+  metrics_.gauge("discovery.distributed.cache_size",
+                 [this] { return static_cast<double>(table_.copy_count()); });
   transport_.router().set_delivery_handler(
       routing::Proto::kDiscovery,
       [this](NodeId origin, const Bytes& b) { on_flood(origin, b); });
@@ -34,55 +37,14 @@ DistributedDiscovery::~DistributedDiscovery() {
 }
 
 ServiceId DistributedDiscovery::register_service(qos::SupplierQos qos, Time lease) {
-  const Time now = transport_.router().stack().now();
-  const ServiceId id = make_service_id(transport_.self(), next_service_++);
-  ServiceRecord rec;
-  rec.id = id;
-  rec.provider = transport_.self();
-  rec.qos = std::move(qos);
-  rec.registered = now;
-  rec.expires = lease == kTimeNever ? kTimeNever : now + lease;
-  local_.emplace(id, std::move(rec));
-  local_lease_[id] = lease;
   stats_.registrations++;
   // In reactive mode registration is free; in proactive mode the next
   // advertisement round announces it.
-  return id;
+  return table_.add_own(std::move(qos), lease, transport_.router().stack().now());
 }
 
 void DistributedDiscovery::unregister_service(ServiceId id) {
-  local_lease_.erase(id);
-  if (local_.erase(id) > 0) stats_.unregistrations++;
-}
-
-std::vector<ServiceRecord> DistributedDiscovery::match_local(
-    const qos::ConsumerQos& consumer, std::uint32_t max_results) const {
-  const Time now = transport_.router().stack().now();
-  // Local records renew automatically while this node lives: refresh their
-  // leases before matching (the ServiceDiscovery contract; expiry only
-  // governs *remote* copies).
-  auto& self = const_cast<DistributedDiscovery&>(*this);
-  for (auto& [id, rec] : self.local_) {
-    const Time lease = local_lease_.at(id);
-    rec.expires = lease == kTimeNever ? kTimeNever : now + lease;
-  }
-  std::vector<const ServiceRecord*> live;
-  for (const auto& [id, rec] : local_) {
-    if (!rec.expired(now)) live.push_back(&rec);
-  }
-  return best_matches(consumer, live, max_results);
-}
-
-std::vector<ServiceRecord> DistributedDiscovery::match_cache(
-    const qos::ConsumerQos& consumer, std::uint32_t max_results) const {
-  const Time now = transport_.router().stack().now();
-  std::vector<const ServiceRecord*> fresh;
-  for (const auto& [id, rec] : cache_) {
-    if (rec.expired(now)) continue;
-    if (now - rec.registered > config_.cache_entry_ttl) continue;  // stale cache entry
-    fresh.push_back(&rec);
-  }
-  return best_matches(consumer, fresh, max_results);
+  if (table_.remove_own(id)) stats_.unregistrations++;
 }
 
 void DistributedDiscovery::advertise() {
@@ -91,20 +53,13 @@ void DistributedDiscovery::advertise() {
     advertiser_.stop();
     return;
   }
-  if (local_.empty()) return;
-  std::vector<ServiceRecord> records;
-  records.reserve(local_.size());
   const Time now = stack.now();
-  for (auto& [id, rec] : local_) {
-    // Stamp freshness (and renew the local lease) so peers can expire
-    // cache entries relative to the latest advertisement.
-    rec.registered = now;
-    const Time lease = local_lease_.at(id);
-    rec.expires = lease == kTimeNever ? kTimeNever : now + lease;
-    records.push_back(rec);
-  }
-  if (records.empty()) return;
-  transport_.router().flood(routing::Proto::kDiscovery, encode_advertise(records));
+  table_.evict(now);
+  if (table_.own_count() == 0) return;
+  // Re-dated so that peers age their copies from the latest advertisement.
+  table_.redate_own(now);
+  transport_.router().flood(routing::Proto::kDiscovery,
+                            encode_advertise(table_.records(/*own_only=*/true)));
 }
 
 void DistributedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback callback,
@@ -113,22 +68,12 @@ void DistributedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
   stats_.queries_issued++;
 
   if (config_.advertise_period > 0) {
-    auto cached = match_cache(consumer, max_results);
-    auto own = match_local(consumer, max_results);
-    for (auto& rec : own) cached.push_back(std::move(rec));
-    if (!cached.empty()) {
-      // Deduplicate and deliver asynchronously (callers expect async).
-      std::map<ServiceId, ServiceRecord> dedup;
-      for (auto& rec : cached) dedup.emplace(rec.id, std::move(rec));
-      std::vector<ServiceRecord> out;
-      for (auto& [id, rec] : dedup) {
-        if (out.size() >= max_results) break;
-        out.push_back(std::move(rec));
-      }
-      stats_.queries_answered++;
-      stats_.records_received += out.size();
-      stack.schedule_after(0, [cb = std::move(callback), out = std::move(out)]() mutable {
-        cb(std::move(out));
+    auto found = table_.match(consumer, max_results, stack.now());
+    if (!found.empty()) {
+      count_finished_query(found);
+      // Delivered asynchronously (callers expect async).
+      stack.schedule_after(0, [cb = std::move(callback), found = std::move(found)]() mutable {
+        cb(std::move(found));
       });
       return;
     }
@@ -144,6 +89,7 @@ void DistributedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
 
   PendingQuery pending;
   pending.callback = std::move(callback);
+  pending.consumer = consumer;
   pending.max_results = max_results;
   pending.timer = stack.schedule_after(timeout, [this, query_id] { finish_query(query_id); });
   pending_.emplace(query_id, std::move(pending));
@@ -154,18 +100,14 @@ void DistributedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
 void DistributedDiscovery::finish_query(std::uint64_t query_id) {
   const auto it = pending_.find(query_id);
   if (it == pending_.end()) return;
-  if (it->second.timer.valid()) transport_.router().stack().cancel(it->second.timer);
-  auto cb = std::move(it->second.callback);
-  std::vector<ServiceRecord> out;
-  for (auto& [id, rec] : it->second.collected) out.push_back(std::move(rec));
+  PendingQuery pending = std::move(it->second);
   pending_.erase(it);
-  if (out.empty()) {
-    stats_.queries_empty++;
-  } else {
-    stats_.queries_answered++;
-  }
-  stats_.records_received += out.size();
-  cb(std::move(out));
+  if (pending.timer.valid()) transport_.router().stack().cancel(pending.timer);
+  std::vector<const ServiceRecord*> replies;
+  for (const auto& [id, rec] : pending.collected) replies.push_back(&rec);
+  auto found = best_matches(pending.consumer, replies, pending.max_results);
+  count_finished_query(found);
+  pending.callback(std::move(found));
 }
 
 void DistributedDiscovery::on_flood(NodeId origin, const Bytes& frame) {
@@ -178,10 +120,11 @@ void DistributedDiscovery::on_flood(NodeId origin, const Bytes& frame) {
     case MsgKind::kQuery: {
       auto query = decode_query(r);
       if (!query) return;
-      // Our own flood is also delivered locally; match local services in
+      // Our own flood is also delivered locally; match own services in
       // both cases, but self-replies short-circuit through the transport
-      // loopback path.
-      auto records = match_local(query->consumer, query->max_results);
+      // loopback path. The answer renews the leases without re-dating.
+      auto records = table_.match(query->consumer, query->max_results,
+                                  transport_.router().stack().now(), /*own_only=*/true);
       if (records.empty()) return;
       QueryReply reply;
       reply.query_id = query->query_id;
@@ -193,9 +136,9 @@ void DistributedDiscovery::on_flood(NodeId origin, const Bytes& frame) {
       if (origin == transport_.self()) return;
       auto records = decode_advertise(r);
       if (!records) return;
-      for (auto& rec : *records) {
-        cache_[rec.id] = std::move(rec);
-      }
+      const Time now = transport_.router().stack().now();
+      for (auto& rec : *records) table_.keep(std::move(rec), now);
+      table_.evict(now);
       break;
     }
     default:

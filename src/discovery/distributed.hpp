@@ -33,11 +33,14 @@ class DistributedDiscovery : public ServiceDiscovery {
   void query(const qos::ConsumerQos& consumer, QueryCallback callback,
              std::uint32_t max_results, Time timeout) override;
 
-  [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
+  // Copies held from advertisements (stale ones are evicted on each
+  // advertisement tick and each arrival).
+  [[nodiscard]] std::size_t cache_size() const { return table_.copy_count(); }
 
  private:
   struct PendingQuery {
     QueryCallback callback;
+    qos::ConsumerQos consumer;  // ranks the collected replies
     std::uint32_t max_results = 0;
     std::map<ServiceId, ServiceRecord> collected;
     EventId timer = EventId::invalid();
@@ -47,21 +50,12 @@ class DistributedDiscovery : public ServiceDiscovery {
   void on_unicast(NodeId src, const Bytes& frame);      // query replies
   void advertise();
   void finish_query(std::uint64_t query_id);
-  [[nodiscard]] std::vector<ServiceRecord> match_local(const qos::ConsumerQos& consumer,
-                                                       std::uint32_t max_results) const;
-  [[nodiscard]] std::vector<ServiceRecord> match_cache(const qos::ConsumerQos& consumer,
-                                                       std::uint32_t max_results) const;
 
   transport::ReliableTransport& transport_;
   DistributedConfig config_;
-  std::uint32_t next_service_ = 1;
   std::uint64_t next_query_ = 1;
-  // Ordered: advertise() serializes local_ straight into flooded
-  // advertisement packets, so iteration order is wire bytes. cache_
-  // matches local_ for symmetry (its matches are re-sorted by score).
-  std::map<ServiceId, ServiceRecord> local_;
-  std::map<ServiceId, Time> local_lease_;  // for automatic renewal
-  std::map<ServiceId, ServiceRecord> cache_;  // from advertisements
+  // Own services and advertised copies, aged by cache_entry_ttl.
+  RecordTable table_;
   std::unordered_map<std::uint64_t, PendingQuery> pending_;
   net::PeriodicTimer advertiser_;
 };

@@ -15,13 +15,14 @@ GossipDiscovery::GossipDiscovery(transport::ReliableTransport& transport,
     : transport_(transport),
       config_(config),
       rng_(transport.router().stack().fork_rng(transport.self().value() ^ 0x90551b)),
+      table_(transport.self(), config.cache_entry_ttl),
       peers_(std::move(seed_peers)),
       timer_(transport.router().stack(), kGossipPeriod, [this] { gossip(); }) {
   peers_.erase(std::remove(peers_.begin(), peers_.end(), transport_.self()), peers_.end());
   register_stats_metrics("gossip", static_cast<std::int64_t>(transport.self().value()));
   metrics_.counter("discovery.gossip.rounds", &rounds_);
   metrics_.gauge("discovery.gossip.cache_size",
-                 [this] { return static_cast<double>(cache_.size()); });
+                 [this] { return static_cast<double>(table_.copy_count()); });
   metrics_.gauge("discovery.gossip.peers",
                  [this] { return static_cast<double>(peers_.size()); });
   transport_.set_receiver(transport::ports::kGossip,
@@ -32,46 +33,12 @@ GossipDiscovery::GossipDiscovery(transport::ReliableTransport& transport,
 GossipDiscovery::~GossipDiscovery() { transport_.clear_receiver(transport::ports::kGossip); }
 
 ServiceId GossipDiscovery::register_service(qos::SupplierQos qos, Time lease) {
-  const Time now = transport_.router().stack().now();
-  const ServiceId id = make_service_id(transport_.self(), next_service_++);
-  ServiceRecord rec;
-  rec.id = id;
-  rec.provider = transport_.self();
-  rec.qos = std::move(qos);
-  rec.registered = now;
-  rec.expires = lease == kTimeNever ? kTimeNever : now + lease;
-  local_.emplace(id, std::move(rec));
-  local_lease_[id] = lease;
   stats_.registrations++;
-  return id;
+  return table_.add_own(std::move(qos), lease, transport_.router().stack().now());
 }
 
 void GossipDiscovery::unregister_service(ServiceId id) {
-  local_lease_.erase(id);
-  if (local_.erase(id) > 0) stats_.unregistrations++;
-}
-
-std::vector<ServiceRecord> GossipDiscovery::known_records() {
-  const Time now = transport_.router().stack().now();
-  std::vector<ServiceRecord> out;
-  // Own services: renew leases and stamp freshness.
-  for (auto& [id, rec] : local_) {
-    const Time lease = local_lease_.at(id);
-    rec.registered = now;
-    rec.expires = lease == kTimeNever ? kTimeNever : now + lease;
-    out.push_back(rec);
-  }
-  // Cached copies: forward only fresh ones, and evict the stale.
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    const ServiceRecord& rec = it->second;
-    if (rec.expired(now) || now - rec.registered > config_.cache_entry_ttl) {
-      it = cache_.erase(it);
-    } else {
-      out.push_back(rec);
-      ++it;
-    }
-  }
-  return out;
+  if (table_.remove_own(id)) stats_.unregistrations++;
 }
 
 void GossipDiscovery::gossip() {
@@ -80,11 +47,15 @@ void GossipDiscovery::gossip() {
     return;
   }
   rounds_++;
-  const auto records = known_records();
+  // Own records go out re-dated, so that peers age their copies from the
+  // latest round, and only fresh copies are forwarded.
+  const Time now = transport_.router().stack().now();
+  table_.redate_own(now);
+  table_.evict(now);
+  if (peers_.empty()) return;
   // An empty advertisement still teaches the receiver a live peer — it is
   // the heartbeat that bootstraps nodes with no inbound seeds.
-  if (peers_.empty()) return;
-  const Bytes payload = encode_advertise(records);
+  const Bytes payload = encode_advertise(table_.records());
   // `fanout` distinct random peers (or all peers if fewer).
   std::vector<NodeId> pool = peers_;
   for (std::size_t k = 0; k < config_.fanout && !pool.empty(); ++k) {
@@ -111,40 +82,15 @@ void GossipDiscovery::on_gossip(NodeId src, const Bytes& frame) {
   const Time now = transport_.router().stack().now();
   for (auto& rec : *records) {
     if (rec.provider == transport_.self()) continue;  // our own, authoritative copy
-    if (rec.expired(now)) continue;
-    const auto it = cache_.find(rec.id);
-    // Keep the freshest copy.
-    if (it == cache_.end() || rec.registered > it->second.registered) {
-      cache_[rec.id] = std::move(rec);
-    }
+    table_.keep(std::move(rec), now);
   }
-}
-
-std::vector<ServiceRecord> GossipDiscovery::match_known(const qos::ConsumerQos& consumer,
-                                                        std::uint32_t max_results) {
-  const Time now = transport_.router().stack().now();
-  std::vector<const ServiceRecord*> known;
-  for (const auto& [id, rec] : local_) {
-    if (!rec.expired(now)) known.push_back(&rec);
-  }
-  for (const auto& [id, rec] : cache_) {
-    if (!rec.expired(now) && now - rec.registered <= config_.cache_entry_ttl) {
-      known.push_back(&rec);
-    }
-  }
-  return best_matches(consumer, known, max_results);
 }
 
 void GossipDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback callback,
                             std::uint32_t max_results, Time /*timeout*/) {
   stats_.queries_issued++;
-  auto results = match_known(consumer, max_results);
-  if (results.empty()) {
-    stats_.queries_empty++;
-  } else {
-    stats_.queries_answered++;
-  }
-  stats_.records_received += results.size();
+  auto results = table_.match(consumer, max_results, transport_.router().stack().now());
+  count_finished_query(results);
   // Asynchronous delivery, like every other discovery mode.
   transport_.router().stack().schedule_after(
       0, [cb = std::move(callback), results = std::move(results)]() mutable {

@@ -10,7 +10,6 @@
 // Peers are learned two ways: a seed list at construction, and the source
 // of any gossip we receive (push gossip is self-bootstrapping once seeded).
 
-#include <map>
 #include <vector>
 
 #include "discovery/messages.hpp"
@@ -37,7 +36,7 @@ class GossipDiscovery : public ServiceDiscovery {
   void query(const qos::ConsumerQos& consumer, QueryCallback callback,
              std::uint32_t max_results, Time timeout) override;
 
-  [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
+  [[nodiscard]] std::size_t cache_size() const { return table_.copy_count(); }
   [[nodiscard]] std::size_t peer_count() const { return peers_.size(); }
   [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
 
@@ -46,19 +45,13 @@ class GossipDiscovery : public ServiceDiscovery {
 
  private:
   void on_gossip(NodeId src, const Bytes& frame);
-  [[nodiscard]] std::vector<ServiceRecord> known_records();
-  [[nodiscard]] std::vector<ServiceRecord> match_known(const qos::ConsumerQos& consumer,
-                                                       std::uint32_t max_results);
 
   transport::ReliableTransport& transport_;
   GossipConfig config_;
   Rng rng_;
-  std::uint32_t next_service_ = 1;
-  // Ordered: known_records() serializes local_ then cache_ straight into
-  // gossip payloads, so iteration order is wire bytes.
-  std::map<ServiceId, ServiceRecord> local_;
-  std::map<ServiceId, Time> local_lease_;
-  std::map<ServiceId, ServiceRecord> cache_;
+  // Own services and gossiped copies, aged by cache_entry_ttl. A round
+  // sends its records in the table's order, so that order is wire bytes.
+  RecordTable table_;
   std::vector<NodeId> peers_;
   std::uint64_t rounds_ = 0;
   net::PeriodicTimer timer_;

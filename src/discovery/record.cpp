@@ -74,4 +74,87 @@ std::vector<ServiceRecord> best_matches(const qos::ConsumerQos& consumer,
   return out;
 }
 
+namespace {
+
+Time lease_expiry(Time lease, Time now) { return lease == kTimeNever ? kTimeNever : now + lease; }
+
+}  // namespace
+
+ServiceId RecordTable::add_own(qos::SupplierQos qos, Time lease, Time now) {
+  const ServiceId id = make_service_id(self_, next_own_++);
+  Own own;
+  own.record.id = id;
+  own.record.provider = self_;
+  own.record.qos = std::move(qos);
+  own.record.registered = now;
+  own.record.expires = lease_expiry(lease, now);
+  own.lease = lease;
+  own_.emplace(id, std::move(own));
+  return id;
+}
+
+bool RecordTable::remove_own(ServiceId id) { return own_.erase(id) > 0; }
+
+const ServiceRecord* RecordTable::renew(ServiceId id, Time now) {
+  const auto it = own_.find(id);
+  if (it == own_.end()) return nullptr;
+  it->second.record.expires = lease_expiry(it->second.lease, now);
+  return &it->second.record;
+}
+
+void RecordTable::redate_own(Time now) {
+  for (auto& [id, own] : own_) {
+    own.record.registered = now;
+    own.record.expires = lease_expiry(own.lease, now);
+  }
+}
+
+bool RecordTable::keep(ServiceRecord record, Time now) {
+  if (record.expired(now)) return false;
+  const auto [it, inserted] = copies_.try_emplace(record.id);
+  if (!inserted && it->second.registered > record.registered) return false;  // dated later
+  it->second = std::move(record);
+  return true;
+}
+
+std::optional<ServiceRecord> RecordTable::remove_copy(ServiceId id) {
+  auto node = copies_.extract(id);
+  if (node.empty()) return std::nullopt;
+  return std::move(node.mapped());
+}
+
+std::size_t RecordTable::evict(Time now) {
+  return std::erase_if(copies_, [&](const auto& entry) { return !live(entry.second, now); });
+}
+
+bool RecordTable::live(const ServiceRecord& copy, Time now) const {
+  return !copy.expired(now) && (max_age_ == kTimeNever || copy.registered >= now - max_age_);
+}
+
+std::vector<ServiceRecord> RecordTable::match(const qos::ConsumerQos& consumer,
+                                              std::uint32_t max_results, Time now,
+                                              bool own_only) {
+  std::vector<const ServiceRecord*> candidates;
+  for (auto& [id, own] : own_) {
+    own.record.expires = lease_expiry(own.lease, now);
+    candidates.push_back(&own.record);
+  }
+  if (!own_only) {
+    for (const auto& [id, copy] : copies_) {
+      if (live(copy, now)) candidates.push_back(&copy);
+    }
+  }
+  return best_matches(consumer, candidates, max_results);
+}
+
+std::vector<ServiceRecord> RecordTable::records(bool own_only) const {
+  std::vector<ServiceRecord> out;
+  out.reserve(own_.size() + (own_only ? 0 : copies_.size()));
+  for (const auto& [id, own] : own_) out.push_back(own.record);
+  if (!own_only) {
+    for (const auto& [id, copy] : copies_) out.push_back(copy);
+  }
+  return out;
+}
+
 }  // namespace ndsm::discovery

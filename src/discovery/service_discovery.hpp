@@ -57,14 +57,18 @@ class ServiceDiscovery {
     metrics_.counter(prefix + ".records_received", &stats_.records_received);
   }
 
+  // Counts a finished query as answered or empty, and the records it got.
+  void count_finished_query(const std::vector<ServiceRecord>& records) {
+    if (records.empty()) {
+      stats_.queries_empty++;
+    } else {
+      stats_.queries_answered++;
+    }
+    stats_.records_received += records.size();
+  }
+
   DiscoveryStats stats_;
   obs::MetricGroup metrics_;
 };
-
-// Globally-unique service ids minted client-side: provider node id in the
-// high 32 bits, local counter in the low 32.
-[[nodiscard]] inline ServiceId make_service_id(NodeId provider, std::uint32_t counter) {
-  return ServiceId{(provider.value() << 32) | counter};
-}
 
 }  // namespace ndsm::discovery

@@ -56,6 +56,138 @@ TEST(Record, ExpiryCheck) {
   EXPECT_FALSE(rec.expired(INT64_MAX - 1));
 }
 
+// RecordTable: one case per rule.
+
+ServiceRecord copy_of(std::uint64_t id, Time registered, Time expires) {
+  ServiceRecord rec;
+  rec.id = ServiceId{id};
+  rec.provider = NodeId{9};
+  rec.qos = sensor_service();
+  rec.registered = registered;
+  rec.expires = expires;
+  return rec;
+}
+
+TEST(RecordTable, LaterDatedCopyReplacesHeld) {
+  RecordTable table{NodeId{1}};
+  ASSERT_TRUE(table.keep(copy_of(7, 100, 1000), 100));
+  auto newer = copy_of(7, 200, 1100);
+  newer.qos.reliability = 0.5;
+  EXPECT_TRUE(table.keep(newer, 200));
+  const auto held = table.records();
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(held[0].registered, 200);
+  EXPECT_DOUBLE_EQ(held[0].qos.reliability, 0.5);
+}
+
+TEST(RecordTable, EqualDateIsARenewal) {
+  RecordTable table{NodeId{1}};
+  ASSERT_TRUE(table.keep(copy_of(7, 100, 1000), 100));
+  // A client re-sends its record with the registration date and a later
+  // expiry.
+  EXPECT_TRUE(table.keep(copy_of(7, 100, 2000), 900));
+  const auto held = table.records();
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(held[0].expires, 2000);
+}
+
+TEST(RecordTable, OlderDatedCopyIgnored) {
+  RecordTable table{NodeId{1}};
+  ASSERT_TRUE(table.keep(copy_of(7, 200, 1000), 200));
+  EXPECT_FALSE(table.keep(copy_of(7, 100, 5000), 300));
+  const auto held = table.records();
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(held[0].registered, 200);
+  EXPECT_EQ(held[0].expires, 1000);
+}
+
+TEST(RecordTable, ExpiredArrivalNotKept) {
+  RecordTable table{NodeId{1}};
+  EXPECT_FALSE(table.keep(copy_of(7, 0, 50), 100));
+  EXPECT_EQ(table.copy_count(), 0u);
+  EXPECT_EQ(table.evict(100), 0u);  // never held, so never evicted either
+}
+
+TEST(RecordTable, EvictionCountsLapsedAndAgedCopies) {
+  RecordTable table{NodeId{1}, /*max_age=*/100};
+  ASSERT_TRUE(table.keep(copy_of(1, 0, 60), 0));           // lease lapses at 60
+  ASSERT_TRUE(table.keep(copy_of(2, 0, kTimeNever), 0));   // dated at 0
+  ASSERT_TRUE(table.keep(copy_of(3, 90, kTimeNever), 90));  // dated at 90
+  EXPECT_EQ(table.evict(100), 1u);                          // lapsed
+  EXPECT_EQ(table.evict(150), 1u);                          // aged past 100
+  EXPECT_EQ(table.copy_count(), 1u);
+  EXPECT_EQ(table.records()[0].id, ServiceId{3});
+  // Without an age limit only leases evict.
+  RecordTable unbounded{NodeId{1}};
+  ASSERT_TRUE(unbounded.keep(copy_of(1, 0, 60), 0));
+  ASSERT_TRUE(unbounded.keep(copy_of(2, 0, kTimeNever), 0));
+  EXPECT_EQ(unbounded.evict(duration::seconds(3600)), 1u);
+  EXPECT_EQ(unbounded.copy_count(), 1u);
+}
+
+TEST(RecordTable, RemovingACopyHandsItBack) {
+  RecordTable table{NodeId{1}};
+  ASSERT_TRUE(table.keep(copy_of(7, 100, 1000), 100));
+  const auto removed = table.remove_copy(ServiceId{7});
+  ASSERT_TRUE(removed.has_value());
+  EXPECT_EQ(removed->id, ServiceId{7});
+  EXPECT_EQ(removed->expires, 1000);
+  EXPECT_EQ(table.copy_count(), 0u);
+  EXPECT_FALSE(table.remove_copy(ServiceId{7}).has_value());
+}
+
+TEST(RecordTable, OwnRecordsMatchWhateverTheirLease) {
+  RecordTable table{NodeId{1}};
+  const ServiceId id = table.add_own(sensor_service(), /*lease=*/10, /*now=*/0);
+  EXPECT_EQ(id, make_service_id(NodeId{1}, 1));
+  // A remote copy whose lease lapsed never matches.
+  ASSERT_TRUE(table.keep(copy_of(make_service_id(NodeId{9}, 1).value(), 0, 10), 0));
+  const Time later = duration::seconds(100);
+  const auto found = table.match(wants(), 8, later);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].id, id);
+  // Matching renews the lease without re-dating the record.
+  EXPECT_EQ(found[0].registered, 0);
+  EXPECT_EQ(found[0].expires, later + 10);
+  EXPECT_EQ(table.match(wants(), 8, later, /*own_only=*/true).size(), 1u);
+  EXPECT_TRUE(table.remove_own(id));
+  EXPECT_TRUE(table.match(wants(), 8, later).empty());
+}
+
+TEST(RecordTable, RedatingSetsRegistered) {
+  RecordTable table{NodeId{1}};
+  const ServiceId id = table.add_own(sensor_service(), /*lease=*/50, /*now=*/10);
+  table.redate_own(500);
+  auto own = table.records(/*own_only=*/true);
+  ASSERT_EQ(own.size(), 1u);
+  EXPECT_EQ(own[0].registered, 500);
+  EXPECT_EQ(own[0].expires, 550);
+  // A renewal alone keeps the date.
+  const ServiceRecord* renewed = table.renew(id, 900);
+  ASSERT_NE(renewed, nullptr);
+  EXPECT_EQ(renewed->registered, 500);
+  EXPECT_EQ(renewed->expires, 950);
+  EXPECT_EQ(table.renew(ServiceId{12345}, 900), nullptr);
+}
+
+TEST(RecordTable, OwnRecordsThenCopiesEachInIdOrder) {
+  RecordTable table{NodeId{2}};
+  const ServiceId a = table.add_own(sensor_service(), kTimeNever, 0);
+  const ServiceId b = table.add_own(sensor_service(), kTimeNever, 0);
+  for (const std::uint64_t id : {make_service_id(NodeId{5}, 3).value(),
+                                 make_service_id(NodeId{1}, 1).value(),
+                                 make_service_id(NodeId{5}, 1).value()}) {
+    ASSERT_TRUE(table.keep(copy_of(id, 0, kTimeNever), 0));
+  }
+  std::vector<ServiceId> order;
+  for (const auto& rec : table.records()) order.push_back(rec.id);
+  EXPECT_EQ(order, (std::vector<ServiceId>{a, b, make_service_id(NodeId{1}, 1),
+                                           make_service_id(NodeId{5}, 1),
+                                           make_service_id(NodeId{5}, 3)}));
+  EXPECT_EQ(table.own_count(), 2u);
+  EXPECT_EQ(table.copy_count(), 3u);
+}
+
 TEST(Messages, QueryRoundTrip) {
   QueryMessage q;
   q.query_id = 42;
@@ -376,11 +508,98 @@ TEST(Distributed, StaleCacheEntriesIgnored) {
   // queries fall back to flooding (which finds nothing).
   setup.world.kill(setup.nodes[3]);
   setup.sim.run_until(duration::seconds(20));
+  // The stale copy is gone from the cache, not only skipped by matching.
+  EXPECT_EQ(setup.clients[0]->cache_size(), 0u);
   std::vector<ServiceRecord> found{ServiceRecord{}};
   setup.clients[0]->query(wants(), [&](std::vector<ServiceRecord> recs) { found = recs; }, 8,
                           duration::seconds(2));
   setup.sim.run_until(duration::seconds(25));
   EXPECT_TRUE(found.empty());
+}
+
+// A flooded query ranks the replies it collected, so the callback gets
+// them best first (the QueryCallback contract; TransactionManager::bind
+// takes the first record), not in id order.
+TEST(Distributed, CollectedAnswersAreBestFirst) {
+  DistributedSetup setup{9};
+  auto low = sensor_service();
+  low.reliability = 0.5;
+  auto high = sensor_service();
+  high.reliability = 0.99;
+  setup.clients[1]->register_service(low, duration::seconds(60));
+  setup.clients[8]->register_service(high, duration::seconds(60));
+  std::vector<ServiceRecord> found;
+  setup.clients[0]->query(wants(), [&](std::vector<ServiceRecord> recs) { found = recs; }, 8,
+                          duration::seconds(2));
+  setup.sim.run_until(duration::seconds(3));
+  ASSERT_EQ(found.size(), 2u);
+  EXPECT_DOUBLE_EQ(found[0].qos.reliability, 0.99);
+  EXPECT_DOUBLE_EQ(found[1].qos.reliability, 0.5);
+}
+
+// An answer from the advertisement cache ranks the node's own services
+// together with the cached copies: the better remote copy wins a
+// one-record query over a worse own service with a lower id.
+TEST(Distributed, CachedAnswerRanksOwnWithCopies) {
+  DistributedConfig cfg;
+  cfg.advertise_period = duration::seconds(2);
+  DistributedSetup setup{4, cfg};
+  auto low = sensor_service();
+  low.reliability = 0.5;
+  auto high = sensor_service();
+  high.reliability = 0.99;
+  setup.clients[0]->register_service(low, duration::seconds(60));
+  setup.clients[3]->register_service(high, duration::seconds(60));
+  setup.sim.run_until(duration::seconds(5));
+  ASSERT_GE(setup.clients[0]->cache_size(), 1u);
+  std::vector<ServiceRecord> found;
+  setup.clients[0]->query(wants(), [&](std::vector<ServiceRecord> recs) { found = recs; }, 1,
+                          duration::seconds(2));
+  setup.sim.run_until(duration::seconds(6));
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_DOUBLE_EQ(found[0].qos.reliability, 0.99);
+  EXPECT_EQ(found[0].provider, setup.nodes[3]);
+}
+
+// A reply may carry several records; the collected answer is still cut
+// to max_results.
+TEST(Distributed, MaxResultsHonoured) {
+  DistributedSetup setup{9};
+  setup.clients[1]->register_service(sensor_service(), duration::seconds(60));
+  for (int i = 0; i < 3; ++i) {
+    setup.clients[8]->register_service(sensor_service(), duration::seconds(60));
+  }
+  std::vector<ServiceRecord> found;
+  setup.clients[0]->query(wants(), [&](std::vector<ServiceRecord> recs) { found = recs; }, 2,
+                          duration::seconds(2));
+  setup.sim.run_until(duration::seconds(3));
+  EXPECT_EQ(found.size(), 2u);
+}
+
+// The advertisement cache is bounded by the TTL: a supplier that keeps
+// replacing short-lived services leaves only the ones advertised within
+// one TTL in a peer's cache, not one entry per service it ever offered.
+TEST(Distributed, CacheForgetsStaleAdvertisements) {
+  DistributedConfig cfg;
+  cfg.advertise_period = duration::seconds(1);
+  cfg.cache_entry_ttl = duration::seconds(5);
+  DistributedSetup setup{4, cfg};
+  std::size_t peak = 0;
+  for (int i = 0; i < 200; ++i) {
+    setup.sim.schedule_at(duration::seconds(i), [&setup] {
+      const ServiceId id =
+          setup.clients[3]->register_service(sensor_service(), duration::seconds(3));
+      setup.sim.schedule_after(duration::millis(2500),
+                               [&setup, id] { setup.clients[3]->unregister_service(id); });
+    });
+    setup.sim.schedule_at(duration::seconds(i) + duration::millis(999), [&setup, &peak] {
+      peak = std::max(peak, setup.clients[0]->cache_size());
+    });
+  }
+  setup.sim.run_until(duration::seconds(201));
+  EXPECT_LE(setup.clients[0]->cache_size(), 6u);
+  EXPECT_LE(peak, 6u);
+  EXPECT_GE(peak, 1u);  // the advertisements did arrive
 }
 
 TEST(Adaptive, StartsDistributedSwitchesUnderQueryLoad) {

@@ -153,11 +153,11 @@ TEST(Gossip, FanoutLargerThanPeerSetIsSafe) {
 }
 
 // Audit pin (ISSUE 10 satellite): lease expiry and cache TTL are distinct
-// clocks, and match_known honours the lease on cached copies. A provider
+// clocks, and matching honours the lease on cached copies. A provider
 // that dies stops renewing its lease; once that lease lapses, queries must
 // come back empty on every node even though the cache TTL — much longer —
-// has not aged the entry out yet. (consider() rejects rec.expired(now) on
-// both the local_ and cache_ paths; this pins the cache path.)
+// has not aged the entry out yet. (RecordTable matches a copy only while
+// its lease runs; own records always match.)
 TEST(Gossip, ExpiredLeaseRejectedLongBeforeCacheTtl) {
   GossipConfig cfg;
   cfg.cache_entry_ttl = duration::seconds(600);  // TTL alone would keep it
@@ -179,11 +179,32 @@ TEST(Gossip, ExpiredLeaseRejectedLongBeforeCacheTtl) {
   ASSERT_LT(net.sim.now(), duration::seconds(600));
 }
 
+// A node's own services renew automatically (the ServiceDiscovery
+// contract), so they answer its local queries between gossip rounds even
+// when the lease is shorter than a round.
+TEST(Gossip, OwnServiceLiveBetweenRounds) {
+  GossipNet net{2};
+  net.clients[0]->register_service(svc(), duration::millis(300));
+  int empty = 0;
+  int answered = 0;
+  for (int i = 1; i <= 40; ++i) {
+    net.sim.schedule_at(duration::millis(100 * i), [&] {
+      net.clients[0]->query(
+          wants(),
+          [&](std::vector<ServiceRecord> r) { ++(r.empty() ? empty : answered); }, 4,
+          duration::seconds(1));
+    });
+  }
+  net.sim.run_until(duration::seconds(5));
+  EXPECT_EQ(empty, 0);
+  EXPECT_EQ(answered, 40);
+}
+
 TEST(Gossip, OwnServicesNeverEnterOwnCache) {
   GossipNet net{3};
   net.clients[0]->register_service(svc(), duration::seconds(600));
   net.sim.run_until(duration::seconds(15));
-  // Node 0's record lives in local_, not cache_ (authoritative copy).
+  // Node 0's record is an own record, never a copy (authoritative).
   EXPECT_EQ(net.clients[0]->cache_size(), 0u);
   std::vector<ServiceRecord> found;
   net.clients[0]->query(wants(), [&](std::vector<ServiceRecord> r) { found = r; }, 4,
