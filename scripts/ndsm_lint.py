@@ -44,6 +44,13 @@ rules the simulator's bit-determinism argument rests on:
                       only in src/recovery/storage.* (file-backed
                       StableStorage volumes) and the src/obs exporters
                       (flight, metrics, perfetto, trace).
+  untracked-timer     In the code node::Runtime::crash() tears down while
+                      the engine keeps running (src/transport, routing,
+                      discovery, transactions, scheduling, apps, node), a
+                      schedule_after/schedule_at call must keep the
+                      EventId it returns, so that its owner can cancel it:
+                      a dropped one runs after its owner is gone. Hold a
+                      deferred delivery in a net::RequestTable instead.
 
 Any finding can be suppressed with a written reason, on the same line or
 the line directly above the construct:
@@ -91,6 +98,12 @@ FILE_IO_HOMES = ("src/recovery/storage.", "src/obs/flight.", "src/obs/metrics.",
 ORDERING_DIRS = ("src/net/", "src/routing/", "src/discovery/",
                  "src/transactions/", "src/scheduling/")
 
+# The code a Runtime crash() destroys while the engine keeps running: an
+# event armed here must be cancellable by its owner.
+TIMER_OWNER_DIRS = ("src/transport/", "src/routing/", "src/discovery/",
+                    "src/transactions/", "src/scheduling/", "src/apps/",
+                    "src/node/")
+
 ANNOTATION_RE = re.compile(r"ndsm-lint:\s*allow\(([a-z-]+)\)\s*:?\s*(.*)")
 
 WALL_CLOCK_RE = re.compile(
@@ -112,6 +125,12 @@ RAW_CONCURRENCY_RE = re.compile(
     r"|#\s*include\s*<(?:thread|mutex|shared_mutex|atomic"
     r"|condition_variable|future|barrier|latch|semaphore|stop_token)>")
 FILE_IO_RE = re.compile(r"std::(?:i|o)?fstream\b|\bfopen\b")
+# A statement that starts with a timer call: its EventId is dropped. The
+# call continues a statement when the line above ends in one of
+# CONTINUATION_ENDINGS (`id =` then the call on the next line).
+DROPPED_TIMER_RE = re.compile(
+    r"^\s*(?:\(void\)\s*)?(?:\w+(?:\(\))?\s*(?:\.|->)\s*)*schedule_(?:after|at)\s*\(")
+CONTINUATION_ENDINGS = ("=", "(", ",", "?", "return")
 NEW_RE = re.compile(r"\bnew\b")
 DELETE_RE = re.compile(r"\bdelete\b")
 DELETED_FN_RE = re.compile(r"=\s*delete\b|\boperator\s+(?:new|delete)\b")
@@ -273,6 +292,7 @@ def lint_file(root, rel, decl_cache, violations):
     clock_exempt = rel.startswith(CLOCK_EXEMPT_PREFIXES)
     concurrency_exempt = rel.startswith(CONCURRENCY_EXEMPT_PREFIXES)
     ordering = rel.startswith(ORDERING_DIRS)
+    timer_owner = rel.startswith(TIMER_OWNER_DIRS)
     in_src = rel.startswith("src/")
     file_io_rule = in_src and not rel.startswith(FILE_IO_HOMES)
     unordered_names = decls_for(rel, decl_cache, "unordered") if ordering else set()
@@ -315,6 +335,17 @@ def lint_file(root, rel, decl_cache, violations):
                         f"iteration over unordered container `{name}` in a "
                         "message-ordering path — hash-bucket order leaks into "
                         "packet order; use std::map or annotate with a reason"))
+
+        if timer_owner and DROPPED_TIMER_RE.match(line):
+            above = next((code_lines[i].strip() for i in range(ln - 2, -1, -1)
+                          if code_lines[i].strip()), "")
+            if (not above.endswith(CONTINUATION_ENDINGS)
+                    and not allowed(allows, ln, "untracked-timer")):
+                violations.append(Violation(
+                    rel, ln, "untracked-timer",
+                    "timer armed without keeping its EventId — it runs after "
+                    "its owner is gone; keep and cancel it, or hold the "
+                    "delivery in a net::RequestTable"))
 
         if file_io_rule:
             m = FILE_IO_RE.search(line)
@@ -602,6 +633,31 @@ SELF_TEST_CASES = [
      "#include \"serialize/codec.hpp\"\n"
      "namespace serialize {\n"
      "std::uint8_t peek(Reader& r) { return *r.u8(); }\n"
+     "}\n",
+     set()),
+    # A timer whose EventId is dropped fires; one annotated with a reason,
+    # one assigned across a line break, and one outside the torn-down
+    # directories (the World outlives its events) do not.
+    ("src/transport/dropped_timer.cpp",
+     "void f(S& stack) {\n"
+     "  stack.schedule_after(0, [] {});\n"
+     "}\n",
+     {"untracked-timer"}),
+    ("src/discovery/annotated_timer.cpp",
+     "void f(S& stack) {\n"
+     "  // ndsm-lint: allow(untracked-timer): the stack outlives its events\n"
+     "  stack.schedule_after(0, [] {});\n"
+     "}\n",
+     set()),
+    ("src/apps/assigned_timer.cpp",
+     "void f(S& stack, EventId& id) {\n"
+     "  id =\n"
+     "      stack.schedule_after(0, [] {});\n"
+     "}\n",
+     set()),
+    ("src/net/world_timer.cpp",
+     "void f(S& sim) {\n"
+     "  sim.schedule_at(5, [] {});\n"
      "}\n",
      set()),
     # The tracing layer is NOT exempt: trace ids and event timestamps must

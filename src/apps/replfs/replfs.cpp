@@ -316,6 +316,7 @@ Client::Client(transport::ReliableTransport& transport, net::Stack& stack,
       stack_(stack),
       servers_(std::move(servers)),
       config_(std::move(config)),
+      reads_(stack, [](std::uint64_t, ReadCallback done) { done(false, {}); }),
       ticker_(stack, config_.retry_period, [this] { tick(); }) {
   metrics_.set_labels("apps.replfs.client",
                       static_cast<std::int64_t>(transport_.self().value()));
@@ -365,8 +366,8 @@ void Client::write(std::string key, Bytes value, WriteCallback done) {
 }
 
 void Client::read(NodeId server, std::string key, ReadCallback done) {
-  const std::uint64_t req_id = next_read_id_++;
-  reads_[req_id] = std::move(done);
+  const std::uint64_t req_id =
+      reads_.open(server, std::move(done), config_.retry_period * config_.max_write_attempts);
   serialize::Writer w;
   w.u8(static_cast<std::uint8_t>(Kind::kRead));
   w.varint(req_id);
@@ -494,11 +495,7 @@ void Client::on_control(NodeId src, const Bytes& payload) {
       stats_.malformed_dropped++;
       return;
     }
-    const auto it = reads_.find(*req_id);
-    if (it == reads_.end()) return;
-    ReadCallback cb = std::move(it->second);
-    reads_.erase(it);
-    cb(*found, *value);
+    if (auto cb = reads_.take(*req_id, src)) (*cb)(*found, *value);
     return;
   }
   const auto commit_id = r.varint();

@@ -183,7 +183,9 @@ class Client {
   // kResourceExhausted when this client has no commit id left for it
   // (make_commit_id).
   void write(std::string key, Bytes value, WriteCallback done);
-  // Read `key` from one replica (verification path).
+  // Read `key` from one replica (verification path). `done` fires exactly
+  // once; found == false also means no answer came within
+  // retry_period x max_write_attempts (a write's re-drive budget).
   void read(NodeId server, std::string key, ReadCallback done);
 
   [[nodiscard]] std::size_t pending_writes() const { return queue_.size(); }
@@ -231,10 +233,9 @@ class Client {
   std::vector<NodeId> servers_;
   ReplfsConfig config_;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t next_read_id_ = 1;
   bool head_active_ = false;
   std::deque<WriteOp> queue_;  // front is the active write
-  std::map<std::uint64_t, ReadCallback> reads_;
+  net::RequestTable<ReadCallback> reads_;  // answered by the replica asked
   std::vector<CommittedWrite> committed_log_;
   ClientStats stats_;
   obs::MetricGroup metrics_;

@@ -13,7 +13,10 @@ CentralizedDiscovery::CentralizedDiscovery(transport::ReliableTransport& transpo
     : transport_(transport),
       directories_(std::move(directories)),
       policy_(policy),
-      table_(transport.self()) {
+      table_(transport.self()),
+      queries_(transport.router().stack(), [this](std::uint64_t query_id, PendingQuery query) {
+        on_query_timeout(query_id, std::move(query));
+      }) {
   assert(!directories_.empty());
   // Stagger round-robin start positions across clients so synchronized
   // query waves do not all land on the same mirror.
@@ -28,10 +31,6 @@ CentralizedDiscovery::~CentralizedDiscovery() {
   auto& stack = transport_.router().stack();
   // ndsm-lint: allow(unordered-iter): cancel order is irrelevant — cancel() is an O(1) tombstone with no observable ordering effect
   for (auto& [id, renewal] : renewals_) stack.cancel(renewal);
-  // ndsm-lint: allow(unordered-iter): cancel order is irrelevant — cancel() is an O(1) tombstone with no observable ordering effect
-  for (auto& [id, pending] : pending_) {
-    if (pending.timer.valid()) stack.cancel(pending.timer);
-  }
 }
 
 NodeId CentralizedDiscovery::pick_directory() {
@@ -97,8 +96,6 @@ void CentralizedDiscovery::unregister_service(ServiceId id) {
 
 void CentralizedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback callback,
                                  std::uint32_t max_results, Time timeout) {
-  auto& stack = transport_.router().stack();
-  const std::uint64_t query_id = next_query_++;
   stats_.queries_issued++;
 
   // The query gets its own span; the directory and the reply continue it,
@@ -108,8 +105,9 @@ void CentralizedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
   ctx.span_id = transport_.trace_ids().next();
   ctx.trace_id = parent.valid() ? parent.trace_id : ctx.span_id;
 
+  const NodeId directory = pick_directory();
   QueryMessage msg;
-  msg.query_id = query_id;
+  msg.query_id = queries_.open(directory, PendingQuery{std::move(callback), ctx}, timeout);
   msg.reply_to = transport_.self();
   msg.reply_port = transport::ports::kDiscoveryReplyCent;
   msg.consumer = consumer;
@@ -120,37 +118,28 @@ void CentralizedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
     tracer.event_traced("discovery.centralized", "query",
                         static_cast<std::int64_t>(transport_.self().value()), ctx.trace_id,
                         ctx.span_id, parent.span_id,
-                        {{"query_id", std::to_string(query_id)},
+                        {{"query_id", std::to_string(msg.query_id)},
                          {"type", msg.consumer.service_type}});
   }
 
-  PendingQuery pending;
-  pending.callback = std::move(callback);
-  pending.trace = ctx;
-  pending.timer = stack.schedule_after(timeout, [this, query_id] {
-    const auto it = pending_.find(query_id);
-    if (it == pending_.end()) return;
-    auto cb = std::move(it->second.callback);
-    const obs::TraceContext qctx = it->second.trace;
-    pending_.erase(it);
-    count_finished_query({});
-    obs::Tracer& tr = obs::Tracer::instance();
-    if (tr.enabled()) {
-      tr.event_traced("discovery.centralized", "query_timeout",
-                      static_cast<std::int64_t>(transport_.self().value()), qctx.trace_id,
-                      qctx.span_id, qctx.span_id,
-                      {{"query_id", std::to_string(query_id)}});
-    }
-    const obs::ScopedTrace scope(qctx);
-    cb({});
-  });
-  pending_.emplace(query_id, std::move(pending));
-
   const obs::ScopedTrace scope(ctx);
-  transport_.send(pick_directory(), transport::ports::kDiscovery, encode_query(msg));
+  transport_.send(directory, transport::ports::kDiscovery, encode_query(msg));
 }
 
-void CentralizedDiscovery::on_message(NodeId /*src*/, const Bytes& frame) {
+void CentralizedDiscovery::on_query_timeout(std::uint64_t query_id, PendingQuery query) {
+  count_finished_query({});
+  obs::Tracer& tracer = obs::Tracer::instance();
+  if (tracer.enabled()) {
+    tracer.event_traced("discovery.centralized", "query_timeout",
+                        static_cast<std::int64_t>(transport_.self().value()),
+                        query.trace.trace_id, query.trace.span_id, query.trace.span_id,
+                        {{"query_id", std::to_string(query_id)}});
+  }
+  const obs::ScopedTrace scope(query.trace);
+  query.callback({});
+}
+
+void CentralizedDiscovery::on_message(NodeId src, const Bytes& frame) {
   const auto kind = peek_kind(frame);
   if (!kind) return;
   serialize::Reader r{frame};
@@ -160,12 +149,9 @@ void CentralizedDiscovery::on_message(NodeId /*src*/, const Bytes& frame) {
     case MsgKind::kQueryReply: {
       auto reply = decode_query_reply(r);
       if (!reply) return;
-      const auto it = pending_.find(reply->query_id);
-      if (it == pending_.end()) return;  // late reply after timeout
-      if (it->second.timer.valid()) transport_.router().stack().cancel(it->second.timer);
-      auto cb = std::move(it->second.callback);
-      const obs::TraceContext qctx = it->second.trace;
-      pending_.erase(it);
+      auto query = queries_.take(reply->query_id, src);
+      if (!query) return;  // late reply after timeout
+      const obs::TraceContext qctx = query->trace;
       count_finished_query(reply->records);
       obs::Tracer& tracer = obs::Tracer::instance();
       if (tracer.enabled() && qctx.valid()) {
@@ -180,7 +166,7 @@ void CentralizedDiscovery::on_message(NodeId /*src*/, const Bytes& frame) {
                              {"records", std::to_string(reply->records.size())}});
       }
       const obs::ScopedTrace scope(qctx);
-      cb(std::move(reply->records));
+      query->callback(std::move(reply->records));
       break;
     }
     case MsgKind::kRegisterAck:

@@ -34,12 +34,12 @@ class CentralizedDiscovery : public ServiceDiscovery {
  private:
   struct PendingQuery {
     QueryCallback callback;
-    EventId timer = EventId::invalid();
     // Query span context, bridging the async gap to the reply/timeout.
     obs::TraceContext trace;
   };
 
   void on_message(NodeId src, const Bytes& frame);
+  void on_query_timeout(std::uint64_t query_id, PendingQuery query);
   void send_register(ServiceId id);
   [[nodiscard]] NodeId pick_directory();
 
@@ -47,10 +47,9 @@ class CentralizedDiscovery : public ServiceDiscovery {
   std::vector<NodeId> directories_;
   MirrorPolicy policy_;
   std::size_t rr_next_ = 0;
-  std::uint64_t next_query_ = 1;
   RecordTable table_;  // own records only; the directory holds the copies
   std::unordered_map<ServiceId, EventId> renewals_;
-  std::unordered_map<std::uint64_t, PendingQuery> pending_;
+  net::RequestTable<PendingQuery> queries_;  // answered by the directory asked
 };
 
 }  // namespace ndsm::discovery

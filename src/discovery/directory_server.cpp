@@ -49,6 +49,7 @@ void DirectoryServer::rehydrate() {
 
 DirectoryServer::~DirectoryServer() {
   transport_.clear_receiver(transport::ports::kDiscovery);
+  if (drain_.valid()) transport_.router().stack().cancel(drain_);
 }
 
 std::vector<ServiceRecord> DirectoryServer::snapshot() const { return records_.records(); }
@@ -106,14 +107,13 @@ void DirectoryServer::serve_query(const QueryMessage& query, const obs::TraceCon
 }
 
 void DirectoryServer::drain_query_queue() {
-  if (query_busy_ || query_queue_.empty()) return;
-  query_busy_ = true;
-  transport_.router().stack().schedule_after(processing_time_, [this] {
+  if (drain_.valid() || query_queue_.empty()) return;
+  drain_ = transport_.router().stack().schedule_after(processing_time_, [this] {
     if (!query_queue_.empty()) {
       serve_query(query_queue_.front().query, query_queue_.front().trace);
       query_queue_.pop_front();
     }
-    query_busy_ = false;
+    drain_ = EventId::invalid();
     drain_query_queue();
   });
 }

@@ -87,7 +87,7 @@ class DirectoryServer {
     obs::TraceContext trace;
   };
   std::deque<QueuedQuery> query_queue_;
-  bool query_busy_ = false;
+  EventId drain_ = EventId::invalid();  // the query being served, if any
   net::PeriodicTimer sweeper_;
 };
 

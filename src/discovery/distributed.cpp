@@ -7,6 +7,10 @@ DistributedDiscovery::DistributedDiscovery(transport::ReliableTransport& transpo
     : transport_(transport),
       config_(config),
       table_(transport.self(), config.cache_entry_ttl),
+      queries_(transport.router().stack(),
+               [this](std::uint64_t, PendingQuery query) { finish_query(std::move(query)); }),
+      answers_(transport.router().stack(),
+               [](std::uint64_t, std::function<void()> answer) { answer(); }),
       advertiser_(transport.router().stack(),
                   config.advertise_period > 0 ? config.advertise_period
                                               : duration::seconds(1),
@@ -29,11 +33,6 @@ DistributedDiscovery::DistributedDiscovery(transport::ReliableTransport& transpo
 DistributedDiscovery::~DistributedDiscovery() {
   transport_.router().clear_delivery_handler(routing::Proto::kDiscovery);
   transport_.clear_receiver(transport::ports::kDiscoveryReplyDist);
-  auto& stack = transport_.router().stack();
-  // ndsm-lint: allow(unordered-iter): cancel order is irrelevant — cancel() is an O(1) tombstone with no observable ordering effect
-  for (auto& [id, pending] : pending_) {
-    if (pending.timer.valid()) stack.cancel(pending.timer);
-  }
 }
 
 ServiceId DistributedDiscovery::register_service(qos::SupplierQos qos, Time lease) {
@@ -72,42 +71,31 @@ void DistributedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
     if (!found.empty()) {
       count_finished_query(found);
       // Delivered asynchronously (callers expect async).
-      stack.schedule_after(0, [cb = std::move(callback), found = std::move(found)]() mutable {
-        cb(std::move(found));
-      });
+      answers_.open(transport_.self(),
+                    [cb = std::move(callback), found = std::move(found)]() mutable {
+                      cb(std::move(found));
+                    },
+                    0);
       return;
     }
   }
 
-  const std::uint64_t query_id = next_query_++;
   QueryMessage msg;
-  msg.query_id = query_id;
+  msg.query_id =
+      queries_.open(kAnyPeer, {std::move(callback), consumer, max_results, {}}, timeout);
   msg.reply_to = transport_.self();
   msg.reply_port = transport::ports::kDiscoveryReplyDist;
   msg.consumer = consumer;
   msg.max_results = max_results;
-
-  PendingQuery pending;
-  pending.callback = std::move(callback);
-  pending.consumer = consumer;
-  pending.max_results = max_results;
-  pending.timer = stack.schedule_after(timeout, [this, query_id] { finish_query(query_id); });
-  pending_.emplace(query_id, std::move(pending));
-
   transport_.router().flood(routing::Proto::kDiscovery, encode_query(msg));
 }
 
-void DistributedDiscovery::finish_query(std::uint64_t query_id) {
-  const auto it = pending_.find(query_id);
-  if (it == pending_.end()) return;
-  PendingQuery pending = std::move(it->second);
-  pending_.erase(it);
-  if (pending.timer.valid()) transport_.router().stack().cancel(pending.timer);
+void DistributedDiscovery::finish_query(PendingQuery query) {
   std::vector<const ServiceRecord*> replies;
-  for (const auto& [id, rec] : pending.collected) replies.push_back(&rec);
-  auto found = best_matches(pending.consumer, replies, pending.max_results);
+  for (const auto& [id, rec] : query.collected) replies.push_back(&rec);
+  auto found = best_matches(query.consumer, replies, query.max_results);
   count_finished_query(found);
-  pending.callback(std::move(found));
+  query.callback(std::move(found));
 }
 
 void DistributedDiscovery::on_flood(NodeId origin, const Bytes& frame) {
@@ -146,7 +134,7 @@ void DistributedDiscovery::on_flood(NodeId origin, const Bytes& frame) {
   }
 }
 
-void DistributedDiscovery::on_unicast(NodeId /*src*/, const Bytes& frame) {
+void DistributedDiscovery::on_unicast(NodeId src, const Bytes& frame) {
   const auto kind = peek_kind(frame);
   if (!kind || *kind != MsgKind::kQueryReply) return;
   serialize::Reader r{frame};
@@ -154,12 +142,12 @@ void DistributedDiscovery::on_unicast(NodeId /*src*/, const Bytes& frame) {
   (void)r.u8();
   auto reply = decode_query_reply(r);
   if (!reply) return;
-  const auto it = pending_.find(reply->query_id);
-  if (it == pending_.end()) return;  // late reply
-  for (auto& rec : reply->records) {
-    it->second.collected.emplace(rec.id, std::move(rec));
+  PendingQuery* query = queries_.find(reply->query_id, src);
+  if (query == nullptr) return;  // late reply
+  for (auto& rec : reply->records) query->collected.emplace(rec.id, std::move(rec));
+  if (query->collected.size() >= query->max_results) {
+    finish_query(*queries_.take(reply->query_id, src));
   }
-  if (it->second.collected.size() >= it->second.max_results) finish_query(reply->query_id);
 }
 
 }  // namespace ndsm::discovery

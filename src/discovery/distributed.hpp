@@ -6,7 +6,6 @@
 // answered locally when fresh cached matches exist.
 
 #include <map>
-#include <unordered_map>
 
 #include "discovery/messages.hpp"
 #include "discovery/service_discovery.hpp"
@@ -43,20 +42,20 @@ class DistributedDiscovery : public ServiceDiscovery {
     qos::ConsumerQos consumer;  // ranks the collected replies
     std::uint32_t max_results = 0;
     std::map<ServiceId, ServiceRecord> collected;
-    EventId timer = EventId::invalid();
   };
 
   void on_flood(NodeId origin, const Bytes& frame);     // queries & advertisements
   void on_unicast(NodeId src, const Bytes& frame);      // query replies
   void advertise();
-  void finish_query(std::uint64_t query_id);
+  void finish_query(PendingQuery query);
 
   transport::ReliableTransport& transport_;
   DistributedConfig config_;
-  std::uint64_t next_query_ = 1;
   // Own services and advertised copies, aged by cache_entry_ttl.
   RecordTable table_;
-  std::unordered_map<std::uint64_t, PendingQuery> pending_;
+  net::RequestTable<PendingQuery> queries_;  // flooded: any node answers
+  // Answers from the cache, each delivered in the next event.
+  net::RequestTable<std::function<void()>> answers_;
   net::PeriodicTimer advertiser_;
 };
 

@@ -17,6 +17,8 @@ GossipDiscovery::GossipDiscovery(transport::ReliableTransport& transport,
       rng_(transport.router().stack().fork_rng(transport.self().value() ^ 0x90551b)),
       table_(transport.self(), config.cache_entry_ttl),
       peers_(std::move(seed_peers)),
+      answers_(transport.router().stack(),
+               [](std::uint64_t, std::function<void()> answer) { answer(); }),
       timer_(transport.router().stack(), kGossipPeriod, [this] { gossip(); }) {
   peers_.erase(std::remove(peers_.begin(), peers_.end(), transport_.self()), peers_.end());
   register_stats_metrics("gossip", static_cast<std::int64_t>(transport.self().value()));
@@ -92,10 +94,11 @@ void GossipDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback call
   auto results = table_.match(consumer, max_results, transport_.router().stack().now());
   count_finished_query(results);
   // Asynchronous delivery, like every other discovery mode.
-  transport_.router().stack().schedule_after(
-      0, [cb = std::move(callback), results = std::move(results)]() mutable {
-        cb(std::move(results));
-      });
+  answers_.open(transport_.self(),
+                [cb = std::move(callback), results = std::move(results)]() mutable {
+                  cb(std::move(results));
+                },
+                0);
 }
 
 }  // namespace ndsm::discovery

@@ -54,6 +54,8 @@ class GossipDiscovery : public ServiceDiscovery {
   RecordTable table_;
   std::vector<NodeId> peers_;
   std::uint64_t rounds_ = 0;
+  // Answers, each delivered in the next event.
+  net::RequestTable<std::function<void()>> answers_;
   net::PeriodicTimer timer_;
 };
 

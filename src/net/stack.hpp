@@ -27,6 +27,7 @@
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
 #include "common/periodic_timer.hpp"
+#include "common/request_table.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/time.hpp"
@@ -94,5 +95,10 @@ class Stack {
 // re-arm-after-fn ordering), so components moved onto the seam keep their
 // event schedule bit-for-bit.
 using PeriodicTimer = BasicPeriodicTimer<Stack>;
+
+// Outstanding requests, and deferred deliveries, over any Stack: each
+// dies with the table that holds it (common/request_table.hpp).
+template <class Entry>
+using RequestTable = BasicRequestTable<Entry, Stack>;
 
 }  // namespace ndsm::net

@@ -5,19 +5,15 @@
 namespace ndsm::scheduling {
 
 HandoffManager::HandoffManager(transport::ReliableTransport& transport)
-    : transport_(transport) {
+    : transport_(transport),
+      transfers_(transport.router().stack(), [this](std::uint64_t, CompletionHandler done) {
+        finish(std::move(done), Status{ErrorCode::kTimeout, "handoff not acknowledged"});
+      }) {
   transport_.set_receiver(transport::ports::kHandoff,
                           [this](NodeId src, const Bytes& b) { on_message(src, b); });
 }
 
-HandoffManager::~HandoffManager() {
-  transport_.clear_receiver(transport::ports::kHandoff);
-  auto& stack = transport_.router().stack();
-  // ndsm-lint: allow(unordered-iter): cancel order is irrelevant — cancel() is an O(1) tombstone with no observable ordering effect
-  for (auto& [id, pending] : pending_) {
-    if (pending.timer.valid()) stack.cancel(pending.timer);
-  }
-}
+HandoffManager::~HandoffManager() { transport_.clear_receiver(transport::ports::kHandoff); }
 
 void HandoffManager::register_session_type(const std::string& session_type,
                                            ResumeHandler handler) {
@@ -26,16 +22,8 @@ void HandoffManager::register_session_type(const std::string& session_type,
 
 void HandoffManager::handoff(const std::string& session_type, Bytes state, NodeId target,
                              CompletionHandler done, Time timeout) {
-  auto& stack = transport_.router().stack();
-  const std::uint64_t transfer_id = next_transfer_++;
+  const std::uint64_t transfer_id = transfers_.open(target, std::move(done), timeout);
   stats_.initiated++;
-
-  Pending pending;
-  pending.done = std::move(done);
-  pending.timer = stack.schedule_after(timeout, [this, transfer_id] {
-    finish(transfer_id, Status{ErrorCode::kTimeout, "handoff not acknowledged"});
-  });
-  pending_.emplace(transfer_id, std::move(pending));
 
   serialize::Writer w;
   w.u8(static_cast<std::uint8_t>(Kind::kTransfer));
@@ -45,12 +33,7 @@ void HandoffManager::handoff(const std::string& session_type, Bytes state, NodeI
   transport_.send(target, transport::ports::kHandoff, std::move(w).take());
 }
 
-void HandoffManager::finish(std::uint64_t transfer_id, Status status) {
-  const auto it = pending_.find(transfer_id);
-  if (it == pending_.end()) return;
-  if (it->second.timer.valid()) transport_.router().stack().cancel(it->second.timer);
-  auto done = std::move(it->second.done);
-  pending_.erase(it);
+void HandoffManager::finish(CompletionHandler done, Status status) {
   if (status.is_ok()) {
     stats_.completed++;
   } else {
@@ -95,15 +78,16 @@ void HandoffManager::on_message(NodeId src, const Bytes& frame) {
     case Kind::kAccept: {
       const auto transfer_id = r.varint();
       if (!transfer_id) return;
-      finish(*transfer_id, Status::ok());
+      if (auto done = transfers_.take(*transfer_id, src)) finish(std::move(*done), Status::ok());
       break;
     }
     case Kind::kReject: {
       const auto transfer_id = r.varint();
       auto reason = r.str();
       if (!transfer_id) return;
-      finish(*transfer_id,
-             Status{ErrorCode::kRejected, reason ? *reason : "rejected"});
+      if (auto done = transfers_.take(*transfer_id, src)) {
+        finish(std::move(*done), Status{ErrorCode::kRejected, reason ? *reason : "rejected"});
+      }
       break;
     }
   }

@@ -54,18 +54,15 @@ class HandoffManager {
 
  private:
   enum class Kind : std::uint8_t { kTransfer = 1, kAccept = 2, kReject = 3 };
-  struct Pending {
-    CompletionHandler done;
-    EventId timer = EventId::invalid();
-  };
 
   void on_message(NodeId src, const Bytes& frame);
-  void finish(std::uint64_t transfer_id, Status status);
+  void finish(CompletionHandler done, Status status);
 
   transport::ReliableTransport& transport_;
   std::unordered_map<std::string, ResumeHandler> handlers_;
-  std::unordered_map<std::uint64_t, Pending> pending_;
-  std::uint64_t next_transfer_ = 1;
+  // Answered only by the target: an accept from any other node would
+  // leave the session owned by nobody.
+  net::RequestTable<CompletionHandler> transfers_;
   HandoffStats stats_;
 };
 

@@ -4,19 +4,17 @@
 
 namespace ndsm::transactions {
 
-RpcEndpoint::RpcEndpoint(transport::ReliableTransport& transport) : transport_(transport) {
+RpcEndpoint::RpcEndpoint(transport::ReliableTransport& transport)
+    : transport_(transport),
+      calls_(transport.router().stack(), [this](std::uint64_t, ResponseCallback callback) {
+        stats_.timeouts++;
+        callback(Status{ErrorCode::kTimeout, "rpc timeout"});
+      }) {
   transport_.set_receiver(transport::ports::kRpc,
                           [this](NodeId src, const Bytes& b) { on_message(src, b); });
 }
 
-RpcEndpoint::~RpcEndpoint() {
-  transport_.clear_receiver(transport::ports::kRpc);
-  auto& stack = transport_.router().stack();
-  // ndsm-lint: allow(unordered-iter): cancel order is irrelevant — cancel() is an O(1) tombstone with no observable ordering effect
-  for (auto& [id, pending] : pending_) {
-    if (pending.timer.valid()) stack.cancel(pending.timer);
-  }
-}
+RpcEndpoint::~RpcEndpoint() { transport_.clear_receiver(transport::ports::kRpc); }
 
 void RpcEndpoint::register_method(const std::string& name, Handler handler) {
   methods_[name] = std::move(handler);
@@ -24,17 +22,8 @@ void RpcEndpoint::register_method(const std::string& name, Handler handler) {
 
 void RpcEndpoint::call(NodeId server, const std::string& method, Bytes args,
                        ResponseCallback callback, Time timeout) {
-  auto& stack = transport_.router().stack();
-  const std::uint64_t request_id = next_request_++;
+  const std::uint64_t request_id = calls_.open(server, std::move(callback), timeout);
   stats_.calls_sent++;
-
-  Pending pending;
-  pending.callback = std::move(callback);
-  pending.timer = stack.schedule_after(timeout, [this, request_id] {
-    stats_.timeouts++;
-    finish(request_id, Status{ErrorCode::kTimeout, "rpc timeout"});
-  });
-  pending_.emplace(request_id, std::move(pending));
 
   serialize::Writer w;
   w.u8(static_cast<std::uint8_t>(Kind::kRequest));
@@ -42,15 +31,6 @@ void RpcEndpoint::call(NodeId server, const std::string& method, Bytes args,
   w.str(method);
   w.bytes(args);
   transport_.send(server, transport::ports::kRpc, std::move(w).take());
-}
-
-void RpcEndpoint::finish(std::uint64_t request_id, Result<Bytes> result) {
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  if (it->second.timer.valid()) transport_.router().stack().cancel(it->second.timer);
-  auto cb = std::move(it->second.callback);
-  pending_.erase(it);
-  cb(std::move(result));
 }
 
 void RpcEndpoint::on_message(NodeId src, const Bytes& frame) {
@@ -95,12 +75,14 @@ void RpcEndpoint::on_message(NodeId src, const Bytes& frame) {
     if (*ok) {
       auto payload = r.bytes();
       if (!payload) return;
-      finish(*request_id, std::move(*payload));
+      if (auto callback = calls_.take(*request_id, src)) (*callback)(std::move(*payload));
     } else {
       const auto code = r.u8();
       const auto message = r.str();
       if (!code || !message) return;
-      finish(*request_id, Status{static_cast<ErrorCode>(*code), *message});
+      if (auto callback = calls_.take(*request_id, src)) {
+        (*callback)(Status{static_cast<ErrorCode>(*code), *message});
+      }
     }
   }
 }

@@ -43,18 +43,12 @@ class RpcEndpoint {
 
  private:
   enum class Kind : std::uint8_t { kRequest = 1, kResponse = 2 };
-  struct Pending {
-    ResponseCallback callback;
-    EventId timer = EventId::invalid();
-  };
 
   void on_message(NodeId src, const Bytes& frame);
-  void finish(std::uint64_t request_id, Result<Bytes> result);
 
   transport::ReliableTransport& transport_;
   std::unordered_map<std::string, Handler> methods_;
-  std::unordered_map<std::uint64_t, Pending> pending_;
-  std::uint64_t next_request_ = 1;
+  net::RequestTable<ResponseCallback> calls_;  // answered by the server called
   RpcStats stats_;
 };
 

@@ -116,31 +116,36 @@ void TupleSpaceServer::on_message(NodeId src, const Bytes& frame) {
 }
 
 TupleSpaceClient::TupleSpaceClient(transport::ReliableTransport& transport, NodeId server)
-    : transport_(transport), server_(server) {
+    : transport_(transport),
+      server_(server),
+      requests_(transport.router().stack(), [this](std::uint64_t request_id, Waiting waiting) {
+        if (waiting.blocking) {
+          // Tell the server to drop the parked request.
+          serialize::Writer w;
+          w.u8(static_cast<std::uint8_t>(Kind::kCancel));
+          w.varint(request_id);
+          transport_.send(server_, transport::ports::kTupleSpace, std::move(w).take());
+        }
+        waiting.callback(false, {});
+      }) {
   transport_.set_receiver(transport::ports::kTupleSpace,
                           [this](NodeId src, const Bytes& b) { on_message(src, b); });
 }
 
 TupleSpaceClient::~TupleSpaceClient() {
   transport_.clear_receiver(transport::ports::kTupleSpace);
-  auto& stack = transport_.router().stack();
-  // ndsm-lint: allow(unordered-iter): cancel order is irrelevant — cancel() is an O(1) tombstone with no observable ordering effect
-  for (auto& [id, pending] : pending_) {
-    if (pending.timer.valid()) stack.cancel(pending.timer);
-  }
 }
 
 void TupleSpaceClient::out(const Tuple& tuple, std::function<void(Status)> done) {
-  const std::uint64_t request_id = next_request_++;
-  if (done) {
-    Pending pending;
-    pending.callback = [done = std::move(done)](bool found, Tuple) {
-      done(found ? Status::ok() : Status{ErrorCode::kTimeout, "out not acknowledged"});
-    };
-    pending.timer = transport_.router().stack().schedule_after(
-        duration::seconds(5), [this, request_id] { finish(request_id, false, {}); });
-    pending_.emplace(request_id, std::move(pending));
-  }
+  // An out without `done` awaits no acknowledgement but still takes an id.
+  const std::uint64_t request_id =
+      !done ? requests_.skip()
+            : requests_.open(server_,
+                             {[done = std::move(done)](bool acked, Tuple) {
+                               done(acked ? Status::ok()
+                                          : Status{ErrorCode::kTimeout, "out not acknowledged"});
+                             }},
+                             duration::seconds(5));
   serialize::Writer w;
   w.u8(static_cast<std::uint8_t>(Kind::kOut));
   w.varint(request_id);
@@ -160,22 +165,8 @@ void TupleSpaceClient::in(const Tuple& tmpl, TupleCallback callback, bool blocki
 
 void TupleSpaceClient::request(const Tuple& tmpl, bool take, bool blocking, Time timeout,
                                TupleCallback callback) {
-  const std::uint64_t request_id = next_request_++;
-  Pending pending;
-  pending.callback = std::move(callback);
-  pending.timer = transport_.router().stack().schedule_after(
-      timeout, [this, request_id, blocking] {
-        if (blocking) {
-          // Tell the server to drop the parked request.
-          serialize::Writer w;
-          w.u8(static_cast<std::uint8_t>(Kind::kCancel));
-          w.varint(request_id);
-          transport_.send(server_, transport::ports::kTupleSpace, std::move(w).take());
-        }
-        finish(request_id, false, {});
-      });
-  pending_.emplace(request_id, std::move(pending));
-
+  const std::uint64_t request_id =
+      requests_.open(server_, Waiting{std::move(callback), blocking}, timeout);
   serialize::Writer w;
   w.u8(static_cast<std::uint8_t>(take ? Kind::kIn : Kind::kRd));
   w.varint(request_id);
@@ -184,23 +175,18 @@ void TupleSpaceClient::request(const Tuple& tmpl, bool take, bool blocking, Time
   transport_.send(server_, transport::ports::kTupleSpace, std::move(w).take());
 }
 
-void TupleSpaceClient::finish(std::uint64_t request_id, bool found, Tuple tuple) {
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  if (it->second.timer.valid()) transport_.router().stack().cancel(it->second.timer);
-  auto cb = std::move(it->second.callback);
-  pending_.erase(it);
-  cb(found, std::move(tuple));
+void TupleSpaceClient::finish(std::uint64_t request_id, NodeId src, bool found, Tuple tuple) {
+  if (auto waiting = requests_.take(request_id, src)) waiting->callback(found, std::move(tuple));
 }
 
-void TupleSpaceClient::on_message(NodeId /*src*/, const Bytes& frame) {
+void TupleSpaceClient::on_message(NodeId src, const Bytes& frame) {
   serialize::Reader r{frame};
   const auto kind = r.u8();
   if (!kind) return;
   if (static_cast<Kind>(*kind) == Kind::kOutAck) {
     const auto request_id = r.varint();
     if (!request_id) return;
-    finish(*request_id, true, {});
+    finish(*request_id, src, true, {});
     return;
   }
   if (static_cast<Kind>(*kind) != Kind::kReply) return;
@@ -208,14 +194,14 @@ void TupleSpaceClient::on_message(NodeId /*src*/, const Bytes& frame) {
   const auto found = r.boolean();
   if (!request_id || !found) return;
   if (!*found) {
-    finish(*request_id, false, {});
+    finish(*request_id, src, false, {});
     return;
   }
   const auto body = r.bytes();
   if (!body) return;
   auto tuple = serialize::decode_tuple(*body);
   if (!tuple.is_ok()) return;
-  finish(*request_id, true, std::move(tuple).take());
+  finish(*request_id, src, true, std::move(tuple).take());
 }
 
 }  // namespace ndsm::transactions

@@ -8,7 +8,6 @@
 #include <deque>
 #include <functional>
 #include <list>
-#include <unordered_map>
 
 #include "serialize/value.hpp"
 #include "transport/reliable.hpp"
@@ -77,20 +76,20 @@ class TupleSpaceClient {
           Time timeout = duration::seconds(2));
 
  private:
-  struct Pending {
+  // A blocking request that expires is cancelled at the server.
+  struct Waiting {
     TupleCallback callback;
-    EventId timer = EventId::invalid();
+    bool blocking = false;
   };
 
   void request(const Tuple& tmpl, bool take, bool blocking, Time timeout,
                TupleCallback callback);
   void on_message(NodeId src, const Bytes& frame);
-  void finish(std::uint64_t request_id, bool found, Tuple tuple);
+  void finish(std::uint64_t request_id, NodeId src, bool found, Tuple tuple);
 
   transport::ReliableTransport& transport_;
   NodeId server_;
-  std::uint64_t next_request_ = 1;
-  std::unordered_map<std::uint64_t, Pending> pending_;
+  net::RequestTable<Waiting> requests_;
 };
 
 }  // namespace ndsm::transactions

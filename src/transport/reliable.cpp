@@ -16,7 +16,8 @@ namespace ndsm::transport {
 ReliableTransport::ReliableTransport(Router& router, TransportConfig config)
     : router_(router), config_(config), rtt_ms_(register_metrics()),
       epoch_(router.stack().incarnation_epoch()),
-      trace_ids_(router.self(), epoch_) {
+      trace_ids_(router.self(), epoch_),
+      local_(router.stack(), [](std::uint64_t, std::function<void()> deliver) { deliver(); }) {
   assert(config_.max_fragment_bytes > 0);
   router_.set_delivery_handler(
       routing::Proto::kTransport,
@@ -91,9 +92,9 @@ Status ReliableTransport::send(NodeId dst, Port port, Bytes payload, CompletionH
   ctx.span_id = trace_ids_.next();
   ctx.trace_id = parent.valid() ? parent.trace_id : ctx.span_id;
   if (dst == self()) {
-    // Local delivery: immediate, always succeeds.
-    router_.stack().schedule_after(0, [this, port, ctx, payload = std::move(payload),
-                                              done = std::move(done)]() {
+    // Local delivery: in the next event, always succeeds.
+    local_.open(self(), [this, port, ctx, payload = std::move(payload),
+                         done = std::move(done)]() {
       stats_.messages_delivered++;
       stats_.payload_bytes_delivered += payload.size();
       obs::Tracer& tracer = obs::Tracer::instance();
@@ -106,7 +107,7 @@ Status ReliableTransport::send(NodeId dst, Port port, Bytes payload, CompletionH
       const auto it = receivers_.find(port);
       if (it != receivers_.end()) it->second(self(), payload);
       if (done) done(Status::ok());
-    });
+    }, 0);
     return Status::ok();
   }
   const std::uint64_t id = next_msg_id_++;

@@ -262,6 +262,8 @@ class ReliableTransport {
   };
   std::unordered_map<NodeId, CompletedWindow> completed_;
   std::unordered_map<Port, Receiver> receivers_;
+  // Messages to self, each delivered in the next event.
+  net::RequestTable<std::function<void()>> local_;
   HeldAck held_ack_;
   // Fragment frames being handled right now (more than one when an
   // up-call pumps the stack); must be zero at destruction.

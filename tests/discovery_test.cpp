@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "discovery/adaptive.hpp"
 #include "discovery/centralized.hpp"
@@ -347,6 +348,29 @@ TEST(Centralized, BestMatchRankedFirst) {
   EXPECT_DOUBLE_EQ(found[0].qos.reliability, 0.99);
 }
 
+// A directory that crashes with a query in its queue serves nothing
+// once it is gone: the client's query times out empty.
+TEST(Centralized, QueuedQueryDiesWithTheDirectory) {
+  Lan lan{2};
+  auto& directory =
+      lan.runtime(0).add_service<DirectoryServer>("directory", [](node::Runtime& rt) {
+        auto server = std::make_unique<DirectoryServer>(rt.transport());
+        server->set_processing_time(duration::millis(100));
+        return server;
+      });
+  CentralizedDiscovery client{lan.transport(1), {lan.nodes[0]}};
+  std::optional<std::vector<ServiceRecord>> found;
+  client.query(wants(), [&](std::vector<ServiceRecord> recs) { found = std::move(recs); }, 8,
+               duration::seconds(1));
+  lan.sim.run_until(duration::millis(50));
+  ASSERT_EQ(directory.stats().queries, 1u);  // queued, not yet served
+  lan.runtime(0).crash();
+  lan.sim.run_until(duration::seconds(2));
+  ASSERT_TRUE(found.has_value());
+  EXPECT_TRUE(found->empty());
+  EXPECT_EQ(client.stats().queries_empty, 1u);
+}
+
 TEST(Mirroring, MutationsReplicateToMirrors) {
   Lan lan{4};
   DirectoryServer primary{lan.transport(0)};
@@ -535,6 +559,24 @@ TEST(Distributed, CollectedAnswersAreBestFirst) {
   ASSERT_EQ(found.size(), 2u);
   EXPECT_DOUBLE_EQ(found[0].qos.reliability, 0.99);
   EXPECT_DOUBLE_EQ(found[1].qos.reliability, 0.5);
+}
+
+// An answer from the cache waits for the next event; a client destroyed
+// before then takes it along, and the callback never runs.
+TEST(Distributed, CachedAnswerDiesWithItsClient) {
+  DistributedConfig cfg;
+  cfg.advertise_period = duration::seconds(2);
+  DistributedSetup setup{4, cfg};
+  setup.clients[3]->register_service(sensor_service(), duration::seconds(60));
+  setup.sim.run_until(duration::seconds(5));
+  ASSERT_GE(setup.clients[0]->cache_size(), 1u);
+  int answers = 0;
+  setup.clients[0]->query(wants(), [&](std::vector<ServiceRecord>) { answers++; }, 8,
+                          duration::seconds(2));
+  ASSERT_EQ(setup.clients[0]->stats().queries_answered, 1u);  // from the cache
+  setup.clients[0].reset();
+  setup.sim.run_until(duration::seconds(8));
+  EXPECT_EQ(answers, 0);
 }
 
 // An answer from the advertisement cache ranks the node's own services

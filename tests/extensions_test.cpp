@@ -187,6 +187,28 @@ TEST(Handoff, TimeoutWhenTargetDead) {
   EXPECT_EQ(a.stats().completed, 0u);
 }
 
+// Only the target's accept completes a handoff: an accept from a node
+// that was not asked must not hand the session to a down target.
+TEST(Handoff, AcceptFromANodeNotAskedIsIgnored) {
+  Lan lan{3};
+  scheduling::HandoffManager a{lan.transport(0)};
+  lan.runtime(1).crash();
+  Status result;
+  int callbacks = 0;
+  a.handoff("counter", to_bytes("s"), lan.nodes[1], [&](Status s) {
+    callbacks++;
+    result = s;
+  }, duration::seconds(1));
+  serialize::Writer forged;
+  forged.u8(2);      // kAccept
+  forged.varint(1);  // the transfer's id
+  lan.transport(2).send(lan.nodes[0], transport::ports::kHandoff, std::move(forged).take());
+  lan.sim.run_until(duration::seconds(3));
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(result.code(), ErrorCode::kTimeout);
+  EXPECT_EQ(a.stats().completed, 0u);
+}
+
 TEST(Handoff, ChainAcrossThreeNodes) {
   // A counter session hops 0 -> 1 -> 2, incremented at each stop.
   Lan lan{3};

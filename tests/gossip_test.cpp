@@ -60,6 +60,18 @@ TEST(Gossip, QueriesAnsweredFromCacheWithoutNetwork) {
   EXPECT_LE(net.world.stats().frames_sent, 4u * 2u);
 }
 
+// An answer waits for the next event; a client destroyed before then
+// takes it along, and the callback never runs.
+TEST(Gossip, AnswerDiesWithItsClient) {
+  GossipNet net{2};
+  int answers = 0;
+  net.clients[0]->query(wants(), [&](std::vector<ServiceRecord>) { answers++; }, 4,
+                        duration::seconds(1));
+  net.clients[0].reset();
+  net.sim.run_until(duration::seconds(1));
+  EXPECT_EQ(answers, 0);
+}
+
 TEST(Gossip, PeersLearnedFromIncomingGossip) {
   GossipNet net{4};
   // Node 0 was seeded with nobody pointing at it except node 1; after a

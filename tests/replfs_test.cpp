@@ -157,6 +157,23 @@ TEST(Replfs, ReadBackFromEachReplica) {
   EXPECT_EQ(missing, 3);
 }
 
+// A read of a replica that never answers ends at its deadline, a write's
+// re-drive budget (retry_period x max_write_attempts, 20 s by default),
+// with exactly one callback reporting not found.
+TEST(Replfs, ReadOfACrashedReplicaEndsAtItsDeadline) {
+  ReplfsNet net{3};
+  net.lan.runtime(1).crash();
+  const Time asked_at = net.lan.sim.now();
+  std::vector<std::pair<bool, Time>> answers;
+  net.client->read(net.server_ids[1], "k", [&](bool found, const Bytes&) {
+    answers.emplace_back(found, net.lan.sim.now());
+  });
+  net.run(duration::seconds(60));
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_FALSE(answers[0].first);
+  EXPECT_EQ(answers[0].second - asked_at, duration::seconds(20));
+}
+
 TEST(Replfs, OfflineReplicaWalkedBackThroughTargetedRepair) {
   ReplfsNet net{3};
   // Replica 1 is link-dead while the blocks multicast flies past it.

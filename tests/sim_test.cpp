@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 #include <vector>
 
+#include "common/request_table.hpp"
 #include "sim/simulator.hpp"
 
 namespace ndsm::sim {
@@ -191,6 +193,104 @@ TEST(PeriodicTimer, RestartResetsPhase) {
   timer.start();       // restart at t=150 -> next fire 250
   sim.run_until(260);
   EXPECT_EQ(at, (std::vector<Time>{100, 250}));
+}
+
+// One table of outstanding requests, run on a one-shard engine; entries
+// are strings, and the expiry handler records what expired.
+using RequestTable = BasicRequestTable<std::string, Simulator>;
+constexpr NodeId kPeer{1};
+
+TEST(RequestTable, ReplyBeforeTheDeadlineCancelsIt) {
+  Simulator sim;
+  int expired = 0;
+  RequestTable table{sim, [&](std::uint64_t, std::string) { expired++; }};
+  const std::uint64_t id = table.open(kPeer, "call", 100);
+  sim.run_until(50);
+  EXPECT_EQ(table.take(id, kPeer), "call");
+  EXPECT_EQ(table.take(id, kPeer), std::nullopt);
+  sim.run_until(1000);
+  EXPECT_EQ(expired, 0);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(RequestTable, LateReplyAfterTheDeadlineFindsNothing) {
+  Simulator sim;
+  std::vector<std::pair<std::uint64_t, std::string>> expired;
+  RequestTable table{sim, [&](std::uint64_t id, std::string entry) {
+                       expired.emplace_back(id, entry);
+                     }};
+  const std::uint64_t id = table.open(kPeer, "call", 100);
+  sim.run_until(150);
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(expired[0], std::make_pair(id, std::string{"call"}));
+  EXPECT_EQ(table.find(id, kPeer), nullptr);
+  EXPECT_EQ(table.take(id, kPeer), std::nullopt);
+  EXPECT_EQ(table.size(), 0u);
+  sim.run_until(1000);
+  EXPECT_EQ(expired.size(), 1u);
+}
+
+TEST(RequestTable, ReplyFromAnotherPeerIsIgnored) {
+  Simulator sim;
+  RequestTable table{sim, [](std::uint64_t, std::string) {}};
+  const std::uint64_t id = table.open(kPeer, "call", 100);
+  EXPECT_EQ(table.find(id, NodeId{2}), nullptr);
+  EXPECT_EQ(table.take(id, NodeId{2}), std::nullopt);
+  EXPECT_EQ(table.take(id, kPeer), "call");
+
+  const std::uint64_t flooded = table.open(kAnyPeer, "query", 100);
+  EXPECT_NE(table.find(flooded, NodeId{2}), nullptr);
+  EXPECT_EQ(table.take(flooded, NodeId{9}), "query");
+}
+
+TEST(RequestTable, FindThenTake) {
+  Simulator sim;
+  RequestTable table{sim, [](std::uint64_t, std::string) {}};
+  const std::uint64_t id = table.open(kPeer, "a", 100);
+  std::string* entry = table.find(id, kPeer);
+  ASSERT_NE(entry, nullptr);
+  *entry += "b";
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.take(id, kPeer), "ab");
+  EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(RequestTable, IdsRunFromOneInOpenAndSkipOrder) {
+  Simulator sim;
+  RequestTable table{sim, [](std::uint64_t, std::string) {}};
+  EXPECT_EQ(table.open(kPeer, "a", 100), 1u);
+  EXPECT_EQ(table.skip(), 2u);
+  EXPECT_EQ(table.open(kAnyPeer, "b", 100), 3u);
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(RequestTable, ExpiryHandlerMayOpenARequest) {
+  Simulator sim;
+  std::vector<Time> expired_at;
+  RequestTable table{sim, [&](std::uint64_t, std::string entry) {
+                       expired_at.push_back(sim.now());
+                       if (entry == "retry") table.open(kPeer, "last", 100);
+                     }};
+  table.open(kPeer, "retry", 100);
+  sim.run_until(1000);
+  EXPECT_EQ(expired_at, (std::vector<Time>{100, 200}));
+  EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(RequestTable, DestructionCancelsEveryDeadlineAndRunsNoHandler) {
+  Simulator sim;
+  sim.schedule_at(500, [] {});
+  const std::size_t baseline = sim.pending();
+  int expired = 0;
+  {
+    RequestTable table{sim, [&](std::uint64_t, std::string) { expired++; }};
+    table.open(kPeer, "a", 100);
+    table.open(kAnyPeer, "b", 0);
+    EXPECT_EQ(sim.pending(), baseline + 2);
+  }
+  EXPECT_EQ(sim.pending(), baseline);
+  sim.run_until(1000);
+  EXPECT_EQ(expired, 0);
 }
 
 TEST(Simulator, PendingIsExact) {

@@ -73,6 +73,30 @@ TEST(Rpc, TimeoutWhenServerDead) {
   EXPECT_EQ(client.stats().timeouts, 1u);
 }
 
+// A response counts only from the node the call went to: a third node's
+// kResponse carrying the call's id leaves the call to time out.
+TEST(Rpc, ReplyFromANodeNotCalledIsIgnored) {
+  Lan lan{3};
+  RpcEndpoint client{lan.transport(0)};
+  lan.runtime(1).crash();
+  Result<Bytes> result = Status{ErrorCode::kInternal, "no callback"};
+  int callbacks = 0;
+  client.call(lan.nodes[1], "echo", {}, [&](Result<Bytes> r) {
+    callbacks++;
+    result = std::move(r);
+  }, duration::millis(500));
+  serialize::Writer forged;
+  forged.u8(2);      // kResponse
+  forged.varint(1);  // the call's request id
+  forged.boolean(true);
+  forged.bytes(to_bytes("forged"));
+  lan.transport(2).send(lan.nodes[0], transport::ports::kRpc, std::move(forged).take());
+  lan.sim.run_until(duration::seconds(2));
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(result.code(), ErrorCode::kTimeout);
+  EXPECT_EQ(client.stats().timeouts, 1u);
+}
+
 TEST(Rpc, ConcurrentCallsRouteToRightCallbacks) {
   Lan lan{3};
   RpcEndpoint s0{lan.transport(0)};

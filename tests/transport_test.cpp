@@ -124,6 +124,22 @@ TEST(Transport, SelfSendIsLocal) {
   EXPECT_TRUE(completed);
 }
 
+// A message to self waits for the next event; a crash before then takes
+// it down with the transport, and neither its receiver nor its
+// completion runs.
+TEST(Transport, SelfSendDiesWithTheTransport) {
+  Lan lan{1};
+  int received = 0;
+  int completed = 0;
+  lan.transport(0).set_receiver(ports::kApp, [&](NodeId, const Bytes&) { received++; });
+  lan.transport(0).send(lan.nodes[0], ports::kApp, to_bytes("self"),
+                        [&](Status) { completed++; });
+  lan.runtime(0).crash();
+  lan.sim.run_until(duration::millis(10));
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(completed, 0);
+}
+
 TEST(Transport, RecoversFromHeavyLoss) {
   // 30% frame loss on a 2-node wireless link; retransmission must recover.
   WirelessGrid grid{2, 20.0, 42, 1e9, /*loss=*/0.3};
